@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from dataclasses import dataclass
@@ -53,6 +54,8 @@ from .sampling import SampleSpec, curve_over_samples, expected_degrees, sample_g
 from .verify import run_all_sweeps, sweep_report
 
 MODEL_NAMES = ("tdp", "lrdp", "lrhp", "softmax")
+
+logger = logging.getLogger(__name__)
 
 
 class AuditStageError(RuntimeError):
@@ -92,6 +95,10 @@ class AuditConfig:
             raise ValueError("negative_ratio must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
 
     def to_json(self) -> dict:
         return {
@@ -207,6 +214,12 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
 
         stage = "fit"
         models, fit_reports, extras = _fit_models(e, g, config)
+        for name, rep in fit_reports.items():
+            if not rep.converged:
+                logger.warning(
+                    "%s intercept calibration did not converge: target %d "
+                    "edges, achieved %.6g expected edges",
+                    name, rep.target_edges, rep.achieved_expected_edges)
 
         stage = "sample"
         curve_sets = {}

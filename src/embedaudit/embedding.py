@@ -140,8 +140,6 @@ def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF,
         a = g.adjacency_matrix()
         w, u = np.linalg.eigh(a)
         order = _canonical_order(w)[:d]
-        vals, vecs = w[order], u[:, order]
-        norm_a = float(np.abs(w).max()) if n else 0.0
     else:
         a = scipy.sparse.csr_matrix(
             (np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
@@ -154,13 +152,15 @@ def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF,
             raise EigensolverError(
                 f"ARPACK did not converge for n={n}, d={d}: {exc}") from exc
         order = _canonical_order(w)
-        vals, vecs = w[order], u[:, order]
-        norm_a = float(np.abs(vals).max())
-        residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-        if norm_a > 0 and np.any(residuals > _RESIDUAL_TOL * norm_a):
-            raise EigensolverError(
-                f"eigenpair residual {residuals.max():.3e} exceeds "
-                f"{_RESIDUAL_TOL:.0e} * ||A|| = {_RESIDUAL_TOL * norm_a:.3e}")
+    vals, vecs = w[order], u[:, order]
+
+    # vals[0] has the largest magnitude of all eigenvalues, which is ||A||_2
+    norm_a = float(abs(vals[0]))
+    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    if norm_a > 0 and np.any(residuals > _RESIDUAL_TOL * norm_a):
+        raise EigensolverError(
+            f"eigenpair residual {residuals.max():.3e} exceeds "
+            f"{_RESIDUAL_TOL:.0e} * ||A|| = {_RESIDUAL_TOL * norm_a:.3e}")
 
     return Embedding(SPECTRAL, _fix_signs(vecs), vals)
 

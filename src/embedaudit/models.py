@@ -10,9 +10,9 @@ Four variants map the score of a vertex pair to an edge probability:
 
 The logistic models are fitted by weighted maximum likelihood on all edges
 plus importance-weighted subsampled non-edges, then their intercept is
-recalibrated by bisection so the exact sum of pair probabilities matches the
-observed edge count.  All models are immutable and evaluate pure, symmetric
-probabilities in [0, 1].
+recalibrated by a safeguarded Newton solve so the exact sum of pair
+probabilities matches the observed edge count.  All models are immutable and
+evaluate pure, symmetric probabilities in [0, 1].
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from .blocks import DEFAULT_BLOCK_SIZE, iter_pair_tiles, strict_upper_mask
 from .embedding import Embedding
 from .graph import Graph
 
-# pair-logit vectors up to this many entries are materialized once during
-# intercept calibration instead of being recomputed per bisection step
-_CALIBRATION_CACHE_LIMIT = 20_000_000
+# longest Newton step of the intercept calibration: when most pairs sit at
+# p = 1, sum p(1-p) is nearly 0 and the raw step overshoots by orders of
+# magnitude, while expit already saturates in double precision beyond |z| = 37
+_MAX_NEWTON_STEP = 40.0
 
 
 def tdp_probability(score: float) -> float:
@@ -163,8 +164,9 @@ def edge_probability(model, e: Embedding, i: int, j: int) -> float:
 class FitReport:
     target_edges: float
     achieved_expected_edges: float
-    iterations: int
+    iterations: int            # MLE iterations plus calibration_evals
     converged: bool
+    calibration_evals: int     # pair passes of the intercept calibration
 
 
 def build_softmax(e: Embedding, g: Graph,
@@ -295,74 +297,61 @@ def _weighted_logistic(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     return coef, float(beta[-1]), iters
 
 
-def _calibrate_intercept(sum_p, m_target: float, n_pairs: int,
-                         tol_rel: float = 1e-3, max_iter: int = 200):
+def _calibrate_intercept(pair_sums, m_target: float, tol_rel: float = 1e-3,
+                         max_iter: int = 100):
     """Shift delta such that sum_p(delta) matches m_target.
 
-    sum_p must be strictly increasing in delta (a sum of sigmoids is), which
-    makes bisection valid.  Returns (delta, evals, converged, achieved).
+    pair_sums(delta) returns sum_p(delta) = sum p and its derivative
+    sum p(1-p) from one pass over the pairs.  Newton steps solve
+    log sum_p(delta) = log m_target, which is nearly linear in delta around
+    the MLE intercept.  A bracket [lo, hi] around the root guards every step:
+    one that leaves it is replaced by bisection, or by doubling away from
+    delta while that side is still open.  sum_p strictly increases in delta
+    (a sum of sigmoids does), so the bracket is valid.
+    Returns (delta, evals, converged, achieved) with achieved = sum_p(delta).
     """
     tol = tol_rel * m_target if m_target > 0 else 1e-9
-    evals = 0
-
-    def f(d):
-        nonlocal evals
-        evals += 1
-        return sum_p(d)
-
-    achieved = f(0.0)
-    if abs(achieved - m_target) <= tol:
-        return 0.0, evals, True, achieved
-
-    lo, hi = -1.0, 1.0
-    f_lo, f_hi = f(lo), f(hi)
-    while f_lo > m_target and lo > -800.0:
-        lo *= 2.0
-        f_lo = f(lo)
-    while f_hi < m_target and hi < 800.0:
-        hi *= 2.0
-        f_hi = f(hi)
-
-    best_d, best_f = (lo, f_lo) if abs(f_lo - m_target) < abs(f_hi - m_target) else (hi, f_hi)
-    if abs(best_f - m_target) <= tol:
-        return best_d, evals, True, best_f
-
-    delta, achieved, converged = best_d, best_f, False
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid - m_target) < abs(achieved - m_target):
-            delta, achieved = mid, f_mid
-        if abs(f_mid - m_target) <= tol:
-            converged = True
-            break
-        if f_mid < m_target:
-            lo = mid
+    log_target = np.log(max(m_target, 0.5 * tol))
+    lo, hi = -np.inf, np.inf
+    delta = best_delta = 0.0
+    best = np.inf
+    for evals in range(1, max_iter + 1):
+        s, ds = pair_sums(delta)
+        if abs(s - m_target) < abs(best - m_target):
+            best_delta, best = delta, s
+        if abs(s - m_target) <= tol:
+            return delta, evals, True, s
+        if s < m_target:
+            lo = delta
         else:
-            hi = mid
-    return delta, evals, converged, achieved
+            hi = delta
+        step = np.nan
+        if s > 0 and ds > 0:
+            step = np.clip((log_target - np.log(s)) * s / ds,
+                           -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)
+        if lo < delta + step < hi:
+            delta += step
+        elif np.isfinite(lo) and np.isfinite(hi):
+            delta = 0.5 * (lo + hi)
+        else:
+            delta += np.copysign(max(1.0, abs(delta)), m_target - s)
+    return best_delta, max_iter, False, best
 
 
 def _make_pair_logit_sum(e: Embedding, logit_block, block_size: int):
-    """Return sum_p(delta) = sum over pairs i<j of sigmoid(z_ij + delta)."""
-    n_pairs = e.n * (e.n - 1) // 2
-
-    def collect():
+    """Return pair_sums(delta) = (sum p, sum p(1-p)) over pairs i<j, where
+    p = sigmoid(z_ij + delta); each call is one walk over the pair tiles."""
+    def pair_sums(delta):
+        s = ds = 0.0
         for _, rows, cols in iter_pair_tiles(e.n, block_size):
             z = logit_block(np.arange(*rows), np.arange(*cols))
             mask = strict_upper_mask(rows, cols)
-            yield z.ravel() if mask is None else z[mask]
+            p = expit((z.ravel() if mask is None else z[mask]) + delta)
+            s += p.sum()
+            ds += p @ (1.0 - p)
+        return float(s), float(ds)
 
-    if n_pairs <= _CALIBRATION_CACHE_LIMIT:
-        cached = np.concatenate(list(collect())) if n_pairs else np.empty(0)
-
-        def sum_p(delta):
-            return float(expit(cached + delta).sum())
-    else:
-        def sum_p(delta):
-            return float(sum(expit(z + delta).sum() for z in collect()))
-
-    return sum_p
+    return pair_sums
 
 
 def _fit_logistic_model(e, g, negative_ratio, seed, features, logit_block, build):
@@ -390,11 +379,11 @@ def _fit_logistic_model(e, g, negative_ratio, seed, features, logit_block, build
         coef = np.zeros(features(np.empty((0, 2), np.int64)).shape[1])
         intercept, newton_iters = 0.0, 0
 
-    sum_p = _make_pair_logit_sum(e, lambda r, c: logit_block(coef, intercept, r, c),
-                                 DEFAULT_BLOCK_SIZE)
-    delta, evals, converged, achieved = _calibrate_intercept(sum_p, float(m), n_pairs)
+    pair_sums = _make_pair_logit_sum(e, lambda r, c: logit_block(coef, intercept, r, c),
+                                     DEFAULT_BLOCK_SIZE)
+    delta, evals, converged, achieved = _calibrate_intercept(pair_sums, float(m))
     model = build(coef, intercept + delta)
-    return model, FitReport(float(m), achieved, newton_iters + evals, converged)
+    return model, FitReport(float(m), achieved, newton_iters + evals, converged, evals)
 
 
 def fit_lrdp(e: Embedding, g: Graph, negative_ratio: int = 10,
@@ -403,8 +392,9 @@ def fit_lrdp(e: Embedding, g: Graph, negative_ratio: int = 10,
 
     Positives are all m edges; negatives are negative_ratio * m uniformly
     sampled non-edges carrying importance weight (#non-edges)/(#sampled).
-    After the MLE fit the intercept is shifted by bisection until the exact
-    sum of all pair probabilities matches m within relative 1e-3.
+    After the MLE fit the intercept is shifted by a safeguarded Newton solve
+    until the exact sum of all pair probabilities matches m within relative
+    1e-3; each Newton step costs one pass over the pairs.
     """
     def features(pairs):
         if pairs.size == 0:

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from embedaudit import cli
 from embedaudit.cli import AuditConfig, AuditStageError, cmd_audit, cmd_ranksweep, cmd_verify
 from embedaudit.embedding import load_embedding
 from embedaudit.graph import Graph, load_edge_list, save_edge_list, triangle_foundation_curve
+from embedaudit.models import FitReport, fit_lrdp
 
 
 def write_k4(tmp_path):
@@ -82,6 +84,7 @@ def test_audit_report_contents(tmp_path):
     assert set(doc["fit_reports"]) == {"lrdp", "lrhp"}
     for rep in doc["fit_reports"].values():
         assert rep["converged"]
+        assert 1 <= rep["calibration_evals"] < rep["iterations"]
     assert "softmax_clamped_pairs" in doc
     assert doc["seed"] == 3
 
@@ -155,6 +158,32 @@ def test_audit_config_validation():
         AuditConfig(graph_path="g", output_dir="o", models=("euclid",))
     with pytest.raises(ValueError):
         AuditConfig(graph_path="g", output_dir="o", num_samples=0)
+    with pytest.raises(ValueError):
+        AuditConfig(graph_path="g", output_dir="o", block_size=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            AuditConfig(graph_path="g", output_dir="o", seed=seed)
+    AuditConfig(graph_path="g", output_dir="o", seed=2**64 - 1, block_size=1)
+
+
+def test_audit_warns_on_unconverged_calibration(tmp_path, monkeypatch, caplog):
+    gpath, g = write_random_graph(tmp_path, n=20)
+
+    def unconverged_fit(e, graph, negative_ratio, seed):
+        model, _ = fit_lrdp(e, graph, negative_ratio, seed)
+        return model, FitReport(float(graph.m), 12.5, 130, False, 100)
+
+    monkeypatch.setattr(cli, "fit_lrdp", unconverged_fit)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="embedaudit.cli"):
+        cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(out),
+                              dim=3, models=("lrdp",), num_samples=1))
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "lrdp" in message and f"target {g.m} " in message and "12.5" in message
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["fit_reports"]["lrdp"]["converged"] is False
 
 
 # -------------------------------------------------------------- ranksweep

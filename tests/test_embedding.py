@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from embedaudit.embedding import (
+    EigensolverError,
     Embedding,
     EmbeddingFormatError,
     load_embedding,
@@ -53,6 +55,23 @@ def test_star_top2_eigenvalues():
     e = spectral_embed(g, 2)
     assert np.allclose(sorted(e.eigenvalues), sorted(top2), atol=1e-12)
     assert np.allclose(sorted(np.abs(e.eigenvalues)), [2.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("solver, dense_cutoff", [(np.linalg, 2000),
+                                                  (scipy.sparse.linalg, 5)])
+def test_eigenpair_residuals_checked_on_both_paths(monkeypatch, solver, dense_cutoff):
+    name = "eigh" if solver is np.linalg else "eigsh"
+    exact = getattr(solver, name)
+
+    def shifted(*args, **kwargs):
+        w, u = exact(*args, **kwargs)
+        return w + 1e-3, u
+
+    g = random_graph(np.random.default_rng(3), 30, 0.3)
+    spectral_embed(g, 4, dense_cutoff=dense_cutoff)
+    monkeypatch.setattr(solver, name, shifted)
+    with pytest.raises(EigensolverError, match="residual"):
+        spectral_embed(g, 4, dense_cutoff=dense_cutoff)
 
 
 def test_eigenvalues_sorted_by_magnitude_and_columns_orthonormal():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 import oracles
 from embedaudit.embedding import Embedding, spectral_embed
@@ -9,6 +12,8 @@ from embedaudit.models import (
     LogisticDot,
     LogisticHadamard,
     TruncatedDot,
+    _calibrate_intercept,
+    _make_pair_logit_sum,
     build_softmax,
     edge_probability,
     fit_lrdp,
@@ -115,6 +120,73 @@ def test_lrdp_calibration_on_random_instance():
     assert report.converged
     assert abs(report.achieved_expected_edges - g.m) <= 1e-3 * g.m
     assert abs(expected_edges(e, model) - report.achieved_expected_edges) < 1e-9
+
+
+# ----------------------------------------------------------- calibration
+
+def offset_pair_sums(e, offset, block_size):
+    return _make_pair_logit_sum(e, lambda r, c: e.score_block(r, c) + offset, block_size)
+
+
+def upper_logits(e, offset):
+    return e.score_block(np.arange(e.n), np.arange(e.n))[np.triu_indices(e.n, 1)] + offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=4),
+       st.floats(min_value=-30.0, max_value=30.0),
+       st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+       st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**32 - 1))
+def test_calibrate_intercept_converges(n, d, offset, fraction, block_size, seed):
+    e = Embedding.plain(np.random.default_rng(seed).normal(size=(n, d)))
+    pair_sums = offset_pair_sums(e, offset, block_size)
+    m = fraction * n * (n - 1) / 2
+    delta, evals, converged, achieved = _calibrate_intercept(pair_sums, m)
+    assert converged
+    assert abs(achieved - m) <= 1e-3 * m
+    assert achieved == pair_sums(delta)[0]
+    assert achieved == pytest.approx(expit(upper_logits(e, offset) + delta).sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+@pytest.mark.parametrize("offset", [-20.0, 0.0, 20.0])
+def test_calibrate_intercept_extreme_targets(n, offset):
+    e = Embedding.plain(np.random.default_rng(n).normal(size=(n, 2)))
+    pair_sums = offset_pair_sums(e, offset, 5)
+    n_pairs = n * (n - 1) // 2
+    delta, _, converged, achieved = _calibrate_intercept(pair_sums, 0.0)
+    assert converged and 0.0 <= achieved <= 1e-9
+    assert achieved == pair_sums(delta)[0]
+    delta, _, converged, achieved = _calibrate_intercept(pair_sums, float(n_pairs))
+    assert converged and abs(achieved - n_pairs) <= 1e-3 * n_pairs
+    assert achieved == pair_sums(delta)[0]
+
+
+def test_pair_sums_derivative_matches_finite_difference():
+    e = Embedding.plain(np.random.default_rng(37).normal(size=(23, 3)))
+    pair_sums = offset_pair_sums(e, -1.5, 4)
+    h = 1e-4
+    for delta in (-6.0, -0.5, 0.0, 2.0, 7.0):
+        central = (pair_sums(delta + h)[0] - pair_sums(delta - h)[0]) / (2 * h)
+        assert pair_sums(delta)[1] == pytest.approx(central, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [10, 50])
+def test_calibration_passes_bounded_on_triangle_graph(d):
+    # 100 disjoint triangles plus G(n, 1/n) noise, the audit's test construction
+    n = 300
+    rng = np.random.default_rng(d)
+    noise = np.triu(oracles.random_gnp(rng, n, 1.0 / n), 1)
+    for t in range(n // 3):
+        noise[3 * t, 3 * t + 1] = noise[3 * t + 1, 3 * t + 2] = noise[3 * t, 3 * t + 2] = True
+    g = Graph.from_edges(n, np.argwhere(noise))
+    e = spectral_embed(g, d)
+    for fit in (fit_lrdp, fit_lrhp):
+        model, report = fit(e, g, seed=d)
+        assert report.converged
+        assert report.calibration_evals <= 4
+        assert report.iterations > report.calibration_evals
+        assert abs(expected_edges(e, model) - report.achieved_expected_edges) < 1e-9
 
 
 # ------------------------------------------------------------------ LRHP
