@@ -57,7 +57,6 @@ from .sampling import (
     expected_degrees,
     expected_edges,
     expected_triangles_exact,
-    max_curve_over_samples,
     sample_graph,
 )
 from .theory import (

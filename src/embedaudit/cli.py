@@ -50,12 +50,16 @@ from .models import (
     model_to_json,
     softmax_clamp_count,
 )
-from .sampling import SampleSpec, curve_over_samples, expected_degrees, sample_graph, union_grid
+from .sampling import SampleSpec, curve_over_samples, sample_graph, union_grid
 from .verify import run_all_sweeps, sweep_report
 
 MODEL_NAMES = ("tdp", "lrdp", "lrhp", "softmax")
 
 logger = logging.getLogger(__name__)
+
+
+class AuditConfigError(ValueError):
+    """An audit configuration is invalid; raised before any work starts."""
 
 
 class AuditStageError(RuntimeError):
@@ -83,22 +87,22 @@ class AuditConfig:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise AuditConfigError("dim must be >= 1")
         if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
+            raise AuditConfigError("num_samples must be >= 1")
         if not self.models:
-            raise ValueError("select at least one model")
+            raise AuditConfigError("select at least one model")
         bad = [m for m in self.models if m not in MODEL_NAMES]
         if bad:
-            raise ValueError(f"unknown models: {bad}")
+            raise AuditConfigError(f"unknown models: {bad}")
         if self.negative_ratio < 1:
-            raise ValueError("negative_ratio must be >= 1")
+            raise AuditConfigError("negative_ratio must be >= 1")
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+            raise AuditConfigError("threads must be >= 1")
         if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+            raise AuditConfigError("block_size must be >= 1")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be in [0, 2**64)")
+            raise AuditConfigError("seed must be in [0, 2**64)")
 
     def to_json(self) -> dict:
         return {
@@ -221,7 +225,7 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
                     "edges, achieved %.6g expected edges",
                     name, rep.target_edges, rep.achieved_expected_edges)
 
-        stage = "sample"
+        stage = "sample"                 # one pair walk per model: samples and degrees
         curve_sets = {}
         for name, model in models.items():
             spec = SampleSpec(seed=_model_sample_seed(config.seed, name),
@@ -243,10 +247,8 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
 
         stage = "degrees"
         observed = degree_distribution(g)
-        expected_dists = {name: expected_degree_distribution(
-            expected_degrees(e, model, block_size=config.block_size,
-                             threads=config.threads))
-            for name, model in models.items()}
+        expected_dists = {name: expected_degree_distribution(cs.expected_degrees)
+                          for name, cs in curve_sets.items()}
 
         stage = "write"
         p = tracker.path("curve_original.csv")
@@ -277,6 +279,10 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
                        {"variant": "softmax", "digest": model_digest(m)}
                        for name, m in models.items()},
             "max_delta_std_per_model": delta_std,
+            "sampled_edges": {name: {"min": int(cs.edge_counts.min()),
+                                     "median": float(np.median(cs.edge_counts)),
+                                     "max": int(cs.edge_counts.max())}
+                              for name, cs in curve_sets.items()},
             **extras,
             "versions": {"embedaudit": __version__,
                          "numpy": np.__version__, "scipy": scipy.__version__},
@@ -384,6 +390,17 @@ def _add_common_audit_args(p: argparse.ArgumentParser) -> None:
                    help="pair-tile side length (part of the RNG configuration)")
 
 
+def _parse_ranks(text: str) -> tuple:
+    try:
+        ranks = tuple(int(r) for r in text.split(",") if r.strip())
+    except ValueError:
+        ranks = ()
+    if not ranks:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
+    return ranks
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embedaudit",
@@ -401,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ranksweep", help="TDP curves across embedding ranks")
     _add_common_audit_args(p)
-    p.add_argument("--ranks", required=True,
+    p.add_argument("--ranks", required=True, type=_parse_ranks,
                    help="comma-separated embedding ranks, e.g. 10,50,100")
 
     p = sub.add_parser("verify-theory", help="run all theory property sweeps")
@@ -445,14 +462,13 @@ def _run_audit(args) -> int:
 
 
 def _run_ranksweep(args) -> int:
-    ranks = tuple(int(r) for r in args.ranks.split(",") if r.strip())
     config = AuditConfig(
         graph_path=args.graph, output_dir=args.out, dim=args.dim,
         models=("tdp",), num_samples=args.samples, seed=args.seed,
-        rank_sweep_list=ranks, negative_ratio=args.negative_ratio,
+        rank_sweep_list=args.ranks, negative_ratio=args.negative_ratio,
         threads=args.threads, block_size=args.block_size)
     report = cmd_ranksweep(config)
-    print(f"ranksweep complete over ranks {list(ranks)}; wrote "
+    print(f"ranksweep complete over ranks {list(args.ranks)}; wrote "
           f"{len(report.files) + 1} files to {args.out}")
     return 0
 
@@ -526,8 +542,12 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _DISPATCH[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _DISPATCH[args.command](args)
+    except AuditConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

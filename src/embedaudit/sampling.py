@@ -4,6 +4,13 @@ Every unordered pair (i, j) is an independent Bernoulli trial with the
 model's probability.  Randomness is organized per pair tile: the generator
 for a tile is seeded from (seed, sample_index, tile_index), so a sampled
 graph is bit-identical no matter how tiles are scheduled across threads.
+
+One private tile walk, ``_pair_walk``, serves every O(n^2) pass in this
+module: per tile it computes the masked probability tile once, draws the
+edges of every requested sample from it, and adds the tile's row and column
+sums of p (and of p^2) to the per-vertex totals with a Kahan update in tile
+order.  A whole set of samples plus the expected degrees therefore costs one
+walk, and the draws and the summation order are those of separate passes.
 """
 
 from __future__ import annotations
@@ -45,9 +52,21 @@ def _tile_rng(seed: int, sample_index: int, tile_index: int) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence((seed, sample_index, tile_index)))
 
 
-def sample_graph(e, model, seed: int, sample_index: int, *,
-                 block_size: int = DEFAULT_BLOCK_SIZE, threads: int = 1) -> Graph:
-    """One Bernoulli draw over all pairs; deterministic in (seed, sample_index)."""
+def _kahan_accumulate(total, comp, update):
+    y = update - comp
+    t = total + y
+    comp[:] = (t - total) - y
+    total[:] = t
+
+
+def _pair_walk(e, model, *, block_size: int, threads: int, seed: int = 0,
+               sample_indices=(), moments: int = 0):
+    """One pass over the pair tiles; returns (edges, sums).
+
+    ``edges[k]`` is the (m, 2) edge array (i < j, in tile order) of sample
+    ``sample_indices[k]``.  ``sums[q]`` is the per-vertex sum of p**(q+1)
+    over all pairs, for q < moments (at most 2).
+    """
     n = e.n
 
     def work(tile):
@@ -56,60 +75,45 @@ def sample_graph(e, model, seed: int, sample_index: int, *,
         mask = strict_upper_mask(rows, cols)
         if mask is not None:
             p = np.where(mask, p, 0.0)
-        u = _tile_rng(seed, sample_index, t).random(p.shape)
-        ii, jj = np.nonzero(u < p)
-        return np.column_stack([ii + rows[0], jj + cols[0]])
+        drawn = []
+        for s in sample_indices:
+            # flat indices are row-major, as np.nonzero's, and far cheaper
+            hits = np.flatnonzero(_tile_rng(seed, s, t).random(p.shape) < p)
+            ii, jj = np.divmod(hits, p.shape[1])
+            drawn.append(np.column_stack([ii + rows[0], jj + cols[0]]))
+        tile_sums, q = [], p
+        for k in range(moments):
+            if k:
+                q = q * p
+            tile_sums.append((q.sum(axis=1), q.sum(axis=0)))
+        return rows, cols, drawn, tile_sums
 
     parts = map_tiles(work, iter_pair_tiles(n, block_size), threads)
-    edges = np.concatenate(parts) if parts else np.empty((0, 2), np.int64)
-    return Graph.from_edges(n, edges)
+    edges = [np.concatenate([part[2][k] for part in parts]) if parts
+             else np.empty((0, 2), np.int64) for k in range(len(sample_indices))]
+    sums = [np.zeros(n) for _ in range(moments)]
+    comps = [np.zeros(n) for _ in range(moments)]
+    for rows, cols, _, tile_sums in parts:
+        for total, comp, (row_sum, col_sum) in zip(sums, comps, tile_sums):
+            upd = np.zeros(n)
+            upd[np.arange(*rows)] += row_sum
+            upd[np.arange(*cols)] += col_sum
+            _kahan_accumulate(total, comp, upd)
+    return edges, sums
 
 
-def _kahan_accumulate(total, comp, update):
-    y = update - comp
-    t = total + y
-    comp[:] = (t - total) - y
-    total[:] = t
-
-
-def _pair_moment_pass(e, model, block_size: int, threads: int, power2: bool):
-    """Per-vertex sums of p (and optionally p^2) over all pairs."""
-    n = e.n
-
-    def work(tile):
-        _, rows, cols = tile
-        p = model.prob_block(e, np.arange(*rows), np.arange(*cols))
-        mask = strict_upper_mask(rows, cols)
-        if mask is not None:
-            p = np.where(mask, p, 0.0)
-        out = [(rows, p.sum(axis=1)), (cols, p.sum(axis=0))]
-        if power2:
-            p2 = p * p
-            out += [(rows, p2.sum(axis=1)), (cols, p2.sum(axis=0))]
-        return out
-
-    sums = np.zeros(n)
-    comp = np.zeros(n)
-    sums2 = np.zeros(n)
-    comp2 = np.zeros(n)
-    for part in map_tiles(work, iter_pair_tiles(n, block_size), threads):
-        (r_rows, row_sum), (r_cols, col_sum) = part[0], part[1]
-        upd = np.zeros(n)
-        upd[np.arange(*r_rows)] += row_sum
-        upd[np.arange(*r_cols)] += col_sum
-        _kahan_accumulate(sums, comp, upd)
-        if power2:
-            upd2 = np.zeros(n)
-            upd2[np.arange(*part[2][0])] += part[2][1]
-            upd2[np.arange(*part[3][0])] += part[3][1]
-            _kahan_accumulate(sums2, comp2, upd2)
-    return sums, sums2
+def sample_graph(e, model, seed: int, sample_index: int, *,
+                 block_size: int = DEFAULT_BLOCK_SIZE, threads: int = 1) -> Graph:
+    """One Bernoulli draw over all pairs; deterministic in (seed, sample_index)."""
+    (edges,), _ = _pair_walk(e, model, block_size=block_size, threads=threads,
+                             seed=seed, sample_indices=(sample_index,))
+    return Graph.from_edges(e.n, edges)
 
 
 def expected_degrees(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE,
                      threads: int = 1) -> np.ndarray:
     """Exact E[D_i] = sum_{j != i} p_ij for every vertex (O(n^2) pass)."""
-    sums, _ = _pair_moment_pass(e, model, block_size, threads, power2=False)
+    _, (sums,) = _pair_walk(e, model, block_size=block_size, threads=threads, moments=1)
     return sums
 
 
@@ -120,7 +124,8 @@ def expected_degree_second_moment(e, model, *, block_size: int = DEFAULT_BLOCK_S
     For a sum of independent Bernoulli(p_ij) indicators,
     E[D^2] = Var + E[D]^2 = sum p(1-p) + (sum p)^2.
     """
-    ed, sum_sq = _pair_moment_pass(e, model, block_size, threads, power2=True)
+    _, (ed, sum_sq) = _pair_walk(e, model, block_size=block_size, threads=threads,
+                                 moments=2)
     return ed, ed - sum_sq + ed * ed
 
 
@@ -153,11 +158,14 @@ def expected_triangles_exact(e, model) -> float:
 
 @dataclass(frozen=True)
 class SampleCurveSet:
-    """Per-sample triangle-foundation curves on their union threshold grid."""
+    """Per-sample triangle-foundation curves on their union threshold grid,
+    with the exact expected degrees from the same pair walk."""
 
     thresholds: np.ndarray            # union of distinct degrees, ascending
     deltas: np.ndarray                # (num_samples, len(thresholds)), step-filled
     n_ref: int
+    expected_degrees: np.ndarray      # E[D_i] per vertex
+    edge_counts: np.ndarray           # edges of each sample, in sample order
 
     @property
     def max_curve(self) -> TriangleFoundationCurve:
@@ -189,19 +197,19 @@ def curve_over_samples(e, model, spec: SampleSpec, n_ref: int, *,
                        threads: int = 1) -> SampleCurveSet:
     """Sample spec.num_samples graphs and collect their curves.
 
+    All samples and the expected degrees come from one pair walk; sample s
+    equals ``sample_graph(e, model, spec.seed, s, block_size=spec.block_size)``.
     Every curve is normalized by the original graph's n (n_ref), not by the
     sampled graph's vertex count.
     """
-    curves = []
-    for s in range(spec.num_samples):
-        g = sample_graph(e, model, spec.seed, s,
-                         block_size=spec.block_size, threads=threads)
+    edges, (degrees,) = _pair_walk(
+        e, model, block_size=spec.block_size, threads=threads, seed=spec.seed,
+        sample_indices=range(spec.num_samples), moments=1)
+    curves, counts = [], []
+    for sample_edges in edges:
+        g = Graph.from_edges(e.n, sample_edges)
         curves.append(triangle_foundation_curve(g, n_ref))
+        counts.append(g.m)
     grid = union_grid(curves)
-    return SampleCurveSet(grid, curves_on_grid(curves, grid), n_ref)
-
-
-def max_curve_over_samples(e, model, spec: SampleSpec, n_ref: int, *,
-                           threads: int = 1) -> TriangleFoundationCurve:
-    """Pointwise maximum of the per-sample curves on their union grid."""
-    return curve_over_samples(e, model, spec, n_ref, threads=threads).max_curve
+    return SampleCurveSet(grid, curves_on_grid(curves, grid), n_ref,
+                          degrees, np.array(counts, dtype=np.int64))

@@ -87,6 +87,10 @@ def test_audit_report_contents(tmp_path):
         assert 1 <= rep["calibration_evals"] < rep["iterations"]
     assert "softmax_clamped_pairs" in doc
     assert doc["seed"] == 3
+    assert set(doc["sampled_edges"]) == set(cli.MODEL_NAMES)
+    for stats in doc["sampled_edges"].values():
+        assert set(stats) == {"min", "median", "max"}
+        assert 0 <= stats["min"] <= stats["median"] <= stats["max"]
 
 
 def test_audit_original_curve_matches_standalone(tmp_path):
@@ -306,3 +310,22 @@ def test_cli_audit_argument_parsing(tmp_path):
     assert (out / "curve_tdp.csv").exists()
     assert (out / "curve_softmax.csv").exists()
     assert not (out / "curve_lrdp.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["audit", "--seed", "-1"], "seed must be in"),
+    (["audit", "--block-size", "0"], "block_size must be >= 1"),
+    (["audit", "--threads", "0"], "threads must be >= 1"),
+    (["ranksweep", "--ranks", "1,x"], "argument --ranks"),
+])
+def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, message):
+    gpath = write_k4(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--graph", str(gpath), "--dim", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("embedaudit")
+    assert ": error: " in err.strip().splitlines()[-1]
+    assert not out.exists()

@@ -153,6 +153,28 @@ def test_curve_matches_bruteforce_oracle():
     assert list(curve.points) == [tuple(p) for p in oracles.brute_force_curve(a, g.n)]
 
 
+def test_curve_matches_networkx_on_tdp_sample():
+    nx = pytest.importorskip("networkx")
+    from embedaudit.embedding import Embedding
+    from embedaudit.models import TruncatedDot
+    from embedaudit.sampling import sample_graph
+
+    rng = np.random.default_rng(8)
+    n, k = 1000, 25
+    vectors = 0.55 * np.eye(k)[np.arange(n) % k] + rng.normal(0.0, 0.08, size=(n, k))
+    g = sample_graph(Embedding.plain(vectors), TruncatedDot(), seed=4, sample_index=0)
+    curve = triangle_foundation_curve(g, n_ref=n)
+    h = nx.Graph(g.edge_array().tolist())
+    h.add_nodes_from(range(n))
+    deg = g.degrees
+    expected = []
+    for c in np.unique(deg):
+        sub = h.subgraph(np.flatnonzero(deg <= c).tolist())
+        expected.append((int(c), sum(nx.triangles(sub).values()) // 3 / n))
+    assert list(curve.points) == expected
+    assert triangle_count(g) == sum(nx.triangles(h).values()) // 3 > 1000
+
+
 def test_triangle_count_examples():
     assert triangle_count(k_complete(4)) == 4
     assert triangle_count(cycle(5)) == 0
@@ -164,6 +186,20 @@ def test_triangle_count_matches_bruteforce():
     g = graph_from_matrix(a)
     total, _ = oracles.brute_force_triangle_maxdeg(a)
     assert triangle_count(g) == total
+
+
+def test_blocked_triangle_count_matches_bruteforce(monkeypatch):
+    # a dense graph holds about 8x more two-step paths than edges, so a budget
+    # of m paths splits the product into several row blocks
+    from embedaudit import graph
+
+    monkeypatch.setattr(graph, "_PATH_BLOCK", 1)
+    rng = np.random.default_rng(12)
+    for n, p in ((40, 0.6), (25, 0.9), (30, 0.1)):
+        a = oracles.random_gnp(rng, n, p)
+        g = graph_from_matrix(a)
+        assert list(triangle_foundation_curve(g, n_ref=n).points) == [
+            tuple(q) for q in oracles.brute_force_curve(a, n)]
 
 
 def test_curve_consistency_invariants():

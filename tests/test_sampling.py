@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from embedaudit.blocks import iter_pair_tiles, strict_upper_mask
 from embedaudit.embedding import Embedding, spectral_embed
 from embedaudit.graph import Graph, triangle_count, triangle_foundation_curve
 from embedaudit.models import TruncatedDot, build_softmax, fit_lrdp, fit_lrhp
@@ -12,9 +15,9 @@ from embedaudit.sampling import (
     expected_degrees,
     expected_edges,
     expected_triangles_exact,
-    max_curve_over_samples,
     sample_graph,
 )
+from embedaudit.sampling import _pair_walk
 
 TDP = TruncatedDot()
 
@@ -147,7 +150,7 @@ def test_single_sample_max_curve_is_that_curve():
     rng = np.random.default_rng(25)
     e = plain_random(rng, 30, 3, 0.5)
     spec = SampleSpec(seed=41, num_samples=1)
-    curve = max_curve_over_samples(e, TDP, spec, n_ref=30)
+    curve = curve_over_samples(e, TDP, spec, n_ref=30).max_curve
     g = sample_graph(e, TDP, seed=41, sample_index=0, block_size=spec.block_size)
     assert curve.points == triangle_foundation_curve(g, 30).points
 
@@ -222,3 +225,60 @@ def test_sample_spec_validation():
         SampleSpec(seed=-1, num_samples=1)
     with pytest.raises(ValueError):
         SampleSpec(seed=1, num_samples=1, block_size=0)
+
+
+# ------------------------------------------------- one walk, same bytes
+
+@pytest.fixture(scope="module")
+def four_models():
+    rng = np.random.default_rng(41)
+    g = random_graph(rng, 50, 0.12)
+    e = spectral_embed(g, 6)
+    return e, {"tdp": TDP, "lrdp": fit_lrdp(e, g, seed=2)[0],
+               "lrhp": fit_lrhp(e, g, seed=2)[0], "softmax": build_softmax(e, g)}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("block_size", [7, 16, 1024])
+@pytest.mark.parametrize("name", ["tdp", "lrdp", "lrhp", "softmax"])
+def test_fused_walk_matches_separate_passes(four_models, name, block_size, threads):
+    e, models = four_models
+    model = models[name]
+    seed, samples = 2024, 3
+    edges, (ed, sum_sq) = _pair_walk(e, model, block_size=block_size, threads=threads,
+                                     seed=seed, sample_indices=range(samples), moments=2)
+    ref_ed, ref_sq = oracles.kahan_moment_reference(e, model, block_size, threads)
+    assert np.array_equal(ed, ref_ed)
+    assert np.array_equal(sum_sq, ref_sq)
+    refs = [oracles.per_sample_edges_reference(e, model, seed, s, block_size, threads)
+            for s in range(samples)]
+    for got, ref in zip(edges, refs):
+        assert np.array_equal(got, ref)
+
+    spec = SampleSpec(seed=seed, num_samples=samples, block_size=block_size)
+    cs = curve_over_samples(e, model, spec, n_ref=e.n, threads=threads)
+    assert np.array_equal(cs.expected_degrees, ref_ed)
+    assert np.array_equal(expected_degrees(e, model, block_size=block_size,
+                                           threads=threads), ref_ed)
+    ed1, ed2 = expected_degree_second_moment(e, model, block_size=block_size,
+                                             threads=threads)
+    assert np.array_equal(ed1, ref_ed)
+    assert np.array_equal(ed2, ref_ed - ref_sq + ref_ed * ref_ed)
+    graphs = [Graph.from_edges(e.n, ref) for ref in refs]
+    assert cs.edge_counts.tolist() == [g.m for g in graphs]
+    for s, g in enumerate(graphs):
+        one = sample_graph(e, model, seed, s, block_size=block_size, threads=threads)
+        assert np.array_equal(one.edge_array(), g.edge_array())
+        curve = triangle_foundation_curve(g, e.n)
+        assert cs.deltas[s].tolist() == [curve.value_at(int(c)) for c in cs.thresholds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 70), block_size=st.integers(1, 80))
+def test_pair_tiles_cover_each_pair_once(n, block_size):
+    hits = np.zeros((n, n), dtype=np.int64)
+    for t, (tile, (i0, i1), (j0, j1)) in enumerate(iter_pair_tiles(n, block_size)):
+        assert tile == t
+        mask = strict_upper_mask((i0, i1), (j0, j1))
+        hits[i0:i1, j0:j1] += True if mask is None else mask
+    assert np.array_equal(hits, np.triu(np.ones((n, n), dtype=np.int64), 1))
