@@ -15,7 +15,6 @@ from .embedding import (
     Embedding,
     EmbeddingFormatError,
     load_embedding,
-    pair_score,
     reconstruction,
     save_embedding,
     spectral_embed,
@@ -47,7 +46,6 @@ from .models import (
     model_from_json,
     model_to_json,
     softmax_clamp_count,
-    tdp_probability,
 )
 from .sampling import (
     SampleCurveSet,

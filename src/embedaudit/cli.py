@@ -5,7 +5,8 @@ Subcommands
 audit         load a graph, embed it (or ingest external vectors), fit the
               requested edge models, sample graphs, and write plot-ready
               CSVs plus a JSON report
-ranksweep     audit the truncated-dot-product model across embedding ranks
+ranksweep     the same audit with the truncated-dot-product model over the
+              rank-d prefixes of one spectral embedding at the largest rank
 verify-theory run all randomized theory sweeps and emit a pass/fail report
 embed         compute and save a spectral embedding
 sample        draw one graph from an embedding + model and save its edges
@@ -30,20 +31,17 @@ import scipy
 
 from . import __version__
 from .blocks import DEFAULT_BLOCK_SIZE
-from .embedding import Embedding, load_embedding, save_embedding, spectral_embed
+from .embedding import SPECTRAL, Embedding, load_embedding, save_embedding, spectral_embed
 from .graph import (
-    Graph,
     degree_distribution,
     expected_degree_distribution,
     load_edge_list,
     save_edge_list,
-    triangle_count,
     triangle_foundation_curve,
 )
 from .models import (
     TruncatedDot,
     build_softmax,
-    edge_probability,
     fit_lrdp,
     fit_lrhp,
     model_digest,
@@ -103,6 +101,11 @@ class AuditConfig:
             raise AuditConfigError("block_size must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise AuditConfigError("seed must be in [0, 2**64)")
+        ranks = self.rank_sweep_list or ()
+        if any(d < 1 for d in ranks):
+            raise AuditConfigError("ranks must be >= 1")
+        if len(set(ranks)) != len(ranks):
+            raise AuditConfigError("ranks must be distinct")
 
     def to_json(self) -> dict:
         return {
@@ -194,8 +197,15 @@ def _fit_models(e, g, config):
     return models, reports, extras
 
 
-def cmd_audit(config: AuditConfig) -> AuditReport:
-    """Full audit pipeline; deterministic for a fixed config."""
+def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
+    """Load, sample, curves, degrees, write and report over labelled variants.
+
+    ``embed(g)`` returns the embedding that the report describes, and
+    ``variants(g, e)`` returns ``(variants, fit_reports, extras)``, where
+    ``variants`` yields ``(label, embedding, model)``.  Each variant's
+    samples are seeded by its model variant; its outputs are
+    ``curve_<label>.csv`` and ``degdist_expected_<label>.csv``.
+    """
     t_start = time.perf_counter()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -206,65 +216,50 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
         g = loaded.graph
 
         stage = "embed"
-        if config.external_embedding_path:
-            e = load_embedding(config.external_embedding_path)
-            if e.n != g.n:
-                raise ValueError(
-                    f"embedding has n={e.n}, graph has n={g.n}")
-        else:
-            if config.dim > g.n:
-                raise ValueError(f"dim={config.dim} exceeds n={g.n}")
-            e = spectral_embed(g, config.dim)
+        e = embed(g)
 
         stage = "fit"
-        models, fit_reports, extras = _fit_models(e, g, config)
-        for name, rep in fit_reports.items():
-            if not rep.converged:
-                logger.warning(
-                    "%s intercept calibration did not converge: target %d "
-                    "edges, achieved %.6g expected edges",
-                    name, rep.target_edges, rep.achieved_expected_edges)
+        labelled, fit_reports, extras = variants(g, e)
 
-        stage = "sample"                 # one pair walk per model: samples and degrees
-        curve_sets = {}
-        for name, model in models.items():
-            spec = SampleSpec(seed=_model_sample_seed(config.seed, name),
+        stage = "sample"                 # one pair walk per variant: samples and degrees
+        models, curve_sets = {}, {}
+        for label, emb, model in labelled:
+            spec = SampleSpec(seed=_model_sample_seed(config.seed, model.variant),
                               num_samples=config.num_samples,
                               block_size=config.block_size)
-            curve_sets[name] = curve_over_samples(e, model, spec, n_ref=g.n,
-                                                  threads=config.threads)
+            models[label] = model
+            curve_sets[label] = curve_over_samples(emb, model, spec, n_ref=g.n,
+                                                   threads=config.threads)
+            del emb                      # free it before the next variant is built
 
         stage = "curves"
         original = triangle_foundation_curve(g, g.n)
         grid = union_grid([original] + [cs.max_curve for cs in curve_sets.values()])
-        files = {}
         curve_rows = {"original": [original.value_at(int(c)) for c in grid]}
         delta_std = {}
-        for name, cs in curve_sets.items():
+        for label, cs in curve_sets.items():
             max_curve = cs.max_curve
-            curve_rows[name] = [max_curve.value_at(int(c)) for c in grid]
-            delta_std[name] = float(np.sqrt(cs.variance.max())) if cs.variance.size else 0.0
+            curve_rows[label] = [max_curve.value_at(int(c)) for c in grid]
+            delta_std[label] = float(np.sqrt(cs.variance.max())) if cs.variance.size else 0.0
 
         stage = "degrees"
         observed = degree_distribution(g)
-        expected_dists = {name: expected_degree_distribution(cs.expected_degrees)
-                          for name, cs in curve_sets.items()}
+        expected_dists = {label: expected_degree_distribution(cs.expected_degrees)
+                          for label, cs in curve_sets.items()}
 
         stage = "write"
-        p = tracker.path("curve_original.csv")
-        _write_curve_csv(p, grid, curve_rows["original"])
-        files["curve_original"] = p.name
-        for name in models:
-            p = tracker.path(f"curve_{name}.csv")
-            _write_curve_csv(p, grid, curve_rows[name])
-            files[f"curve_{name}"] = p.name
+        files = {}
+        for label, rows in curve_rows.items():
+            p = tracker.path(f"curve_{label}.csv")
+            _write_curve_csv(p, grid, rows)
+            files[f"curve_{label}"] = p.name
         p = tracker.path("degdist_observed.csv")
         _write_degdist_csv(p, observed)
         files["degdist_observed"] = p.name
-        for name, dist in expected_dists.items():
-            p = tracker.path(f"degdist_expected_{name}.csv")
+        for label, dist in expected_dists.items():
+            p = tracker.path(f"degdist_expected_{label}.csv")
             _write_degdist_csv(p, dist)
-            files[f"degdist_expected_{name}"] = p.name
+            files[f"degdist_expected_{label}"] = p.name
 
         metadata = {
             "config": config.to_json(),
@@ -275,14 +270,14 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
             "dropped_duplicates": loaded.dropped_duplicates,
             "embedding_kind": e.kind,
             "embedding_dim": e.d,
-            "models": {name: model_to_json(m) if name != "softmax" else
+            "models": {label: model_to_json(m) if m.variant != "softmax" else
                        {"variant": "softmax", "digest": model_digest(m)}
-                       for name, m in models.items()},
+                       for label, m in models.items()},
             "max_delta_std_per_model": delta_std,
-            "sampled_edges": {name: {"min": int(cs.edge_counts.min()),
-                                     "median": float(np.median(cs.edge_counts)),
-                                     "max": int(cs.edge_counts.max())}
-                              for name, cs in curve_sets.items()},
+            "sampled_edges": {label: {"min": int(cs.edge_counts.min()),
+                                      "median": float(np.median(cs.edge_counts)),
+                                      "max": int(cs.edge_counts.max())}
+                              for label, cs in curve_sets.items()},
             **extras,
             "versions": {"embedaudit": __version__,
                          "numpy": np.__version__, "scipy": scipy.__version__},
@@ -301,67 +296,46 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
         raise AuditStageError(stage, exc) from exc
 
 
+def cmd_audit(config: AuditConfig) -> AuditReport:
+    """Full audit: one embedding, sampled under each requested model."""
+
+    def embed(g):
+        if not config.external_embedding_path:
+            return spectral_embed(g, config.dim)
+        e = load_embedding(config.external_embedding_path)
+        if e.n != g.n:
+            raise ValueError(f"embedding has n={e.n}, graph has n={g.n}")
+        return e
+
+    def fitted(g, e):
+        models, fit_reports, extras = _fit_models(e, g, config)
+        for name, rep in fit_reports.items():
+            if not rep.converged:
+                logger.warning(
+                    "%s intercept calibration did not converge: target %d "
+                    "edges, achieved %.6g expected edges",
+                    name, rep.target_edges, rep.achieved_expected_edges)
+        return [(name, e, m) for name, m in models.items()], fit_reports, extras
+
+    return _run_pipeline(config, embed, fitted)
+
+
 def cmd_ranksweep(config: AuditConfig) -> AuditReport:
-    """Truncated-dot-product curves across embedding ranks."""
-    if not config.rank_sweep_list:
-        raise ValueError("ranksweep needs a non-empty rank list")
-    t_start = time.perf_counter()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker(out_dir)
-    stage = "load"
-    try:
-        loaded = load_edge_list(config.graph_path)
-        g = loaded.graph
-        bad = [d for d in config.rank_sweep_list if not 1 <= d <= g.n]
-        if bad:
-            raise ValueError(f"ranks out of range for n={g.n}: {bad}")
+    """Truncated-dot-product audit across embedding ranks.
 
-        curves = {}
-        for d in config.rank_sweep_list:
-            stage = f"embed[d={d}]"
-            e = spectral_embed(g, d)
-            stage = f"sample[d={d}]"
-            spec = SampleSpec(seed=_model_sample_seed(config.seed, "tdp"),
-                              num_samples=config.num_samples,
-                              block_size=config.block_size)
-            curves[d] = curve_over_samples(e, TruncatedDot(), spec, n_ref=g.n,
-                                           threads=config.threads).max_curve
+    One eigensolve at the largest rank; rank d samples the first d columns
+    of it, which is the rank-d spectral embedding.
+    """
+    ranks = config.rank_sweep_list
+    if not ranks:
+        raise AuditConfigError("ranksweep needs a non-empty rank list")
 
-        stage = "curves"
-        original = triangle_foundation_curve(g, g.n)
-        grid = union_grid([original] + list(curves.values()))
+    def prefixes(g, e):
+        # a generator: one prefix copy at a time lives beside the full embedding
+        return ((f"rank{d}", Embedding(SPECTRAL, e.vectors[:, :d], e.eigenvalues[:d]),
+                 TruncatedDot()) for d in ranks), {}, {}
 
-        stage = "write"
-        files = {}
-        p = tracker.path("curve_original.csv")
-        _write_curve_csv(p, grid, [original.value_at(int(c)) for c in grid])
-        files["curve_original"] = p.name
-        for d, curve in curves.items():
-            p = tracker.path(f"curve_rank{d}.csv")
-            _write_curve_csv(p, grid, [curve.value_at(int(c)) for c in grid])
-            files[f"curve_rank{d}"] = p.name
-
-        metadata = {
-            "config": config.to_json(),
-            "n": g.n,
-            "m": g.m,
-            "triangles": original.total_triangles(),
-            "ranks": list(config.rank_sweep_list),
-            "versions": {"embedaudit": __version__,
-                         "numpy": np.__version__, "scipy": scipy.__version__},
-            "seed": config.seed,
-            "wall_time_s": round(time.perf_counter() - t_start, 3),
-        }
-        report = AuditReport(files, {}, metadata)
-        p = tracker.path("report.json")
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return report
-    except Exception as exc:
-        tracker.cleanup()
-        raise AuditStageError(stage, exc) from exc
+    return _run_pipeline(config, lambda g: spectral_embed(g, max(ranks)), prefixes)
 
 
 def cmd_verify(seed: int = 0, out_path=None) -> dict:
@@ -378,12 +352,9 @@ def cmd_verify(seed: int = 0, out_path=None) -> dict:
 
 def _add_common_audit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="edge-list file to audit")
-    p.add_argument("--dim", type=int, default=100, help="embedding dimension")
     p.add_argument("--samples", type=int, default=100, help="graphs to sample per model")
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--negative-ratio", type=int, default=10,
-                   help="sampled non-edges per edge during logistic fitting")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for pair passes (never changes results)")
     p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
@@ -410,6 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="full audit against one graph")
     _add_common_audit_args(p)
+    p.add_argument("--dim", type=int, default=100, help="embedding dimension")
+    p.add_argument("--negative-ratio", type=int, default=10,
+                   help="sampled non-edges per edge during logistic fitting")
     p.add_argument("--models", default="tdp,lrdp,lrhp,softmax",
                    help="comma-separated subset of tdp,lrdp,lrhp,softmax")
     p.add_argument("--embedding", default=None,
@@ -463,9 +437,8 @@ def _run_audit(args) -> int:
 
 def _run_ranksweep(args) -> int:
     config = AuditConfig(
-        graph_path=args.graph, output_dir=args.out, dim=args.dim,
-        models=("tdp",), num_samples=args.samples, seed=args.seed,
-        rank_sweep_list=args.ranks, negative_ratio=args.negative_ratio,
+        graph_path=args.graph, output_dir=args.out, models=("tdp",),
+        num_samples=args.samples, seed=args.seed, rank_sweep_list=args.ranks,
         threads=args.threads, block_size=args.block_size)
     report = cmd_ranksweep(config)
     print(f"ranksweep complete over ranks {list(args.ranks)}; wrote "

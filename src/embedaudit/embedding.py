@@ -103,11 +103,6 @@ class Embedding:
         return Embedding(PLAIN, self.vectors[np.asarray(indices)])
 
 
-def pair_score(e: Embedding, i: int, j: int) -> float:
-    """Score of the vertex pair (i, j); symmetric in its arguments."""
-    return e.score(i, j)
-
-
 def _canonical_order(values: np.ndarray) -> np.ndarray:
     """Indices sorting by descending |value|, positive first on ties."""
     return np.lexsort((-values, -np.abs(values)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse

@@ -34,13 +34,6 @@ from .graph import Graph
 _MAX_NEWTON_STEP = 40.0
 
 
-def tdp_probability(score: float) -> float:
-    """Truncated dot product: clamp a finite score to [0, 1]."""
-    if not np.isfinite(score):
-        raise ValueError(f"score must be finite, got {score}")
-    return float(min(1.0, max(0.0, score)))
-
-
 @dataclass(frozen=True)
 class TruncatedDot:
     """p = max(0, min(score, 1))."""
@@ -135,11 +128,6 @@ class DegreeSoftmax:
         """Per-vertex proportionality constants s_i >= 0."""
         with np.errstate(over="raise"):
             return np.exp(self.log_scale)
-
-    def intensity_block(self, e: Embedding, rows, cols) -> np.ndarray:
-        """Directed q values for the block; diagonal entries are meaningless."""
-        s = e.score_block(rows, cols)
-        return np.exp(self.log_scale[np.asarray(rows)][:, None] + s)
 
     def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
         s = e.score_block(rows, cols)

@@ -9,7 +9,6 @@ subcommand and the acceptance suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np

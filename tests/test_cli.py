@@ -216,6 +216,47 @@ def test_ranksweep_rank1_starves_low_degree_triangles(tmp_path):
     assert rank_n[2] == original[2]
 
 
+def test_ranksweep_rank_equals_audit_tdp(tmp_path):
+    gpath, _ = write_random_graph(tmp_path)
+    audit = tmp_path / "audit"
+    cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(audit), dim=5,
+                          models=("tdp",), num_samples=4, seed=6))
+    for ranks in [(5,), (9, 5)]:
+        sweep = tmp_path / f"sweep{len(ranks)}"
+        cmd_ranksweep(AuditConfig(graph_path=str(gpath), output_dir=str(sweep),
+                                  num_samples=4, seed=6, rank_sweep_list=ranks))
+        assert (sweep / "degdist_expected_rank5.csv").read_bytes() == \
+            (audit / "degdist_expected_tdp.csv").read_bytes()
+        # several ranks share one grid, a superset of the audit's
+        assert set(_read_curve(audit / "curve_tdp.csv")) <= \
+            set(_read_curve(sweep / "curve_rank5.csv"))
+    for swept, audited in [("curve_rank5.csv", "curve_tdp.csv"),
+                           ("curve_original.csv", "curve_original.csv"),
+                           ("degdist_observed.csv", "degdist_observed.csv")]:
+        assert (tmp_path / "sweep1" / swept).read_bytes() == (audit / audited).read_bytes()
+
+
+def test_ranksweep_one_eigensolve_and_audit_outputs(tmp_path, monkeypatch):
+    gpath, _ = write_random_graph(tmp_path)
+    real, dims = cli.spectral_embed, []
+    monkeypatch.setattr(cli, "spectral_embed", lambda graph, d: dims.append(d) or real(graph, d))
+    out = tmp_path / "out"
+    ranks = (3, 12, 6)
+    cmd_ranksweep(AuditConfig(graph_path=str(gpath), output_dir=str(out),
+                              num_samples=3, seed=2, rank_sweep_list=ranks))
+    assert dims == [12]
+    doc = json.loads((out / "report.json").read_text())
+    labels = {f"rank{d}" for d in ranks}
+    assert set(doc["sampled_edges"]) == labels
+    assert set(doc["max_delta_std_per_model"]) == labels
+    assert doc["embedding_dim"] == 12 and "ranks" not in doc
+    assert doc["config"]["rank_sweep_list"] == list(ranks)
+    assert (out / "degdist_observed.csv").exists()
+    for label in labels:
+        assert (out / f"curve_{label}.csv").exists()
+        assert (out / f"degdist_expected_{label}.csv").exists()
+
+
 def test_ranksweep_rejects_out_of_range_rank(tmp_path):
     gpath = write_k4(tmp_path)
     with pytest.raises(AuditStageError):
@@ -313,16 +354,18 @@ def test_cli_audit_argument_parsing(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["audit", "--seed", "-1"], "seed must be in"),
-    (["audit", "--block-size", "0"], "block_size must be >= 1"),
-    (["audit", "--threads", "0"], "threads must be >= 1"),
+    (["audit", "--dim", "2", "--seed", "-1"], "seed must be in"),
+    (["audit", "--dim", "2", "--block-size", "0"], "block_size must be >= 1"),
+    (["audit", "--dim", "2", "--threads", "0"], "threads must be >= 1"),
     (["ranksweep", "--ranks", "1,x"], "argument --ranks"),
+    (["ranksweep", "--ranks", "0"], "ranks must be >= 1"),
+    (["ranksweep", "--ranks", "2,2"], "ranks must be distinct"),
 ])
 def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, message):
     gpath = write_k4(tmp_path)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--graph", str(gpath), "--dim", "2", "--out", str(out)])
+        cli.main([*argv, "--graph", str(gpath), "--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -10,7 +10,6 @@ from embedaudit.embedding import (
     Embedding,
     EmbeddingFormatError,
     load_embedding,
-    pair_score,
     reconstruction,
     save_embedding,
     spectral_embed,
@@ -105,6 +104,17 @@ def test_iterative_solver_matches_dense():
     assert np.allclose(reconstruction(dense), reconstruction(sparse), atol=1e-6)
 
 
+def test_dense_prefix_equals_lower_rank_solve():
+    # ranksweep samples rank d from the d-column prefix of one solve at D
+    rng = np.random.default_rng(12)
+    g = random_graph(rng, 60, 0.15)
+    full = spectral_embed(g, 40)
+    for d in (1, 7, 20, 40):
+        e = spectral_embed(g, d)
+        assert np.array_equal(full.vectors[:, :d], e.vectors)
+        assert np.array_equal(full.eigenvalues[:d], e.eigenvalues)
+
+
 def test_frobenius_error_monotone_in_d():
     rng = np.random.default_rng(6)
     g = random_graph(rng, 24, 0.3)
@@ -126,20 +136,20 @@ def test_dimension_bounds_rejected():
 
 def test_pair_score_plain():
     e = Embedding.plain([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert pair_score(e, 0, 1) == 1.0
-    assert pair_score(e, 0, 2) == 0.0
+    assert e.score(0, 1) == 1.0
+    assert e.score(0, 2) == 0.0
 
 
 def test_pair_score_spectral_reconstructs_adjacency():
     e = spectral_embed(k_complete(3), 3)
-    assert pair_score(e, 0, 1) == pytest.approx(1.0, abs=1e-10)
-    assert pair_score(e, 1, 2) == pytest.approx(1.0, abs=1e-10)
+    assert e.score(0, 1) == pytest.approx(1.0, abs=1e-10)
+    assert e.score(1, 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pair_score_out_of_range():
     e = Embedding.plain(np.ones((3, 2)))
     with pytest.raises(IndexError):
-        pair_score(e, 0, 3)
+        e.score(0, 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -149,7 +159,7 @@ def test_pair_score_symmetric(n, d, seed):
     rng = np.random.default_rng(seed)
     e = Embedding.plain(rng.normal(size=(n, d)))
     i, j = rng.integers(0, n, size=2)
-    assert pair_score(e, int(i), int(j)) == pytest.approx(pair_score(e, int(j), int(i)), abs=1e-12)
+    assert e.score(int(i), int(j)) == pytest.approx(e.score(int(j), int(i)), abs=1e-12)
 
 
 def test_score_block_matches_scalar():
@@ -206,6 +216,8 @@ def test_load_non_finite_rejected(tmp_path):
     p.write_text("1 2 plain\n0 1.0 nan\n")
     with pytest.raises(EmbeddingFormatError, match="non-finite"):
         load_embedding(p)
+    with pytest.raises(ValueError, match="finite"):
+        Embedding.plain([[np.nan]])
 
 
 def test_load_external_plain_file_with_comments(tmp_path):

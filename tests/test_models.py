@@ -22,7 +22,6 @@ from embedaudit.models import (
     model_from_json,
     model_to_json,
     softmax_clamp_count,
-    tdp_probability,
 )
 from embedaudit.sampling import expected_edges
 
@@ -37,21 +36,19 @@ def random_graph(rng, n, p):
 
 # ------------------------------------------------------------------- TDP
 
+def tdp_of_scores(scores):
+    """TDP probabilities of the pairs (0, k): vertex 0 holds 1, vertex k the score."""
+    e = Embedding.plain(np.concatenate([[1.0], scores])[:, None])
+    return TruncatedDot().prob_block(e, np.array([0]), np.arange(1, e.n))[0]
+
+
 def test_tdp_clamps():
-    assert tdp_probability(0.5) == 0.5
-    assert tdp_probability(-0.3) == 0.0
-    assert tdp_probability(1.7) == 1.0
-
-
-def test_tdp_rejects_non_finite():
-    with pytest.raises(ValueError):
-        tdp_probability(float("nan"))
+    assert list(tdp_of_scores([0.5, -0.3, 1.7])) == [0.5, 0.0, 1.0]
 
 
 def test_tdp_monotone_in_score():
-    scores = np.linspace(-2, 2, 101)
-    probs = [tdp_probability(s) for s in scores]
-    assert all(a <= b for a, b in zip(probs, probs[1:]))
+    probs = tdp_of_scores(np.linspace(-2, 2, 101))
+    assert np.all(np.diff(probs) >= 0)
 
 
 def test_tdp_on_orthogonal_unit_vectors():
@@ -252,7 +249,7 @@ def test_softmax_isolated_vertex_row_is_zero():
     rng = np.random.default_rng(6)
     e = Embedding.plain(rng.normal(size=(4, 2)))
     model = build_softmax(e, g)
-    q = model.intensity_block(e, np.array([3]), np.arange(4))
+    q = model.scale[[3], None] * np.exp(e.score_block(np.array([3]), np.arange(4)))
     assert np.all(q == 0.0)
     assert model.scale[3] == 0.0
 
@@ -262,7 +259,7 @@ def test_softmax_row_sums_match_degrees():
     g = random_graph(rng, 20, 0.3)
     e = Embedding.plain(rng.normal(size=(20, 3)))
     model = build_softmax(e, g)
-    q = model.intensity_block(e, np.arange(20), np.arange(20))
+    q = model.scale[:, None] * np.exp(e.score_block(np.arange(20), np.arange(20)))
     np.fill_diagonal(q, 0.0)
     assert np.allclose(q.sum(axis=1), g.degrees, rtol=1e-9, atol=1e-12)
 
