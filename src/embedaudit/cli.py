@@ -108,7 +108,7 @@ class AuditConfig:
             raise AuditConfigError("ranks must be distinct")
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "graph_path": str(self.graph_path),
             "output_dir": str(self.output_dir),
             "dim": self.dim,
@@ -122,6 +122,10 @@ class AuditConfig:
             "threads": self.threads,
             "block_size": self.block_size,
         }
+        if self.rank_sweep_list:
+            # a rank sweep fits nothing and takes its dimensions from the ranks
+            del doc["dim"], doc["negative_ratio"]
+        return doc
 
 
 @dataclass(frozen=True)

@@ -100,13 +100,12 @@ class Graph:
         if e.min() < 0 or e.max() >= n:
             raise ValueError("edge endpoint out of range")
         e = e[e[:, 0] != e[:, 1]]
-        e = np.unique(np.sort(e, axis=1), axis=0)
-        both = np.concatenate([e, e[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
+        # each edge once per direction as the key u*n + v: sorted distinct
+        # keys are the CSR entries in (row, column) order
+        keys = np.unique(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(both[:, 0], minlength=n), out=indptr[1:])
-        return cls(n, indptr, both[:, 1].copy())
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(n, indptr, keys % n)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,13 @@ plus importance-weighted subsampled non-edges, then their intercept is
 recalibrated by a safeguarded Newton solve so the exact sum of pair
 probabilities matches the observed edge count.  All models are immutable and
 evaluate pure, symmetric probabilities in [0, 1].
+
+Memory of the fits: a logistic fit holds one design matrix of
+(fitted pairs) x (features + 1) float64 entries, filled in row chunks of at
+most _CHUNK_ENTRIES entries, and sums its IRLS Hessian over the same chunks;
+the softmax normalizers take one block_size x n score block at a time and
+reduce it in row sub-blocks of at most _CHUNK_ENTRIES entries.  Chunking
+changes no entry's arithmetic, only the order of the Hessian's sums.
 """
 
 from __future__ import annotations
@@ -25,13 +32,25 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .blocks import DEFAULT_BLOCK_SIZE, iter_pair_tiles, strict_upper_mask
-from .embedding import Embedding
+from .embedding import SPECTRAL, Embedding
 from .graph import Graph
 
 # longest Newton step of the intercept calibration: when most pairs sit at
 # p = 1, sum p(1-p) is nearly 0 and the raw step overshoots by orders of
 # magnitude, while expit already saturates in double precision beyond |z| = 37
 _MAX_NEWTON_STEP = 40.0
+
+# float64 entries (1 MiB) in one row chunk of a fit-stage work array; small
+# enough that logsumexp's five copies of a chunk stay below one pair tile
+_CHUNK_ENTRIES = 1 << 17
+
+
+def _row_chunks(n_rows: int, row_len: int):
+    """Yield (r0, r1) covering range(n_rows) in chunks of at most
+    _CHUNK_ENTRIES entries, but at least one row."""
+    step = max(1, _CHUNK_ENTRIES // max(row_len, 1))
+    for r0 in range(0, n_rows, step):
+        yield r0, min(r0 + step, n_rows)
 
 
 @dataclass(frozen=True)
@@ -172,9 +191,11 @@ def build_softmax(e: Embedding, g: Graph,
     for i0 in range(0, n, block_size):
         i1 = min(i0 + block_size, n)
         s = e.score_block(np.arange(i0, i1), np.arange(n))
-        for r, i in enumerate(range(i0, i1)):
-            s[r, i] = -np.inf          # exclude the self-pair from the normalizer
-        log_z[i0:i1] = logsumexp(s, axis=1)
+        s[np.arange(i1 - i0), np.arange(i0, i1)] = -np.inf   # exclude the self-pair
+        # logsumexp copies its input several times: feed it row sub-blocks
+        for r0, r1 in _row_chunks(i1 - i0, n):
+            log_z[i0 + r0:i0 + r1] = logsumexp(s[r0:r1], axis=1)
+        del s                          # before the next block is scored
     with np.errstate(divide="ignore"):
         log_scale = np.where(deg > 0, np.log(np.maximum(deg, 1e-300)) - log_z, -np.inf)
     return DegreeSoftmax(log_scale)
@@ -223,31 +244,36 @@ def _sample_nonedges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarr
         i = rng.integers(0, n, size=b)
         j = rng.integers(0, n, size=b)
         ok = i != j
-        u, v = np.minimum(i, j)[ok], np.maximum(i, j)[ok]
-        keys = u * n + v
-        pos = np.searchsorted(edge_keys, keys)
-        pos_c = np.minimum(pos, max(edge_keys.size - 1, 0))
-        is_edge = (pos < edge_keys.size) & (edge_keys[pos_c] == keys) if edge_keys.size else np.zeros(keys.size, bool)
-        u, v = u[~is_edge], v[~is_edge]
-        take = min(need, u.size)
-        chunks.append(np.column_stack([u[:take], v[:take]]))
-        need -= take
+        keys = np.minimum(i, j)[ok] * n + np.maximum(i, j)[ok]
+        del i, j                       # each draw is 4x the quota: free them early
+        if edge_keys.size:
+            pos = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+            keys = keys[edge_keys[pos] != keys]
+        keys = keys[:need]
+        chunks.append(np.column_stack([keys // n, keys % n]))
+        need -= keys.size
     if need > 0:
         raise RuntimeError("non-edge rejection sampling failed to fill the quota")
     return np.concatenate(chunks)
 
 
-def _weighted_logistic(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+def _weighted_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray,
                        max_iter: int = 100, grad_tol: float = 1e-8):
     """Damped-Newton weighted logistic MLE; returns (coef, intercept, iters).
 
-    Exactly-constant feature columns are excluded (their coefficient stays
-    0) so degenerate inputs reduce to an intercept-only fit.
+    ``design`` holds the feature columns followed by a column of ones for
+    the intercept; it is overwritten.  Exactly-constant feature columns are
+    excluded (their coefficient stays 0) by moving the others left in
+    place, so degenerate inputs reduce to an intercept-only fit without a
+    second design.  The Hessian is summed over row chunks.
     """
-    npts, nfeat = x.shape
-    active = np.array([np.ptp(x[:, c]) > 0 for c in range(nfeat)]) if npts else np.zeros(nfeat, bool)
-    xa = x[:, active]
-    design = np.column_stack([xa, np.ones(npts)])
+    npts, nfeat = design.shape[0], design.shape[1] - 1
+    active = np.array([np.ptp(design[:, c]) > 0 for c in range(nfeat)], dtype=bool)
+    if not active.all():
+        keep = np.append(np.flatnonzero(active), nfeat)
+        for dst, src in enumerate(keep):
+            design[:, dst] = design[:, src]
+        design = design[:, :keep.size]
     beta = np.zeros(design.shape[1])
     scale = max(1.0, float(w.sum()))
 
@@ -265,7 +291,10 @@ def _weighted_logistic(x: np.ndarray, y: np.ndarray, w: np.ndarray,
             iters -= 1
             break
         curv = w * p * (1.0 - p) + 1e-12
-        hess = design.T @ (design * curv[:, None])
+        hess = np.zeros((beta.size, beta.size))
+        for r0, r1 in _row_chunks(npts, beta.size):
+            rows = design[r0:r1]
+            hess += rows.T @ (rows * curv[r0:r1, None])
         hess[np.diag_indices_from(hess)] += 1e-10 * (1.0 + np.trace(hess))
         step = np.linalg.solve(hess, grad)
         # backtrack until the objective stops increasing
@@ -328,13 +357,16 @@ def _calibrate_intercept(pair_sums, m_target: float, tol_rel: float = 1e-3,
 
 def _make_pair_logit_sum(e: Embedding, logit_block, block_size: int):
     """Return pair_sums(delta) = (sum p, sum p(1-p)) over pairs i<j, where
-    p = sigmoid(z_ij + delta); each call is one walk over the pair tiles."""
+    p = sigmoid(z_ij + delta); each call is one walk over the pair tiles.
+    logit_block returns a new array, which pair_sums overwrites."""
     def pair_sums(delta):
         s = ds = 0.0
         for _, rows, cols in iter_pair_tiles(e.n, block_size):
-            z = logit_block(np.arange(*rows), np.arange(*cols))
             mask = strict_upper_mask(rows, cols)
-            p = expit((z.ravel() if mask is None else z[mask]) + delta)
+            p = logit_block(np.arange(*rows), np.arange(*cols))
+            p = p.ravel() if mask is None else p[mask]   # a masked copy frees the tile
+            p += delta
+            expit(p, out=p)
             s += p.sum()
             ds += p @ (1.0 - p)
         return float(s), float(ds)
@@ -342,7 +374,26 @@ def _make_pair_logit_sum(e: Embedding, logit_block, block_size: int):
     return pair_sums
 
 
-def _fit_logistic_model(e, g, negative_ratio, seed, features, logit_block, build):
+def _lrdp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
+    """out[k, 0] = pair score of pairs[k], computed over row chunks."""
+    for r0, r1 in _row_chunks(len(pairs), e.d):
+        left = e.vectors[pairs[r0:r1, 0]]
+        if e.kind == SPECTRAL:
+            left *= e.eigenvalues
+        out[r0:r1, 0] = np.einsum("ij,ij->i", left, e.vectors[pairs[r0:r1, 1]])
+
+
+def _lrhp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = v_i ⊙ v_j (times the eigenvalues for spectral embeddings)
+    for pairs[k] = (i, j), written over row chunks."""
+    for r0, r1 in _row_chunks(len(pairs), e.d):
+        f = np.multiply(e.vectors[pairs[r0:r1, 0]], e.vectors[pairs[r0:r1, 1]],
+                        out=out[r0:r1])
+        if e.kind == SPECTRAL:
+            f *= e.eigenvalues
+
+
+def _fit_logistic_model(e, g, negative_ratio, seed, nfeat, features, logit_block, build):
     if e.n != g.n:
         raise ValueError("embedding and graph must agree on n")
     if negative_ratio < 1:
@@ -362,10 +413,13 @@ def _fit_logistic_model(e, g, negative_ratio, seed, features, logit_block, build
     w = np.concatenate([np.ones(len(pos)), np.full(len(neg), w_neg)])
 
     if len(pairs):
-        coef, intercept, newton_iters = _weighted_logistic(features(pairs), y, w)
+        design = np.empty((len(pairs), nfeat + 1))
+        features(e, pairs, design[:, :nfeat])
+        design[:, nfeat] = 1.0
+        coef, intercept, newton_iters = _weighted_logistic(design, y, w)
+        del design                     # before the calibration walks the tiles
     else:
-        coef = np.zeros(features(np.empty((0, 2), np.int64)).shape[1])
-        intercept, newton_iters = 0.0, 0
+        coef, intercept, newton_iters = np.zeros(nfeat), 0.0, 0
 
     pair_sums = _make_pair_logit_sum(e, lambda r, c: logit_block(coef, intercept, r, c),
                                      DEFAULT_BLOCK_SIZE)
@@ -384,20 +438,17 @@ def fit_lrdp(e: Embedding, g: Graph, negative_ratio: int = 10,
     until the exact sum of all pair probabilities matches m within relative
     1e-3; each Newton step costs one pass over the pairs.
     """
-    def features(pairs):
-        if pairs.size == 0:
-            return np.empty((0, 1))
-        s = np.einsum("ij,ij->i", e.vectors[pairs[:, 0]] * (e.eigenvalues if e.kind == "spectral" else 1.0),
-                      e.vectors[pairs[:, 1]])
-        return s[:, None]
-
     def logit_block(coef, intercept, rows, cols):
-        return coef[0] * e.score_block(rows, cols) + intercept
+        z = e.score_block(rows, cols)
+        z *= coef[0]
+        z += intercept
+        return z
 
     def build(coef, intercept):
         return LogisticDot(float(coef[0]), float(intercept))
 
-    return _fit_logistic_model(e, g, negative_ratio, seed, features, logit_block, build)
+    return _fit_logistic_model(e, g, negative_ratio, seed, 1, _lrdp_features,
+                               logit_block, build)
 
 
 def fit_lrhp(e: Embedding, g: Graph, negative_ratio: int = 10,
@@ -407,22 +458,17 @@ def fit_lrhp(e: Embedding, g: Graph, negative_ratio: int = 10,
     Same sampling, weighting, and calibration scheme as fit_lrdp; one weight
     per embedding coordinate instead of a single slope.
     """
-    def features(pairs):
-        if pairs.size == 0:
-            return np.empty((0, e.d))
-        f = e.vectors[pairs[:, 0]] * e.vectors[pairs[:, 1]]
-        if e.kind == "spectral":
-            f = f * e.eigenvalues
-        return f
-
     def logit_block(coef, intercept, rows, cols):
-        lw = coef * e.eigenvalues if e.kind == "spectral" else coef
-        return (e.vectors[rows] * lw) @ e.vectors[cols].T + intercept
+        lw = coef * e.eigenvalues if e.kind == SPECTRAL else coef
+        z = (e.vectors[rows] * lw) @ e.vectors[cols].T
+        z += intercept
+        return z
 
     def build(coef, intercept):
         return LogisticHadamard(coef, float(intercept))
 
-    return _fit_logistic_model(e, g, negative_ratio, seed, features, logit_block, build)
+    return _fit_logistic_model(e, g, negative_ratio, seed, e.d, _lrhp_features,
+                               logit_block, build)
 
 
 # -------------------------------------------------------------- serialization

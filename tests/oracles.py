@@ -146,3 +146,68 @@ def kahan_moment_reference(e, model, block_size, threads):
             comp[:] = (t - total) - y
             total[:] = t
     return totals[0], totals[1]
+
+
+def csr_from_edges_reference(n, edges):
+    """(indptr, indices) by row-wise dedup and lexsort of both directions."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = e[e[:, 0] != e[:, 1]]
+    e = np.unique(np.sort(e, axis=1), axis=0)
+    both = np.concatenate([e, e[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both[:, 0], minlength=n), out=indptr[1:])
+    return indptr, both[:, 1].copy()
+
+
+def lrdp_features_reference(e, pairs):
+    """Pair scores of every fitted pair from two whole-list gathers."""
+    left = e.vectors[pairs[:, 0]] * (e.eigenvalues if e.kind == "spectral" else 1.0)
+    return np.einsum("ij,ij->i", left, e.vectors[pairs[:, 1]])
+
+
+def lrhp_features_reference(e, pairs):
+    """Hadamard features of every fitted pair in one (pairs x d) product."""
+    f = e.vectors[pairs[:, 0]] * e.vectors[pairs[:, 1]]
+    return f * e.eigenvalues if e.kind == "spectral" else f
+
+
+def softmax_log_scale_reference(e, g, block_size):
+    """log s_i from one logsumexp call per block_size x n score block."""
+    from scipy.special import logsumexp
+
+    n = e.n
+    log_z = np.empty(n)
+    for i0 in range(0, n, block_size):
+        i1 = min(i0 + block_size, n)
+        s = e.score_block(np.arange(i0, i1), np.arange(n))
+        for r, i in enumerate(range(i0, i1)):
+            s[r, i] = -np.inf
+        log_z[i0:i1] = logsumexp(s, axis=1)
+    deg = g.degrees.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        return np.where(deg > 0, np.log(np.maximum(deg, 1e-300)) - log_z, -np.inf)
+
+
+def sample_nonedges_reference(g, count, rng):
+    """Rejection sampler of non-edge pairs i < j (graphs with n > 1500), with
+    the same batch sizes and draws as the library."""
+    n = g.n
+    e = g.edge_array()
+    edge_keys = np.sort(e[:, 0] * n + e[:, 1])
+    chunks, need = [], count
+    while need > 0:
+        b = max(4 * need, 256)
+        i = rng.integers(0, n, size=b)
+        j = rng.integers(0, n, size=b)
+        ok = i != j
+        u, v = np.minimum(i, j)[ok], np.maximum(i, j)[ok]
+        keys = u * n + v
+        pos = np.searchsorted(edge_keys, keys)
+        pos_c = np.minimum(pos, max(edge_keys.size - 1, 0))
+        is_edge = (pos < edge_keys.size) & (edge_keys[pos_c] == keys)
+        u, v = u[~is_edge], v[~is_edge]
+        take = min(need, u.size)
+        chunks.append(np.column_stack([u[:take], v[:take]]))
+        need -= take
+    return np.concatenate(chunks)

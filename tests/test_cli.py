@@ -87,6 +87,7 @@ def test_audit_report_contents(tmp_path):
         assert 1 <= rep["calibration_evals"] < rep["iterations"]
     assert "softmax_clamped_pairs" in doc
     assert doc["seed"] == 3
+    assert doc["config"]["dim"] == 6 and doc["config"]["negative_ratio"] == 10
     assert set(doc["sampled_edges"]) == set(cli.MODEL_NAMES)
     for stats in doc["sampled_edges"].values():
         assert set(stats) == {"min", "median", "max"}
@@ -251,6 +252,9 @@ def test_ranksweep_one_eigensolve_and_audit_outputs(tmp_path, monkeypatch):
     assert set(doc["max_delta_std_per_model"]) == labels
     assert doc["embedding_dim"] == 12 and "ranks" not in doc
     assert doc["config"]["rank_sweep_list"] == list(ranks)
+    # ranksweep reads neither; the rank list sets its dimensions
+    assert "dim" not in doc["config"] and "negative_ratio" not in doc["config"]
+    assert "models" in doc["config"]
     assert (out / "degdist_observed.csv").exists()
     for label in labels:
         assert (out / f"curve_{label}.csv").exists()

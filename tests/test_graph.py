@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -225,6 +225,20 @@ def test_relabeling_leaves_curve_unchanged(n, seed):
     c1 = triangle_foundation_curve(g, n_ref=n)
     c2 = triangle_foundation_curve(g2, n_ref=n)
     assert c1.points == c2.points
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))))
+@example((4, []))
+@example((3, [(0, 1), (1, 0), (2, 2), (0, 1), (2, 1)]))
+def test_from_edges_matches_lexsort_reference(case):
+    # duplicates, reversed pairs and self-loops are all common at n <= 12
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    indptr, indices = oracles.csr_from_edges_reference(n, edges)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
 
 
 def test_graph_structural_invariants():

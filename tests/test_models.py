@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import oracles
+from embedaudit import models
+from embedaudit.blocks import DEFAULT_BLOCK_SIZE
 from embedaudit.embedding import Embedding, spectral_embed
 from embedaudit.graph import Graph
 from embedaudit.models import (
@@ -280,6 +284,88 @@ def test_softmax_clamp_count():
     assert softmax_clamp_count(model, e) == 0
     boosted = DegreeSoftmax(model.log_scale + 1.0)
     assert softmax_clamp_count(boosted, e) == 3
+
+
+def test_lrhp_constant_column_gets_zero_weight():
+    # the constant column is moved out of the design in place; the other
+    # weights are those of the fit without it
+    rng = np.random.default_rng(41)
+    g = random_graph(rng, 30, 0.2)
+    v = rng.normal(size=(30, 3)) * 0.5
+    model, report = fit_lrhp(Embedding.plain(np.column_stack([v[:, :1], np.ones(30), v[:, 1:]])),
+                             g, seed=11)
+    ref, _ = fit_lrhp(Embedding.plain(v), g, seed=11)
+    assert report.converged
+    assert model.weights[1] == 0.0
+    np.testing.assert_allclose(np.delete(model.weights, 1), ref.weights, rtol=1e-9)
+    assert model.intercept == pytest.approx(ref.intercept, rel=1e-9)
+
+
+# ------------------------------------------------------ chunked fit stage
+
+def _fit_instance(kind):
+    rng = np.random.default_rng(17)
+    n = 1600                      # above the dense non-edge sampling path
+    g = Graph.from_edges(n, rng.integers(0, n, size=(900, 2)))
+    if kind == "spectral":
+        return g, spectral_embed(g, 6)
+    return g, Embedding.plain(rng.normal(scale=0.3, size=(n, 5)))
+
+
+@pytest.mark.parametrize("kind", ["plain", "spectral"])
+def test_chunked_pair_features_equal_whole_list(kind, monkeypatch):
+    g, e = _fit_instance(kind)
+    pairs = np.concatenate([g.edge_array(),
+                            models._sample_nonedges(g, 10 * g.m, np.random.default_rng(0))])
+    monkeypatch.setattr(models, "_CHUNK_ENTRIES", 7 * e.d)      # 7 rows per chunk
+    assert len(pairs) % 7
+    out = np.full((len(pairs), e.d + 1), np.nan)
+    models._lrdp_features(e, pairs, out[:, :1])
+    assert np.array_equal(out[:, 0], oracles.lrdp_features_reference(e, pairs))
+    models._lrhp_features(e, pairs, out[:, :e.d])
+    assert np.array_equal(out[:, :e.d], oracles.lrhp_features_reference(e, pairs))
+    assert np.isnan(out[:, e.d]).all()
+
+
+@pytest.mark.parametrize("kind", ["plain", "spectral"])
+@pytest.mark.parametrize("block_size", [16, DEFAULT_BLOCK_SIZE])
+def test_chunked_softmax_normalizers_equal_one_shot(kind, block_size, monkeypatch):
+    g, e = _fit_instance(kind)
+    monkeypatch.setattr(models, "_CHUNK_ENTRIES", 3 * e.n)      # 3-row sub-blocks
+    model = build_softmax(e, g, block_size)
+    assert np.array_equal(model.log_scale,
+                          oracles.softmax_log_scale_reference(e, g, block_size))
+
+
+def test_nonedge_sampler_matches_reference():
+    g, _ = _fit_instance("plain")
+    for seed in (0, 1):
+        got = models._sample_nonedges(g, 9000, np.random.default_rng(seed))
+        want = oracles.sample_nonedges_reference(g, 9000, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_stage_memory_is_chunk_bounded():
+    # whole-list gathers, extra design copies or logsumexp over a whole
+    # score block each break one of these bounds
+    rng = np.random.default_rng(3)
+    n, d = 1600, 64
+    g = Graph.from_edges(n, rng.integers(0, n, size=(8200, 2)))
+    e = Embedding.plain(rng.normal(scale=0.15, size=(n, d)))
+    fitted = 11 * g.m             # edges plus 10 sampled non-edges per edge
+    assert _traced_peak(lambda: fit_lrdp(e, g)) < 0.5 * fitted * d * 8
+    assert _traced_peak(lambda: fit_lrhp(e, g)) < 1.5 * fitted * (d + 1) * 8
+    assert (_traced_peak(lambda: build_softmax(e, g))
+            < (DEFAULT_BLOCK_SIZE * n + DEFAULT_BLOCK_SIZE ** 2) * 8)
 
 
 # ------------------------------------------------------------- dispatch
