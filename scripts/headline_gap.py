@@ -45,7 +45,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--triangles", type=int, default=1000)
     ap.add_argument("--models", default="tdp")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="headline_out")
     args = ap.parse_args()
 
@@ -60,7 +59,7 @@ def main() -> int:
     config = AuditConfig(
         graph_path=str(gpath), output_dir=str(out), dim=args.dim,
         models=tuple(m.strip() for m in args.models.split(",")),
-        num_samples=args.samples, seed=args.seed + 1, threads=args.threads)
+        num_samples=args.samples, seed=args.seed + 1)
     report = cmd_audit(config)
 
     print(f"\n{'c':>5s} {'original':>12s}", end="")

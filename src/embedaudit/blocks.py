@@ -1,14 +1,13 @@
 """Deterministic tiling of the unordered-pair space {(i, j): i < j}.
 
-All O(n^2) pair passes (sampling, expectation sums, calibration) walk the
-upper triangle in fixed square tiles.  Tile indices are assigned in a fixed
-row-major order over the tile grid, so any per-tile randomness or reduction
-is independent of thread scheduling.
+All O(n^2) pair passes (sampling, expectation sums, calibration, the
+softmax clamp count) walk the upper triangle in fixed square tiles through
+``upper_tiles``, the one tile loop of the package.  Tile indices are
+assigned in a fixed row-major order over the tile grid, so per-tile
+randomness and every tile-order reduction depend only on the block size.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,24 +28,20 @@ def iter_pair_tiles(n: int, block_size: int = DEFAULT_BLOCK_SIZE):
             t += 1
 
 
-def strict_upper_mask(rows: tuple, cols: tuple) -> np.ndarray | None:
-    """Mask of entries with global column > global row, or None if all are.
+def upper_tiles(n: int, block_size: int, block):
+    """Yield (tile_index, rows, cols, tile) in tile order.
 
-    Off-diagonal tiles satisfy j > i everywhere; only tiles straddling the
-    diagonal need masking.
+    ``rows`` and ``cols`` are the tile's index arrays and ``tile`` is
+    ``block(rows, cols)``, a fresh array that is overwritten here: every
+    entry outside i < j is set to 0.  Only tiles straddling the diagonal
+    have such entries.  No reference to a yielded tile is kept here, so a
+    caller that drops its own before the next step holds one tile at a
+    time.
     """
-    (i0, i1), (j0, j1) = rows, cols
-    if j0 >= i1:
-        return None
-    r = np.arange(i0, i1)[:, None]
-    c = np.arange(j0, j1)[None, :]
-    return c > r
-
-
-def map_tiles(fn, tiles, threads: int = 1) -> list:
-    """Apply fn to each tile, in tile order; threads never change results."""
-    tiles = list(tiles)
-    if threads <= 1:
-        return [fn(t) for t in tiles]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, tiles))
+    for t, (i0, i1), (j0, j1) in iter_pair_tiles(n, block_size):
+        rows, cols = np.arange(i0, i1), np.arange(j0, j1)
+        tile = block(rows, cols)
+        if j0 < i1:
+            tile[cols[None, :] <= rows[:, None]] = 0.0
+        yield t, rows, cols, tile
+        del tile

@@ -12,8 +12,8 @@ embed         compute and save a spectral embedding
 sample        draw one graph from an embedding + model and save its edges
 curve         triangle-foundation curve of a graph as CSV
 
-All CSV output is byte-deterministic for a fixed configuration; the thread
-count only changes scheduling, never results.
+All CSV output is byte-deterministic for a fixed configuration, across
+runs and processes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,6 @@ class AuditConfig:
     external_embedding_path: str | None = None
     rank_sweep_list: tuple | None = None
     negative_ratio: int = 10
-    threads: int = 1
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
@@ -95,8 +94,6 @@ class AuditConfig:
             raise AuditConfigError(f"unknown models: {bad}")
         if self.negative_ratio < 1:
             raise AuditConfigError("negative_ratio must be >= 1")
-        if self.threads < 1:
-            raise AuditConfigError("threads must be >= 1")
         if self.block_size < 1:
             raise AuditConfigError("block_size must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -119,7 +116,6 @@ class AuditConfig:
                                         if self.external_embedding_path else None),
             "rank_sweep_list": list(self.rank_sweep_list) if self.rank_sweep_list else None,
             "negative_ratio": self.negative_ratio,
-            "threads": self.threads,
             "block_size": self.block_size,
         }
         if self.rank_sweep_list:
@@ -232,8 +228,7 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
                               num_samples=config.num_samples,
                               block_size=config.block_size)
             models[label] = model
-            curve_sets[label] = curve_over_samples(emb, model, spec, n_ref=g.n,
-                                                   threads=config.threads)
+            curve_sets[label] = curve_over_samples(emb, model, spec, n_ref=g.n)
             del emb                      # free it before the next variant is built
 
         stage = "curves"
@@ -328,11 +323,13 @@ def cmd_ranksweep(config: AuditConfig) -> AuditReport:
     """Truncated-dot-product audit across embedding ranks.
 
     One eigensolve at the largest rank; rank d samples the first d columns
-    of it, which is the rank-d spectral embedding.
+    of it, which is the rank-d spectral embedding.  Only tdp runs, so the
+    report echoes ``models`` as ``["tdp"]`` whatever the config holds.
     """
     ranks = config.rank_sweep_list
     if not ranks:
         raise AuditConfigError("ranksweep needs a non-empty rank list")
+    config = replace(config, models=("tdp",))
 
     def prefixes(g, e):
         # a generator: one prefix copy at a time lives beside the full embedding
@@ -359,8 +356,6 @@ def _add_common_audit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=100, help="graphs to sample per model")
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for pair passes (never changes results)")
     p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                    help="pair-tile side length (part of the RNG configuration)")
 
@@ -430,8 +425,7 @@ def _run_audit(args) -> int:
         models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
         num_samples=args.samples, seed=args.seed,
         external_embedding_path=args.embedding,
-        negative_ratio=args.negative_ratio, threads=args.threads,
-        block_size=args.block_size)
+        negative_ratio=args.negative_ratio, block_size=args.block_size)
     report = cmd_audit(config)
     print(f"audit complete: n={report.metadata['n']} m={report.metadata['m']} "
           f"triangles={report.metadata['triangles']}; wrote "
@@ -443,7 +437,7 @@ def _run_ranksweep(args) -> int:
     config = AuditConfig(
         graph_path=args.graph, output_dir=args.out, models=("tdp",),
         num_samples=args.samples, seed=args.seed, rank_sweep_list=args.ranks,
-        threads=args.threads, block_size=args.block_size)
+        block_size=args.block_size)
     report = cmd_ranksweep(config)
     print(f"ranksweep complete over ranks {list(args.ranks)}; wrote "
           f"{len(report.files) + 1} files to {args.out}")

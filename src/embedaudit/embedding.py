@@ -36,7 +36,7 @@ class EmbeddingFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """Per-vertex vectors; immutable and safe to share across threads."""
+    """Per-vertex vectors; immutable."""
 
     kind: str
     vectors: np.ndarray          # (n, d), row i is vertex i's vector

@@ -27,8 +27,7 @@ class Graph:
 
     ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbor list of v.
     Each edge is stored once per endpoint, so ``indices`` has length 2m.
-    Instances are immutable (arrays are marked read-only) and safe to share
-    across threads.
+    Instances are immutable (arrays are marked read-only).
     """
 
     n: int

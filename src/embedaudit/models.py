@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .blocks import DEFAULT_BLOCK_SIZE, iter_pair_tiles, strict_upper_mask
+from .blocks import DEFAULT_BLOCK_SIZE, upper_tiles
 from .embedding import SPECTRAL, Embedding
 from .graph import Graph
 
@@ -148,11 +148,15 @@ class DegreeSoftmax:
         with np.errstate(over="raise"):
             return np.exp(self.log_scale)
 
-    def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
+    def _intensity(self, e: Embedding, rows, cols) -> np.ndarray:
+        """Unclamped symmetrized intensity (q_ij + q_ji) / 2."""
         s = e.score_block(rows, cols)
         q_ij = np.exp(self.log_scale[np.asarray(rows)][:, None] + s)
         q_ji = np.exp(self.log_scale[np.asarray(cols)][None, :] + s)
-        return np.minimum(1.0, 0.5 * (q_ij + q_ji))
+        return 0.5 * (q_ij + q_ji)
+
+    def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
+        return np.minimum(1.0, self._intensity(e, rows, cols))
 
 
 EDGE_MODEL_VARIANTS = ("tdp", "lrdp", "lrhp", "softmax")
@@ -205,14 +209,9 @@ def softmax_clamp_count(model: DegreeSoftmax, e: Embedding,
                         block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     """Number of unordered pairs whose symmetrized intensity was clamped at 1."""
     count = 0
-    for _, (i0, i1), (j0, j1) in iter_pair_tiles(e.n, block_size):
-        rows, cols = np.arange(i0, i1), np.arange(j0, j1)
-        s = e.score_block(rows, cols)
-        raw = 0.5 * (np.exp(model.log_scale[rows][:, None] + s)
-                     + np.exp(model.log_scale[cols][None, :] + s))
-        mask = strict_upper_mask((i0, i1), (j0, j1))
-        over = raw > 1.0
-        count += int(over.sum() if mask is None else (over & mask).sum())
+    for *_, raw in upper_tiles(e.n, block_size, lambda r, c: model._intensity(e, r, c)):
+        count += int(np.count_nonzero(raw > 1.0))
+        del raw                        # before the next tile is built
     return count
 
 
@@ -360,13 +359,14 @@ def _make_pair_logit_sum(e: Embedding, logit_block, block_size: int):
     p = sigmoid(z_ij + delta); each call is one walk over the pair tiles.
     logit_block returns a new array, which pair_sums overwrites."""
     def pair_sums(delta):
+        def block(rows, cols):
+            z = logit_block(rows, cols)
+            z += delta
+            return expit(z, out=z)
+
         s = ds = 0.0
-        for _, rows, cols in iter_pair_tiles(e.n, block_size):
-            mask = strict_upper_mask(rows, cols)
-            p = logit_block(np.arange(*rows), np.arange(*cols))
-            p = p.ravel() if mask is None else p[mask]   # a masked copy frees the tile
-            p += delta
-            expit(p, out=p)
+        for *_, p in upper_tiles(e.n, block_size, block):
+            p = p.ravel()              # entries outside i < j are 0 and add nothing
             s += p.sum()
             ds += p @ (1.0 - p)
         return float(s), float(ds)

@@ -3,14 +3,15 @@
 Every unordered pair (i, j) is an independent Bernoulli trial with the
 model's probability.  Randomness is organized per pair tile: the generator
 for a tile is seeded from (seed, sample_index, tile_index), so a sampled
-graph is bit-identical no matter how tiles are scheduled across threads.
+graph is bit-identical across runs and processes for a fixed block size.
 
-One private tile walk, ``_pair_walk``, serves every O(n^2) pass in this
-module: per tile it computes the masked probability tile once, draws the
-edges of every requested sample from it, and adds the tile's row and column
-sums of p (and of p^2) to the per-vertex totals with a Kahan update in tile
-order.  A whole set of samples plus the expected degrees therefore costs one
-walk, and the draws and the summation order are those of separate passes.
+One private walk over ``blocks.upper_tiles``, ``_pair_walk``, serves every
+O(n^2) pass in this module: per tile it takes the masked probability tile
+once, draws the edges of every requested sample from it, and adds the
+tile's row and column sums of p (and of p^2) to the per-vertex totals with
+a Kahan update in tile order.  A whole set of samples plus the expected
+degrees therefore costs one walk, and the draws and the summation order are
+those of separate passes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DEFAULT_BLOCK_SIZE, iter_pair_tiles, map_tiles, strict_upper_mask
+from .blocks import DEFAULT_BLOCK_SIZE, upper_tiles
 from .graph import Graph, TriangleFoundationCurve, triangle_foundation_curve
 
 _EXACT_TRIANGLE_GUARD = 500
@@ -59,7 +60,7 @@ def _kahan_accumulate(total, comp, update):
     total[:] = t
 
 
-def _pair_walk(e, model, *, block_size: int, threads: int, seed: int = 0,
+def _pair_walk(e, model, *, block_size: int, seed: int = 0,
                sample_indices=(), moments: int = 0):
     """One pass over the pair tiles; returns (edges, sums).
 
@@ -68,72 +69,57 @@ def _pair_walk(e, model, *, block_size: int, threads: int, seed: int = 0,
     over all pairs, for q < moments (at most 2).
     """
     n = e.n
-
-    def work(tile):
-        t, rows, cols = tile
-        p = model.prob_block(e, np.arange(*rows), np.arange(*cols))
-        mask = strict_upper_mask(rows, cols)
-        if mask is not None:
-            p = np.where(mask, p, 0.0)
-        drawn = []
-        for s in sample_indices:
+    drawn = [[] for _ in sample_indices]
+    sums = [np.zeros(n) for _ in range(moments)]
+    comps = [np.zeros(n) for _ in range(moments)]
+    for t, rows, cols, p in upper_tiles(n, block_size,
+                                        lambda r, c: model.prob_block(e, r, c)):
+        for parts, s in zip(drawn, sample_indices):
             # flat indices are row-major, as np.nonzero's, and far cheaper
             hits = np.flatnonzero(_tile_rng(seed, s, t).random(p.shape) < p)
             ii, jj = np.divmod(hits, p.shape[1])
-            drawn.append(np.column_stack([ii + rows[0], jj + cols[0]]))
-        tile_sums, q = [], p
-        for k in range(moments):
+            parts.append(np.column_stack([ii + rows[0], jj + cols[0]]))
+        q = p
+        for k, (total, comp) in enumerate(zip(sums, comps)):
             if k:
                 q = q * p
-            tile_sums.append((q.sum(axis=1), q.sum(axis=0)))
-        return rows, cols, drawn, tile_sums
-
-    parts = map_tiles(work, iter_pair_tiles(n, block_size), threads)
-    edges = [np.concatenate([part[2][k] for part in parts]) if parts
-             else np.empty((0, 2), np.int64) for k in range(len(sample_indices))]
-    sums = [np.zeros(n) for _ in range(moments)]
-    comps = [np.zeros(n) for _ in range(moments)]
-    for rows, cols, _, tile_sums in parts:
-        for total, comp, (row_sum, col_sum) in zip(sums, comps, tile_sums):
             upd = np.zeros(n)
-            upd[np.arange(*rows)] += row_sum
-            upd[np.arange(*cols)] += col_sum
+            upd[rows] += q.sum(axis=1)
+            upd[cols] += q.sum(axis=0)
             _kahan_accumulate(total, comp, upd)
+        del p, q                       # before the next tile is built
+    edges = [np.concatenate(parts) if parts else np.empty((0, 2), np.int64)
+             for parts in drawn]
     return edges, sums
 
 
 def sample_graph(e, model, seed: int, sample_index: int, *,
-                 block_size: int = DEFAULT_BLOCK_SIZE, threads: int = 1) -> Graph:
+                 block_size: int = DEFAULT_BLOCK_SIZE) -> Graph:
     """One Bernoulli draw over all pairs; deterministic in (seed, sample_index)."""
-    (edges,), _ = _pair_walk(e, model, block_size=block_size, threads=threads,
-                             seed=seed, sample_indices=(sample_index,))
+    (edges,), _ = _pair_walk(e, model, block_size=block_size, seed=seed,
+                             sample_indices=(sample_index,))
     return Graph.from_edges(e.n, edges)
 
 
-def expected_degrees(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE,
-                     threads: int = 1) -> np.ndarray:
+def expected_degrees(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
     """Exact E[D_i] = sum_{j != i} p_ij for every vertex (O(n^2) pass)."""
-    _, (sums,) = _pair_walk(e, model, block_size=block_size, threads=threads, moments=1)
+    _, (sums,) = _pair_walk(e, model, block_size=block_size, moments=1)
     return sums
 
 
-def expected_degree_second_moment(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE,
-                                  threads: int = 1):
+def expected_degree_second_moment(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE):
     """Exact (E[D_i], E[D_i^2]) per vertex.
 
     For a sum of independent Bernoulli(p_ij) indicators,
     E[D^2] = Var + E[D]^2 = sum p(1-p) + (sum p)^2.
     """
-    _, (ed, sum_sq) = _pair_walk(e, model, block_size=block_size, threads=threads,
-                                 moments=2)
+    _, (ed, sum_sq) = _pair_walk(e, model, block_size=block_size, moments=2)
     return ed, ed - sum_sq + ed * ed
 
 
-def expected_edges(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE,
-                   threads: int = 1) -> float:
+def expected_edges(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE) -> float:
     """Exact sum of all pair probabilities."""
-    return float(math.fsum(expected_degrees(
-        e, model, block_size=block_size, threads=threads)) / 2.0)
+    return float(math.fsum(expected_degrees(e, model, block_size=block_size)) / 2.0)
 
 
 def expected_triangles_exact(e, model) -> float:
@@ -193,8 +179,7 @@ def curves_on_grid(curves, grid) -> np.ndarray:
     return np.array([[curve.value_at(int(c)) for c in grid] for curve in curves])
 
 
-def curve_over_samples(e, model, spec: SampleSpec, n_ref: int, *,
-                       threads: int = 1) -> SampleCurveSet:
+def curve_over_samples(e, model, spec: SampleSpec, n_ref: int) -> SampleCurveSet:
     """Sample spec.num_samples graphs and collect their curves.
 
     All samples and the expected degrees come from one pair walk; sample s
@@ -203,7 +188,7 @@ def curve_over_samples(e, model, spec: SampleSpec, n_ref: int, *,
     sampled graph's vertex count.
     """
     edges, (degrees,) = _pair_walk(
-        e, model, block_size=spec.block_size, threads=threads, seed=spec.seed,
+        e, model, block_size=spec.block_size, seed=spec.seed,
         sample_indices=range(spec.num_samples), moments=1)
     curves, counts = [], []
     for sample_edges in edges:

@@ -99,44 +99,37 @@ def numeric_rank_svd(m, rel_tol=1e-9):
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def per_sample_edges_reference(e, model, seed, sample_index, block_size, threads):
+def _masked_prob_tiles(e, model, block_size):
+    """(tile_index, (i0, i1), (j0, j1), p) per pair tile, by a plain loop:
+    p is the model's probability tile with every entry outside i < j at 0."""
+    from embedaudit.blocks import iter_pair_tiles
+
+    for t, (i0, i1), (j0, j1) in iter_pair_tiles(e.n, block_size):
+        rows, cols = np.arange(i0, i1), np.arange(j0, j1)
+        p = model.prob_block(e, rows, cols)
+        yield t, (i0, i1), (j0, j1), np.where(cols[None, :] > rows[:, None], p, 0.0)
+
+
+def per_sample_edges_reference(e, model, seed, sample_index, block_size):
     """Edge array of one sample drawn by a tile loop of its own, with the
     same (seed, sample_index, tile_index) generators as the library."""
-    from embedaudit.blocks import iter_pair_tiles, map_tiles, strict_upper_mask
-
-    def work(tile):
-        t, rows, cols = tile
-        p = model.prob_block(e, np.arange(*rows), np.arange(*cols))
-        mask = strict_upper_mask(rows, cols)
-        if mask is not None:
-            p = np.where(mask, p, 0.0)
+    parts = []
+    for t, rows, cols, p in _masked_prob_tiles(e, model, block_size):
         rng = np.random.default_rng(np.random.SeedSequence((seed, sample_index, t)))
         ii, jj = np.nonzero(rng.random(p.shape) < p)
-        return np.column_stack([ii + rows[0], jj + cols[0]])
-
-    parts = map_tiles(work, iter_pair_tiles(e.n, block_size), threads)
+        parts.append(np.column_stack([ii + rows[0], jj + cols[0]]))
     return np.concatenate(parts) if parts else np.empty((0, 2), np.int64)
 
 
-def kahan_moment_reference(e, model, block_size, threads):
+def kahan_moment_reference(e, model, block_size):
     """(sum_j p_ij, sum_j p_ij^2) per vertex by a separate tile pass with a
     Kahan update per tile, in tile order."""
-    from embedaudit.blocks import iter_pair_tiles, map_tiles, strict_upper_mask
-
     n = e.n
-
-    def work(tile):
-        _, rows, cols = tile
-        p = model.prob_block(e, np.arange(*rows), np.arange(*cols))
-        mask = strict_upper_mask(rows, cols)
-        if mask is not None:
-            p = np.where(mask, p, 0.0)
-        p2 = p * p
-        return rows, cols, (p.sum(axis=1), p.sum(axis=0)), (p2.sum(axis=1), p2.sum(axis=0))
-
     totals = [np.zeros(n), np.zeros(n)]
     comps = [np.zeros(n), np.zeros(n)]
-    for rows, cols, *moments in map_tiles(work, iter_pair_tiles(n, block_size), threads):
+    for _, rows, cols, p in _masked_prob_tiles(e, model, block_size):
+        p2 = p * p
+        moments = (p.sum(axis=1), p.sum(axis=0)), (p2.sum(axis=1), p2.sum(axis=0))
         for total, comp, (row_sum, col_sum) in zip(totals, comps, moments):
             upd = np.zeros(n)
             upd[np.arange(*rows)] += row_sum

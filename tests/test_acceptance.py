@@ -6,11 +6,17 @@ Criteria with randomized content run on frozen seeds so outcomes are
 reproducible.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embedaudit
 import oracles
 from embedaudit.cli import AuditConfig, cmd_audit
 from embedaudit.embedding import Embedding, spectral_embed
@@ -280,21 +286,32 @@ def test_11_theorem_bound_matches_high_precision():
             "digits on 20 points")
 
 
-def test_12_audit_byte_determinism_across_threads(tmp_path):
+def _report_without_run_facts(out):
+    doc = json.loads((out / "report.json").read_text())
+    del doc["wall_time_s"], doc["config"]["output_dir"]
+    return doc
+
+
+def test_12_audit_byte_determinism_across_processes(tmp_path):
     rng = np.random.default_rng(1212)
     g = _gnp_graph(rng, 60, 0.12)
     gpath = tmp_path / "g.txt"
     save_edge_list(g, gpath)
-    outputs = []
-    for threads, sub in [(1, "t1"), (4, "t4")]:
-        out = tmp_path / sub
-        cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(out),
-                              dim=10, num_samples=6, seed=1213, threads=threads))
-        outputs.append(out)
-    a, b = outputs
+    a, b = tmp_path / "in_process", tmp_path / "subprocess"
+    cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(a),
+                          dim=10, num_samples=6, seed=1213))
+    src = str(Path(embedaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-m", "embedaudit", "audit", "--graph", str(gpath),
+                    "--out", str(b), "--dim", "10", "--samples", "6", "--seed", "1213"],
+                   env=env, check=True, capture_output=True)
     names = sorted(p.name for p in a.glob("*.csv"))
     assert len(names) >= 10          # 5 curves + 5 degree distributions
+    assert names == sorted(p.name for p in b.glob("*.csv"))
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), \
-            f"{name} differs across thread counts"
-    _ok(12, f"{len(names)} CSVs byte-identical between 1-thread and 4-thread runs")
+            f"{name} differs between the in-process and the subprocess run"
+    assert _report_without_run_facts(a) == _report_without_run_facts(b)
+    _ok(12, f"{len(names)} CSVs byte-identical between an in-process and a CLI "
+            "subprocess run")

@@ -59,13 +59,13 @@ def _read_curve(path):
     return [(int(r.split(",")[0]), float(r.split(",")[1])) for r in rows[1:]]
 
 
-def test_audit_deterministic_across_threads(tmp_path):
+def test_audit_deterministic_across_runs(tmp_path):
     gpath, _ = write_random_graph(tmp_path)
     outs = []
-    for threads, name in [(1, "a"), (3, "b")]:
+    for name in ["a", "b"]:
         out = tmp_path / name
         cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(out),
-                              dim=8, num_samples=6, seed=9, threads=threads))
+                              dim=8, num_samples=6, seed=9))
         outs.append(out)
     a, b = outs
     csvs = sorted(p.name for p in a.glob("*.csv"))
@@ -237,6 +237,17 @@ def test_ranksweep_rank_equals_audit_tdp(tmp_path):
         assert (tmp_path / "sweep1" / swept).read_bytes() == (audit / audited).read_bytes()
 
 
+def test_ranksweep_echoes_only_the_model_it_runs(tmp_path):
+    gpath, _ = write_random_graph(tmp_path)
+    out = tmp_path / "out"
+    # the config keeps AuditConfig's default models; only tdp runs
+    report = cmd_ranksweep(AuditConfig(graph_path=str(gpath), output_dir=str(out),
+                                       num_samples=2, seed=3, rank_sweep_list=(3,)))
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["config"]["models"] == ["tdp"]
+    assert doc["fit_reports"] == {} and report.fit_reports == {}
+
+
 def test_ranksweep_one_eigensolve_and_audit_outputs(tmp_path, monkeypatch):
     gpath, _ = write_random_graph(tmp_path)
     real, dims = cli.spectral_embed, []
@@ -360,7 +371,7 @@ def test_cli_audit_argument_parsing(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["audit", "--dim", "2", "--seed", "-1"], "seed must be in"),
     (["audit", "--dim", "2", "--block-size", "0"], "block_size must be >= 1"),
-    (["audit", "--dim", "2", "--threads", "0"], "threads must be >= 1"),
+    (["audit", "--dim", "2", "--threads", "2"], "unrecognized arguments: --threads"),
     (["ranksweep", "--ranks", "1,x"], "argument --ranks"),
     (["ranksweep", "--ranks", "0"], "ranks must be >= 1"),
     (["ranksweep", "--ranks", "2,2"], "ranks must be distinct"),

@@ -146,7 +146,9 @@ def test_calibrate_intercept_converges(n, d, offset, fraction, block_size, seed)
     assert converged
     assert abs(achieved - m) <= 1e-3 * m
     assert achieved == pair_sums(delta)[0]
-    assert achieved == pytest.approx(expit(upper_logits(e, offset) + delta).sum(), rel=1e-12)
+    p = expit(upper_logits(e, offset) + delta)
+    assert achieved == pytest.approx(p.sum(), rel=1e-12)
+    assert pair_sums(delta)[1] == pytest.approx((p * (1.0 - p)).sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12])
@@ -284,6 +286,21 @@ def test_softmax_clamp_count():
     assert softmax_clamp_count(model, e) == 0
     boosted = DegreeSoftmax(model.log_scale + 1.0)
     assert softmax_clamp_count(boosted, e) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 30), d=st.integers(1, 3), block_size=st.integers(1, 40),
+       boost=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_softmax_clamp_count_matches_dense_triu(n, d, block_size, boost, seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, 0.3)
+    # quarter-integer coordinates make every score exact under any tiling
+    e = Embedding.plain(rng.integers(-4, 5, size=(n, d)) / 4.0)
+    model = DegreeSoftmax(build_softmax(e, g).log_scale + boost)
+    ls, scores = model.log_scale, e.vectors @ e.vectors.T
+    raw = 0.5 * (np.exp(ls[:, None] + scores) + np.exp(ls[None, :] + scores))
+    expected = int(np.count_nonzero(np.triu(raw > 1.0, 1)))
+    assert softmax_clamp_count(model, e, block_size) == expected
 
 
 def test_lrhp_constant_column_gets_zero_weight():
