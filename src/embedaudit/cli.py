@@ -275,7 +275,8 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
             "max_delta_std_per_model": delta_std,
             "sampled_edges": {label: {"min": int(cs.edge_counts.min()),
                                       "median": float(np.median(cs.edge_counts)),
-                                      "max": int(cs.edge_counts.max())}
+                                      "max": int(cs.edge_counts.max()),
+                                      "draw_candidates": cs.draw_candidates}
                               for label, cs in curve_sets.items()},
             **extras,
             "versions": {"embedaudit": __version__,

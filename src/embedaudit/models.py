@@ -12,7 +12,9 @@ The logistic models are fitted by weighted maximum likelihood on all edges
 plus importance-weighted subsampled non-edges, then their intercept is
 recalibrated by a safeguarded Newton solve so the exact sum of pair
 probabilities matches the observed edge count.  All models are immutable and
-evaluate pure, symmetric probabilities in [0, 1].
+evaluate pure, symmetric probabilities in [0, 1].  Every logistic tile, in
+sampling and in the calibration, goes through ``_sigmoid_inplace``: one exp
+and one reciprocal, in place in the logit block.
 
 Memory of the fits: a logistic fit holds one design matrix of
 (fitted pairs) x (features + 1) float64 entries, filled in row chunks of at
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +40,26 @@ from .graph import Graph
 
 # longest Newton step of the intercept calibration: when most pairs sit at
 # p = 1, sum p(1-p) is nearly 0 and the raw step overshoots by orders of
-# magnitude, while expit already saturates in double precision beyond |z| = 37
+# magnitude, while the sigmoid already rounds to 1 in double precision
+# beyond z = 37
 _MAX_NEWTON_STEP = 40.0
 
 # float64 entries (1 MiB) in one row chunk of a fit-stage work array; small
 # enough that logsumexp's five copies of a chunk stay below one pair tile
 _CHUNK_ENTRIES = 1 << 17
+
+
+def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) computed in place in z, which is returned.
+
+    Below z = -709.78, exp(-z) overflows to inf and the result is 0, where
+    the exact value is below 6e-309; that overflow is expected.
+    """
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 def _row_chunks(n_rows: int, row_len: int):
@@ -87,8 +104,13 @@ class LogisticDot:
         return -self.intercept / self.slope if self.slope != 0 else float("nan")
 
     def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
-        z = self.slope * e.score_block(rows, cols) + self.intercept
-        return self.ceiling * expit(z)
+        p = e.score_block(rows, cols)
+        p *= self.slope
+        p += self.intercept
+        _sigmoid_inplace(p)
+        if self.ceiling != 1.0:
+            p *= self.ceiling
+        return p
 
 
 @dataclass(frozen=True)
@@ -118,8 +140,9 @@ class LogisticHadamard:
 
     def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
         lw = self._effective_weights(e)
-        z = (e.vectors[rows] * lw) @ e.vectors[cols].T + self.intercept
-        return expit(z)
+        z = (e.vectors[rows] * lw) @ e.vectors[cols].T
+        z += self.intercept
+        return _sigmoid_inplace(z)
 
 
 @dataclass(frozen=True)
@@ -235,16 +258,20 @@ def _sample_nonedges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarr
 
     e = g.edge_array()
     edge_keys = np.sort(e[:, 0] * n + e[:, 1]) if e.size else np.empty(0, np.int64)
+    # share of ordered draws (i, j) that land on a non-edge
+    accept = (n - 1) / n * n_non / n_pairs
     chunks, need = [], count
     for _ in range(1000):
         if need <= 0:
             break
-        b = max(4 * need, 256)
+        # enough draws to fill the quota unless the accepted count falls
+        # about three standard deviations short; a short batch is topped up
+        b = math.ceil((need + 3.0 * math.sqrt(need) + 16.0) / accept)
         i = rng.integers(0, n, size=b)
         j = rng.integers(0, n, size=b)
         ok = i != j
         keys = np.minimum(i, j)[ok] * n + np.maximum(i, j)[ok]
-        del i, j                       # each draw is 4x the quota: free them early
+        del i, j                       # before the kept keys are stacked
         if edge_keys.size:
             pos = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
             keys = keys[edge_keys[pos] != keys]
@@ -362,7 +389,7 @@ def _make_pair_logit_sum(e: Embedding, logit_block, block_size: int):
         def block(rows, cols):
             z = logit_block(rows, cols)
             z += delta
-            return expit(z, out=z)
+            return _sigmoid_inplace(z)
 
         s = ds = 0.0
         for *_, p in upper_tiles(e.n, block_size, block):

@@ -12,6 +12,18 @@ tile's row and column sums of p (and of p^2) to the per-vertex totals with
 a Kahan update in tile order.  A whole set of samples plus the expected
 degrees therefore costs one walk, and the draws and the summation order are
 those of separate passes.
+
+A sample's draw costs O(L tau + sum p) per tile of L entries, not O(L)
+(skip and bucket sampling, Batagelj & Brandes 2005; Bringmann, Keusch &
+Lengler 2019).  From the tile alone, ``_draw_plan`` sets a floor rate tau,
+a power of two near sqrt(mean p), and groups the entries with p > tau into
+buckets by the smallest power of two 2^-k above p (1 for p = 1).  Per
+sample, ``_draw_tile`` walks one geometric-skip stream at rate tau over the
+whole tile and keeps a position iff p <= tau and u tau < p, then one stream
+at rate 2^-k over each bucket's members, keeping a member iff u 2^-k < p.
+Each pair is thus kept with probability exactly p, independently of every
+other pair.  The plan depends on the tile only, never on which samples are
+drawn, so sample s is the same alone or drawn together with others.
 """
 
 from __future__ import annotations
@@ -60,25 +72,94 @@ def _kahan_accumulate(total, comp, update):
     total[:] = t
 
 
+def _draw_plan(flat):
+    """(tau, buckets) of a raveled p-tile, or None when its mass is 0.
+
+    tau = 2^min(0, floor(log2(mass / L) / 2)), so at most mass / tau entries
+    lie above it (Markov).  ``buckets`` lists (bound, members) by ascending
+    bound: the ascending flat indices of the entries above tau whose
+    smallest power of two strictly above p is ``bound`` (1 for p = 1).
+    """
+    mass = flat.sum()
+    if not mass > 0:
+        return None
+    k = math.floor(0.5 * (math.log2(mass) - math.log2(flat.size)))
+    tau = math.ldexp(1.0, min(0, k))
+    above = np.flatnonzero(flat > tau)
+    exps = np.minimum(np.frexp(flat[above])[1], 0).astype(np.int16)
+    order = np.argsort(exps, kind="stable")
+    exps, above = exps[order], above[order]
+    cuts = [0, *(np.flatnonzero(exps[1:] != exps[:-1]) + 1).tolist(), exps.size]
+    buckets = [(math.ldexp(1.0, int(exps[a])), above[a:b])
+               for a, b in zip(cuts, cuts[1:]) if b > a]
+    return tau, buckets
+
+
+def _bernoulli_positions(rng, n: int, rate: float) -> np.ndarray:
+    """Ascending positions of a Bernoulli(rate) subset of range(n).
+
+    Gaps between kept positions are geometric, 1 + floor(E / -log(1 - rate))
+    with E ~ Exp(1), drawn in batches sized to cover n with high
+    probability; a short batch is followed by another.
+    """
+    if rate >= 1.0:
+        return np.arange(n)
+    scale = -1.0 / math.log1p(-rate)
+    mean = n * rate
+    size = int(mean + 4.0 * math.sqrt(mean)) + 16
+    parts, last = [], -1.0
+    while last < n:
+        pos = rng.standard_exponential(size)
+        pos *= scale
+        np.floor(pos, out=pos)
+        pos += 1.0
+        pos[0] += last
+        np.cumsum(pos, out=pos)
+        last = pos[-1]
+        parts.append(pos)
+    pos = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return pos[:np.searchsorted(pos, n)].astype(np.intp)
+
+
+def _draw_tile(rng, flat, plan):
+    """(hits, examined): ascending flat indices of one sample's edges in the
+    tile, and the number of positions the draw looked at."""
+    tau, buckets = plan
+    cand = _bernoulli_positions(rng, flat.size, tau)
+    p = flat[cand]
+    hits = [cand[(p <= tau) & (rng.random(cand.size) * tau < p)]]
+    examined = cand.size
+    for bound, members in buckets:
+        cand = members[_bernoulli_positions(rng, members.size, bound)]
+        hits.append(cand[rng.random(cand.size) * bound < flat[cand]])
+        examined += cand.size
+    return np.sort(np.concatenate(hits)), examined
+
+
 def _pair_walk(e, model, *, block_size: int, seed: int = 0,
                sample_indices=(), moments: int = 0):
-    """One pass over the pair tiles; returns (edges, sums).
+    """One pass over the pair tiles; returns (edges, sums, examined).
 
     ``edges[k]`` is the (m, 2) edge array (i < j, in tile order) of sample
     ``sample_indices[k]``.  ``sums[q]`` is the per-vertex sum of p**(q+1)
-    over all pairs, for q < moments (at most 2).
+    over all pairs, for q < moments (at most 2).  ``examined`` counts the
+    pair positions that the draws of all samples looked at.
     """
     n = e.n
     drawn = [[] for _ in sample_indices]
+    examined = 0
     sums = [np.zeros(n) for _ in range(moments)]
     comps = [np.zeros(n) for _ in range(moments)]
     for t, rows, cols, p in upper_tiles(n, block_size,
                                         lambda r, c: model.prob_block(e, r, c)):
-        for parts, s in zip(drawn, sample_indices):
-            # flat indices are row-major, as np.nonzero's, and far cheaper
-            hits = np.flatnonzero(_tile_rng(seed, s, t).random(p.shape) < p)
-            ii, jj = np.divmod(hits, p.shape[1])
-            parts.append(np.column_stack([ii + rows[0], jj + cols[0]]))
+        flat = p.ravel()
+        plan = _draw_plan(flat) if drawn else None
+        if plan is not None:
+            for parts, s in zip(drawn, sample_indices):
+                hits, looked = _draw_tile(_tile_rng(seed, s, t), flat, plan)
+                examined += looked
+                ii, jj = np.divmod(hits, p.shape[1])
+                parts.append(np.column_stack([ii + rows[0], jj + cols[0]]))
         q = p
         for k, (total, comp) in enumerate(zip(sums, comps)):
             if k:
@@ -87,23 +168,23 @@ def _pair_walk(e, model, *, block_size: int, seed: int = 0,
             upd[rows] += q.sum(axis=1)
             upd[cols] += q.sum(axis=0)
             _kahan_accumulate(total, comp, upd)
-        del p, q                       # before the next tile is built
+        del p, q, flat, plan           # before the next tile is built
     edges = [np.concatenate(parts) if parts else np.empty((0, 2), np.int64)
              for parts in drawn]
-    return edges, sums
+    return edges, sums, examined
 
 
 def sample_graph(e, model, seed: int, sample_index: int, *,
                  block_size: int = DEFAULT_BLOCK_SIZE) -> Graph:
     """One Bernoulli draw over all pairs; deterministic in (seed, sample_index)."""
-    (edges,), _ = _pair_walk(e, model, block_size=block_size, seed=seed,
-                             sample_indices=(sample_index,))
+    (edges,), _, _ = _pair_walk(e, model, block_size=block_size, seed=seed,
+                                sample_indices=(sample_index,))
     return Graph.from_edges(e.n, edges)
 
 
 def expected_degrees(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
     """Exact E[D_i] = sum_{j != i} p_ij for every vertex (O(n^2) pass)."""
-    _, (sums,) = _pair_walk(e, model, block_size=block_size, moments=1)
+    _, (sums,), _ = _pair_walk(e, model, block_size=block_size, moments=1)
     return sums
 
 
@@ -113,7 +194,7 @@ def expected_degree_second_moment(e, model, *, block_size: int = DEFAULT_BLOCK_S
     For a sum of independent Bernoulli(p_ij) indicators,
     E[D^2] = Var + E[D]^2 = sum p(1-p) + (sum p)^2.
     """
-    _, (ed, sum_sq) = _pair_walk(e, model, block_size=block_size, moments=2)
+    _, (ed, sum_sq), _ = _pair_walk(e, model, block_size=block_size, moments=2)
     return ed, ed - sum_sq + ed * ed
 
 
@@ -152,6 +233,7 @@ class SampleCurveSet:
     n_ref: int
     expected_degrees: np.ndarray      # E[D_i] per vertex
     edge_counts: np.ndarray           # edges of each sample, in sample order
+    draw_candidates: int              # pair positions the draws looked at
 
     @property
     def max_curve(self) -> TriangleFoundationCurve:
@@ -187,7 +269,7 @@ def curve_over_samples(e, model, spec: SampleSpec, n_ref: int) -> SampleCurveSet
     Every curve is normalized by the original graph's n (n_ref), not by the
     sampled graph's vertex count.
     """
-    edges, (degrees,) = _pair_walk(
+    edges, (degrees,), examined = _pair_walk(
         e, model, block_size=spec.block_size, seed=spec.seed,
         sample_indices=range(spec.num_samples), moments=1)
     curves, counts = [], []
@@ -197,4 +279,4 @@ def curve_over_samples(e, model, spec: SampleSpec, n_ref: int) -> SampleCurveSet
         counts.append(g.m)
     grid = union_grid(curves)
     return SampleCurveSet(grid, curves_on_grid(curves, grid), n_ref,
-                          degrees, np.array(counts, dtype=np.int64))
+                          degrees, np.array(counts, dtype=np.int64), examined)

@@ -4,6 +4,7 @@ Everything here works from dense adjacency matrices and explicit triple/pair
 enumeration, deliberately avoiding the library's own enumeration code paths.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -110,15 +111,57 @@ def _masked_prob_tiles(e, model, block_size):
         yield t, (i0, i1), (j0, j1), np.where(cols[None, :] > rows[:, None], p, 0.0)
 
 
+def _skip_stream_reference(rng, n, rate):
+    """Positions kept by a Bernoulli(rate) walk over range(n), one geometric
+    gap at a time, from batches of the library's size."""
+    if rate >= 1.0:
+        return list(range(n))
+    scale = -1.0 / math.log1p(-rate)
+    mean = n * rate
+    size = int(mean + 4.0 * math.sqrt(mean)) + 16
+    kept, pos = [], -1.0
+    while pos < n:
+        for gap in rng.standard_exponential(size):
+            pos += math.floor(gap * scale) + 1.0
+            if pos < n:
+                kept.append(int(pos))
+    return kept
+
+
 def per_sample_edges_reference(e, model, seed, sample_index, block_size):
     """Edge array of one sample drawn by a tile loop of its own, with the
-    same (seed, sample_index, tile_index) generators as the library."""
+    same (seed, sample_index, tile_index) generators as the library.
+
+    Per tile: a floor rate tau from the tile's mass, one skip stream at rate
+    tau over every position, then one stream per bound 2^-k (ascending) over
+    the positions with tau < p whose smallest power of two above p is 2^-k
+    (1 for p = 1); each candidate is kept iff u * rate < p.
+    """
     parts = []
     for t, rows, cols, p in _masked_prob_tiles(e, model, block_size):
+        flat = p.ravel()
+        mass = flat.sum()
+        if not mass > 0:
+            continue
+        tau = 2.0 ** min(0, math.floor(0.5 * (math.log2(mass) - math.log2(flat.size))))
         rng = np.random.default_rng(np.random.SeedSequence((seed, sample_index, t)))
-        ii, jj = np.nonzero(rng.random(p.shape) < p)
-        parts.append(np.column_stack([ii + rows[0], jj + cols[0]]))
-    return np.concatenate(parts) if parts else np.empty((0, 2), np.int64)
+        hits = []
+        cand = _skip_stream_reference(rng, flat.size, tau)
+        for pos, u in zip(cand, rng.random(len(cand))):
+            if flat[pos] <= tau and u * tau < flat[pos]:
+                hits.append(pos)
+        bound_exp = np.minimum(np.frexp(flat)[1], 0)
+        above = flat > tau
+        for k in sorted(set(bound_exp[above].tolist())):
+            members = np.flatnonzero(above & (bound_exp == k))
+            bound = 2.0 ** k
+            cand = members[_skip_stream_reference(rng, members.size, bound)]
+            for pos, u in zip(cand, rng.random(cand.size)):
+                if u * bound < flat[pos]:
+                    hits.append(pos)
+        for pos in sorted(hits):
+            parts.append((rows[0] + pos // p.shape[1], cols[0] + pos % p.shape[1]))
+    return np.array(parts, dtype=np.int64).reshape(-1, 2)
 
 
 def kahan_moment_reference(e, model, block_size):
@@ -182,15 +225,22 @@ def softmax_log_scale_reference(e, g, block_size):
         return np.where(deg > 0, np.log(np.maximum(deg, 1e-300)) - log_z, -np.inf)
 
 
-def sample_nonedges_reference(g, count, rng):
+def sample_nonedges_reference(g, count, rng, batch_sizes=None):
     """Rejection sampler of non-edge pairs i < j (graphs with n > 1500), with
-    the same batch sizes and draws as the library."""
+    the same batch sizes and draws as the library: each batch is the quota
+    plus three times its square root plus 16, over the share of ordered
+    draws that land on a non-edge.  Each batch's (quota, size) is appended
+    to ``batch_sizes`` when given."""
     n = g.n
     e = g.edge_array()
     edge_keys = np.sort(e[:, 0] * n + e[:, 1])
+    n_pairs = n * (n - 1) // 2
+    accept = (n - 1) / n * (n_pairs - g.m) / n_pairs
     chunks, need = [], count
     while need > 0:
-        b = max(4 * need, 256)
+        b = math.ceil((need + 3.0 * math.sqrt(need) + 16.0) / accept)
+        if batch_sizes is not None:
+            batch_sizes.append((need, b))
         i = rng.integers(0, n, size=b)
         j = rng.integers(0, n, size=b)
         ok = i != j

@@ -90,8 +90,11 @@ def test_audit_report_contents(tmp_path):
     assert doc["config"]["dim"] == 6 and doc["config"]["negative_ratio"] == 10
     assert set(doc["sampled_edges"]) == set(cli.MODEL_NAMES)
     for stats in doc["sampled_edges"].values():
-        assert set(stats) == {"min", "median", "max"}
+        assert set(stats) == {"min", "median", "max", "draw_candidates"}
         assert 0 <= stats["min"] <= stats["median"] <= stats["max"]
+        # every kept edge was a candidate; one tile (n <= block size) of
+        # n^2 positions per sample bounds the work
+        assert 4 * stats["min"] <= stats["draw_candidates"] <= 4 * g.n ** 2
 
 
 def test_audit_original_curve_matches_standalone(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,12 +355,29 @@ def test_chunked_softmax_normalizers_equal_one_shot(kind, block_size, monkeypatc
                           oracles.softmax_log_scale_reference(e, g, block_size))
 
 
+class _SizeRecorder:
+    """Generator proxy that records the size of every integers() draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
 def test_nonedge_sampler_matches_reference():
     g, _ = _fit_instance("plain")
-    for seed in (0, 1):
-        got = models._sample_nonedges(g, 9000, np.random.default_rng(seed))
-        want = oracles.sample_nonedges_reference(g, 9000, np.random.default_rng(seed))
+    for seed, count in [(0, 9000), (1, 9000), (2, 37)]:
+        rng = _SizeRecorder(np.random.default_rng(seed))
+        got = models._sample_nonedges(g, count, rng)
+        batches = []
+        want = oracles.sample_nonedges_reference(g, count, np.random.default_rng(seed),
+                                                 batches)
         assert np.array_equal(got, want)
+        assert rng.sizes == [b for _, b in batches for _ in range(2)]
+        # batches are sized from the acceptance rate, not a multiple of the quota
+        assert all(b <= 1.1 * need + 64 for need, b in batches)
 
 
 def _traced_peak(fn) -> int:
@@ -386,6 +404,27 @@ def test_fit_stage_memory_is_chunk_bounded():
 
 
 # ------------------------------------------------------------- dispatch
+
+def test_sigmoid_matches_expit_without_warnings():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 160001), [np.inf, -np.inf]])
+    want = expit(z)
+    out = z.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert models._sigmoid_inplace(out) is out
+    err = np.abs(out - want)
+    normal = want > 1e-300
+    assert np.all(err[normal] <= 4 * np.finfo(float).eps * want[normal])
+    assert np.all(err[~normal] <= 1e-300)           # the underflow tail
+    assert out[-2:].tolist() == [1.0, 0.0]
+
+    e = Embedding.plain(np.random.default_rng(3).normal(size=(9, 2)))
+    rows, cols = np.arange(4), np.arange(9)
+    s = e.score_block(rows, cols)
+    for ceiling in (1.0, 0.25):
+        p = LogisticDot(3.0, -1.5, ceiling).prob_block(e, rows, cols)
+        np.testing.assert_allclose(p, ceiling * expit(3.0 * s - 1.5), rtol=4e-16)
+
 
 def test_self_pairs_rejected():
     e = Embedding.plain(np.ones((3, 2)))

@@ -19,7 +19,7 @@ from embedaudit.sampling import (
     expected_triangles_exact,
     sample_graph,
 )
-from embedaudit.sampling import _pair_walk
+from embedaudit.sampling import _draw_plan, _pair_walk
 
 TDP = TruncatedDot()
 
@@ -69,6 +69,75 @@ def test_different_sample_indices_differ():
     a = sample_graph(e, TDP, seed=7, sample_index=0)
     b = sample_graph(e, TDP, seed=7, sample_index=1)
     assert not np.array_equal(a.edge_array(), b.edge_array())
+
+
+class FixedProbabilities:
+    """Edge model over a given symmetric probability matrix."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def prob_block(self, e, rows, cols):
+        return self.p[np.ix_(rows, cols)]
+
+
+def test_sparse_draw_is_exact_bernoulli():
+    n, samples, block_size = 40, 2000, 16
+    rng = np.random.default_rng(7)
+    tiny = [0.0, 1e-6, 2.0 ** -9, 0.004]
+    spread = [0.02, 0.0625, 0.1, 0.125, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0]
+    p = np.triu(np.where(rng.random((n, n)) < 0.75, rng.choice(tiny, (n, n)),
+                         rng.choice(spread, (n, n))), 1)
+    p += p.T
+    e = Embedding.plain(np.zeros((n, 1)))
+    model = FixedProbabilities(p)
+
+    # every tile has p on both sides of its floor rate; some p equal a floor
+    # rate, and some powers of two 2^-k lie above it
+    at_floor = power_above = 0
+    for *_, tile in upper_tiles(n, block_size, lambda r, c: p[np.ix_(r, c)]):
+        flat = tile.ravel()
+        tau, _ = _draw_plan(flat)
+        assert np.any((flat > 0) & (flat < tau)) and np.any(flat > tau)
+        at_floor += np.count_nonzero(flat == tau)
+        power_above += np.count_nonzero((flat > tau) & (np.frexp(flat)[0] == 0.5))
+    assert at_floor and power_above
+
+    edges, _, _ = _pair_walk(e, model, block_size=block_size, seed=5,
+                             sample_indices=range(samples))
+    iu, ju = np.triu_indices(n, 1)
+    column = np.full(n * n, -1)
+    column[iu * n + ju] = np.arange(iu.size)
+    hits = np.zeros((samples, iu.size), dtype=bool)
+    for s, ed in enumerate(edges):
+        cols = column[ed[:, 0] * n + ed[:, 1]]
+        assert np.all(cols >= 0) and np.unique(cols).size == cols.size
+        hits[s, cols] = True
+
+    # per-pair frequencies within 5 binomial standard deviations of p
+    q, counts = p[iu, ju], hits.sum(axis=0)
+    assert np.all(counts[q == 0] == 0) and np.all(counts[q == 1] == samples)
+    mid = (q > 0) & (q < 1)
+    sd = np.sqrt(samples * q[mid] * (1 - q[mid]))
+    assert np.all(np.abs(counts[mid] - samples * q[mid]) <= 5 * sd + 1)
+
+    # independent pairs: every pairwise covariance within 6 standard errors of 0
+    mid = (q >= 0.02) & (q < 1)
+    cov = np.cov(hits[:, mid].astype(float), rowvar=False)
+    np.fill_diagonal(cov, 0.0)
+    v = q[mid] * (1 - q[mid])
+    assert np.all(np.abs(cov) <= 6 * np.sqrt(np.outer(v, v) / samples))
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_sparse_draw_of_constant_tiles(value):
+    n = 40
+    model = FixedProbabilities(np.full((n, n), value))
+    edges, _, examined = _pair_walk(Embedding.plain(np.zeros((n, 1))), model,
+                                    block_size=16, seed=5, sample_indices=range(3))
+    for ed in edges:
+        assert Graph.from_edges(n, ed).m == len(ed) == value * n * (n - 1) // 2
+    assert (examined == 0) == (value == 0.0)
 
 
 # ---------------------------------------------------------- expectations
@@ -248,8 +317,9 @@ def test_fused_walk_matches_separate_passes(four_models, name, block_size, sampl
     e, models = four_models
     model = models[name]
     seed = 2024
-    edges, (ed, sum_sq) = _pair_walk(e, model, block_size=block_size, seed=seed,
-                                     sample_indices=range(samples), moments=2)
+    edges, (ed, sum_sq), examined = _pair_walk(
+        e, model, block_size=block_size, seed=seed,
+        sample_indices=range(samples), moments=2)
     ref_ed, ref_sq = oracles.kahan_moment_reference(e, model, block_size)
     assert np.array_equal(ed, ref_ed)
     assert np.array_equal(sum_sq, ref_sq)
@@ -268,6 +338,7 @@ def test_fused_walk_matches_separate_passes(four_models, name, block_size, sampl
     assert np.array_equal(ed2, ref_ed - ref_sq + ref_ed * ref_ed)
     graphs = [Graph.from_edges(e.n, ref) for ref in refs]
     assert cs.edge_counts.tolist() == [g.m for g in graphs]
+    assert cs.draw_candidates == examined
     for s, g in enumerate(graphs):
         one = sample_graph(e, model, seed, s, block_size=block_size)
         assert np.array_equal(one.edge_array(), g.edge_array())
