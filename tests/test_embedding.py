@@ -62,13 +62,17 @@ def test_eigenpair_residuals_checked_on_both_paths(monkeypatch, solver, dense_cu
     name = "eigh" if solver is np.linalg else "eigsh"
     exact = getattr(solver, name)
 
-    def shifted(*args, **kwargs):
+    def corrupted(*args, **kwargs):
         w, u = exact(*args, **kwargs)
-        return w + 1e-3, u
+        if solver is np.linalg:
+            return w + 1e-3, u
+        # the sparse path reads only the vectors of its folded solve
+        u[:, 0] = np.roll(u[:, 0], 1)
+        return w, u
 
     g = random_graph(np.random.default_rng(3), 30, 0.3)
     spectral_embed(g, 4, dense_cutoff=dense_cutoff)
-    monkeypatch.setattr(solver, name, shifted)
+    monkeypatch.setattr(solver, name, corrupted)
     with pytest.raises(EigensolverError, match="residual"):
         spectral_embed(g, 4, dense_cutoff=dense_cutoff)
 
@@ -94,14 +98,49 @@ def test_sign_convention_deterministic():
         assert col[np.argmax(np.abs(col))] > 0
 
 
-def test_iterative_solver_matches_dense():
-    rng = np.random.default_rng(14)
-    g = random_graph(rng, 120, 0.08)
-    dense = spectral_embed(g, 6)
-    sparse = spectral_embed(g, 6, dense_cutoff=50)
-    assert np.allclose(np.abs(dense.eigenvalues), np.abs(sparse.eigenvalues), atol=1e-7)
-    # same reconstruction regardless of solver path
-    assert np.allclose(reconstruction(dense), reconstruction(sparse), atol=1e-6)
+def bipartite_graph(rng, n1, n2, p):
+    i, j = np.nonzero(rng.random((n1, n2)) < p)
+    return Graph.from_edges(n1 + n2, np.column_stack([i, n1 + j]))
+
+
+def triangles_plus_noise(rng, t):
+    n = 3 * t
+    base = 3 * np.arange(t)
+    triangles = [np.column_stack([base + a, base + b]) for a, b in ((0, 1), (1, 2), (0, 2))]
+    noise = np.argwhere(np.triu(rng.random((n, n)) < 1.0 / n, 1))
+    return Graph.from_edges(n, np.concatenate(triangles + [noise]))
+
+
+@pytest.mark.parametrize("g, d", [
+    (random_graph(np.random.default_rng(14), 120, 0.08), 6),
+    (bipartite_graph(np.random.default_rng(21), 70, 50, 0.1), 10),   # lambda, -lambda pairs
+    (triangles_plus_noise(np.random.default_rng(8), 200), 100),      # n = 600
+], ids=["gnp", "bipartite", "triangles_plus_noise"])
+def test_iterative_solver_matches_dense(g, d):
+    mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency_matrix())))[::-1]
+    assert mags[d - 1] - mags[d] > 1e-3        # the top d are unique
+    dense = spectral_embed(g, d)
+    sparse = spectral_embed(g, d, dense_cutoff=1)
+    # signed values; within an exact +-lambda pair rounding picks the order
+    assert np.max(np.abs(np.sort(dense.eigenvalues) - np.sort(sparse.eigenvalues))) <= 1e-10
+    assert np.max(np.abs(np.abs(dense.eigenvalues) - np.abs(sparse.eigenvalues))) <= 1e-10
+    assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
+
+
+def test_sparse_path_splits_a_folded_pair(monkeypatch):
+    # star(4) has eigenvalues +2 and -2, which share the eigenvalue 4 of A^2;
+    # the folded solve may return any unit vector of that plane
+    g = star(4)
+    a = g.adjacency_matrix()
+    w, u = np.linalg.eigh(a)
+    mixed = (u[:, np.argmax(w)] + u[:, np.argmin(w)]) / np.sqrt(2)
+    assert np.allclose(a @ (a @ mixed), 4 * mixed, atol=1e-12)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *args, **kwargs: (np.array([4.0]), mixed[:, None].copy()))
+    e = spectral_embed(g, 1, dense_cutoff=1)
+    assert abs(abs(e.eigenvalues[0]) - 2) <= 1e-12
+    psi = e.vectors[:, 0]
+    assert np.max(np.abs(a @ psi - e.eigenvalues[0] * psi)) <= 1e-12
 
 
 def test_dense_prefix_equals_lower_rank_solve():
