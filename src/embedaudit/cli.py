@@ -200,7 +200,8 @@ def _fit_models(e, g, config):
 def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
     """Load, sample, curves, degrees, write and report over labelled variants.
 
-    ``embed(g)`` returns the embedding that the report describes, and
+    ``embed(g, solve)`` returns the embedding that the report describes and
+    fills the dict ``solve`` with how an eigensolve found it, and
     ``variants(g, e)`` returns ``(variants, fit_reports, extras)``, where
     ``variants`` yields ``(label, embedding, model)``.  Each variant's
     samples are seeded by its model variant; its outputs are
@@ -216,7 +217,8 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
         g = loaded.graph
 
         stage = "embed"
-        e = embed(g)
+        solve = {}
+        e = embed(g, solve)
 
         stage = "fit"
         labelled, fit_reports, extras = variants(g, e)
@@ -269,6 +271,7 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
             "dropped_duplicates": loaded.dropped_duplicates,
             "embedding_kind": e.kind,
             "embedding_dim": e.d,
+            "eigensolver": solve or None,
             "models": {label: model_to_json(m) if m.variant != "softmax" else
                        {"variant": "softmax", "digest": model_digest(m)}
                        for label, m in models.items()},
@@ -299,9 +302,9 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
 def cmd_audit(config: AuditConfig) -> AuditReport:
     """Full audit: one embedding, sampled under each requested model."""
 
-    def embed(g):
+    def embed(g, solve):
         if not config.external_embedding_path:
-            return spectral_embed(g, config.dim)
+            return spectral_embed(g, config.dim, report=solve)
         e = load_embedding(config.external_embedding_path)
         if e.n != g.n:
             raise ValueError(f"embedding has n={e.n}, graph has n={g.n}")
@@ -337,7 +340,8 @@ def cmd_ranksweep(config: AuditConfig) -> AuditReport:
         return ((f"rank{d}", Embedding(SPECTRAL, e.vectors[:, :d], e.eigenvalues[:d]),
                  TruncatedDot()) for d in ranks), {}, {}
 
-    return _run_pipeline(config, lambda g: spectral_embed(g, max(ranks)), prefixes)
+    return _run_pipeline(
+        config, lambda g, solve: spectral_embed(g, max(ranks), report=solve), prefixes)
 
 
 def cmd_verify(seed: int = 0, out_path=None) -> dict:

@@ -10,6 +10,7 @@ Negative eigenvalues keep their sign; eigenpairs are selected by magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,14 @@ PLAIN = "plain"
 _ORTHO_TOL = 1e-8
 _RESIDUAL_TOL = 1e-6
 _DENSE_CUTOFF = 2000
+# |lambda| that agree within this fraction of |lambda_1| are tied
+_TIE_RTOL = 1e-10
+# the powered solve keeps (mu_1 / mu_d)^p below _POWER_SPREAD, so rounding in
+# the operator, about eps * mu_1^p, stays far below ARPACK's tol * mu_d^p
+_POWER_SPREAD = 1e4
+_MAX_POWER = 8
+# steps of the power iteration behind the Collatz-Wielandt bound on mu_1
+_BOUND_STEPS = 20
 # float64 entries (1 MiB) in one row chunk of the folded solve's basis rotation
 _CHUNK_ENTRIES = 1 << 17
 
@@ -55,7 +64,9 @@ class Embedding:
             if ev.shape != (vectors.shape[1],):
                 raise ValueError("eigenvalues must match dimension")
             mags = np.abs(ev)
-            if np.any(mags[:-1] < mags[1:] - 1e-12):
+            # within a tie (see _canonical_order) a +lambda precedes a larger -lambda
+            slack = max(1e-12, _TIE_RTOL * float(mags.max(initial=0.0)))
+            if np.any(mags[:-1] < mags[1:] - slack):
                 raise ValueError("eigenvalues must be sorted by descending magnitude")
             gram = vectors.T @ vectors
             if np.max(np.abs(gram - np.eye(vectors.shape[1]))) > _ORTHO_TOL:
@@ -106,8 +117,24 @@ class Embedding:
 
 
 def _canonical_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting by descending |value|, positive first on ties."""
-    return np.lexsort((-values, -np.abs(values)))
+    """Indices sorting by descending |value|, positive first on ties.
+
+    A tie is a run of |values| that lie within _TIE_RTOL * max|value| below
+    the run's largest one, so that an exact +lambda/-lambda pair, whose two
+    magnitudes differ in rounding only, comes out as (+, -) on both solver
+    paths.  Within a tie the positives go first, each sign by descending
+    |value|.
+    """
+    mags = np.abs(values)
+    order = np.argsort(-mags, kind="stable")
+    tol = _TIE_RTOL * float(mags.max(initial=0.0))
+    tie = np.empty(order.size, dtype=np.int64)
+    k, top = -1, np.inf
+    for pos, m in enumerate(mags[order]):
+        if m < top - tol:
+            k, top = k + 1, m
+        tie[pos] = k
+    return order[np.lexsort((-mags[order], values[order] < 0, tie))]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -120,14 +147,21 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF) -> Embedding:
+def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF,
+                   report: dict | None = None) -> Embedding:
     """Eigenpairs of the adjacency matrix for the d largest-|lambda| values.
 
     Uses a dense symmetric solver for n <= dense_cutoff (and whenever d is
     too close to n for a restarted iterative solver), otherwise the folded
-    sparse solve of ``_folded_eigsh``.  Residuals ||A psi - lambda psi|| are
-    checked against 1e-6 ||A||; failure to meet them raises EigensolverError
-    rather than silently truncating.
+    sparse solve of ``_folded_eigsh``: ARPACK on (A^2)^p, with the power p
+    set by two bounds on the spectrum of A^2, then Rayleigh-Ritz on A.
+    Residuals ||A psi - lambda psi|| are checked against 1e-6 ||A||; failure
+    to meet them raises EigensolverError rather than silently truncating.
+
+    A ``report`` dict, when given, is filled with how the pairs were found:
+    ``path`` ("dense" or "folded"), the ``power`` p and ARPACK's
+    ``operator_applications`` (None on the dense path), and the
+    ``max_relative_residual`` max ||A psi - lambda psi|| / ||A||.
     """
     n = g.n
     if not 1 <= d <= n:
@@ -138,10 +172,12 @@ def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF) -> Em
         w, u = np.linalg.eigh(a)
         order = _canonical_order(w)[:d]
         vals, vecs = w[order], u[:, order]
+        path, power, applications = "dense", None, None
     else:
         a = scipy.sparse.csr_matrix(
             (np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
-        vals, vecs = _folded_eigsh(a, d)
+        vals, vecs, power, applications = _folded_eigsh(a, d)
+        path = "folded"
 
     # vals[0] has the largest magnitude of all eigenvalues, which is ||A||_2
     norm_a = float(abs(vals[0]))
@@ -150,33 +186,89 @@ def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF) -> Em
         raise EigensolverError(
             f"eigenpair residual {residuals.max():.3e} exceeds "
             f"{_RESIDUAL_TOL:.0e} * ||A|| = {_RESIDUAL_TOL * norm_a:.3e}")
+    if report is not None:
+        report.update(path=path, power=power, operator_applications=applications,
+                      max_relative_residual=float(residuals.max() / norm_a)
+                      if norm_a > 0 else 0.0)
 
     return Embedding(SPECTRAL, _fix_signs(vecs), vals)
 
 
+def _spectrum_bounds(a, d: int) -> tuple:
+    """(U, L) with U >= mu_1 and L <= mu_d, mu the eigenvalues of A^2.
+
+    U is the Collatz-Wielandt bound of the nonnegative B = A^2 + I:
+    rho(B) <= max_i (Bx)_i / x_i for every positive x, here x = B^t 1, which
+    stays positive because B >= I.  L is the smallest eigenvalue of the
+    principal submatrix A^2[S, S] on the d highest-degree vertices S, which
+    Cauchy interlacing puts at or below mu_d.
+    """
+    x = np.ones(a.shape[0])
+    for _ in range(_BOUND_STEPS):
+        x = a @ (a @ x) + x
+        x /= x.max()
+    upper = float(np.max((a @ (a @ x) + x) / x)) - 1.0
+    top = a[np.argsort(-np.diff(a.indptr), kind="stable")[:d]]
+    lower = float(np.linalg.eigvalsh((top @ top.T).toarray())[0])
+    return upper, lower
+
+
+def _power(upper: float, lower: float) -> int:
+    """The largest p <= _MAX_POWER with (upper / lower)^p <= _POWER_SPREAD,
+    and 1 when there is none or lower <= 0."""
+    if lower <= 0:
+        return 1
+    spread = math.log(upper / lower)
+    if spread * _MAX_POWER <= math.log(_POWER_SPREAD):
+        return _MAX_POWER
+    return max(1, int(math.log(_POWER_SPREAD) / spread))
+
+
 def _folded_eigsh(a, d: int):
     """The d largest-|lambda| eigenpairs of the sparse symmetric A, in
-    canonical order.
+    canonical order, with the power p and ARPACK's operator applications.
 
-    ARPACK finds the top d eigenpairs (mu, U) of A^2, where every wanted
+    ARPACK finds the top d eigenvectors U of (A^2)^p, where every wanted
     eigenvalue lambda^2 sits at one end of the spectrum; on the indefinite A
     itself, "largest magnitude" asks for both ends at once and takes about
-    twice the Krylov work.  Rayleigh-Ritz on A over span(U) then splits
-    +lambda from -lambda.  span(U) is A^2-invariant, so span(U, AU) is
-    A-invariant; U alone is A-invariant unless a +lambda/-lambda pair shares
-    one A^2 eigenspace and ARPACK returned a mixture of the two.  The Gram
-    of R = AU - UH, H = U^T A U, is diag(mu) - H^2, so that case is seen at
-    no cost and U is then augmented with the range of R.
+    twice the Krylov work.  mu -> mu^p is increasing on mu >= 0, so (A^2)^p
+    has the same top-d eigenvectors as A^2, and its relative gaps are wider:
+    fewer Lanczos steps, each paying 2p cheap sparse products.  p comes from
+    the bounds U >= mu_1 and L <= mu_d of ``_spectrum_bounds``: the largest
+    p <= 8 with (U / L)^p <= 1e4, and 1 when L <= 0.  p = 1 is the plain
+    folded solve.
+
+    Rayleigh-Ritz on A over span(U) then splits +lambda from -lambda.
+    span(U) is A^2-invariant, so span(U, AU) is A-invariant; U alone is
+    A-invariant unless a +lambda/-lambda pair shares one A^2 eigenspace and
+    ARPACK returned a mixture of the two.  The Gram of R = AU - UH,
+    H = U^T A U, is diag(mu) - H^2 with mu_i = ||A u_i||^2, the Rayleigh
+    quotients of A^2, so that case is seen at no cost and U is then
+    augmented with the range of R.
     """
     n = a.shape[0]
+    power = _power(*_spectrum_bounds(a, d))
+    applications = 0
+
+    def powered(x):
+        nonlocal applications
+        applications += 1
+        for _ in range(2 * power):
+            x = a @ x
+        return x
+
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=powered, dtype=np.float64)
     try:
-        mu, u = scipy.sparse.linalg.eigsh(
-            a @ a, k=d, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)), tol=1e-10,
-            maxiter=n * 100)
+        u = scipy.sparse.linalg.eigsh(
+            op, k=d, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)), tol=1e-10,
+            maxiter=n * 100)[1]
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise EigensolverError(
-            f"ARPACK did not converge for n={n}, d={d}: {exc}") from exc
-    h = u.T @ (a @ u)
+            f"ARPACK did not converge for n={n}, d={d}, p={power}: {exc}") from exc
+    au = a @ u
+    mu = np.einsum("ij,ij->j", au, au)
+    h = u.T @ au
+    del au
     s, w = np.linalg.eigh(np.diag(mu) - h @ h)
     # a column of R longer than 1e-6 ||A|| would fail the residual check
     grow = s > _RESIDUAL_TOL ** 2 * mu.max()
@@ -192,7 +284,7 @@ def _folded_eigsh(a, d: int):
     step = max(1, _CHUNK_ENTRIES // u.shape[1])
     for r0 in range(0, n, step):
         u[r0:r0 + step, :d] = u[r0:r0 + step] @ v
-    return theta[order], u[:, :d]
+    return theta[order], u[:, :d], power, applications
 
 
 def reconstruction(e: Embedding) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 
@@ -89,6 +90,10 @@ def test_audit_report_contents(tmp_path):
     assert doc["seed"] == 3
     assert doc["config"]["dim"] == 6 and doc["config"]["negative_ratio"] == 10
     assert set(doc["sampled_edges"]) == set(cli.MODEL_NAMES)
+    solve = doc["eigensolver"]
+    assert solve["path"] == "dense"
+    assert solve["power"] is None and solve["operator_applications"] is None
+    assert 0 <= solve["max_relative_residual"] <= 1e-10
     for stats in doc["sampled_edges"].values():
         assert set(stats) == {"min", "median", "max", "draw_candidates"}
         assert 0 <= stats["min"] <= stats["median"] <= stats["max"]
@@ -144,6 +149,7 @@ def test_audit_with_external_embedding(tmp_path):
                                    external_embedding_path=str(epath)))
     assert report.metadata["embedding_kind"] == "plain"
     assert report.metadata["embedding_dim"] == 4
+    assert report.metadata["eigensolver"] is None     # nothing was solved
     assert (out / "curve_lrdp.csv").exists()
     assert not (out / "curve_tdp.csv").exists()
 
@@ -251,10 +257,25 @@ def test_ranksweep_echoes_only_the_model_it_runs(tmp_path):
     assert doc["fit_reports"] == {} and report.fit_reports == {}
 
 
+def test_ranksweep_reports_the_folded_solve(tmp_path, monkeypatch):
+    gpath, _ = write_random_graph(tmp_path)
+    monkeypatch.setattr(cli, "spectral_embed",
+                        functools.partial(cli.spectral_embed, dense_cutoff=1))
+    out = tmp_path / "out"
+    cmd_ranksweep(AuditConfig(graph_path=str(gpath), output_dir=str(out),
+                              num_samples=1, seed=2, rank_sweep_list=(3, 5)))
+    solve = json.loads((out / "report.json").read_text())["eigensolver"]
+    assert set(solve) == {"path", "power", "operator_applications", "max_relative_residual"}
+    assert solve["path"] == "folded"
+    assert 1 <= solve["power"] <= 8 and solve["operator_applications"] >= 5
+    assert 0 <= solve["max_relative_residual"] <= 1e-10
+
+
 def test_ranksweep_one_eigensolve_and_audit_outputs(tmp_path, monkeypatch):
     gpath, _ = write_random_graph(tmp_path)
     real, dims = cli.spectral_embed, []
-    monkeypatch.setattr(cli, "spectral_embed", lambda graph, d: dims.append(d) or real(graph, d))
+    monkeypatch.setattr(cli, "spectral_embed",
+                        lambda graph, d, **kw: dims.append(d) or real(graph, d, **kw))
     out = tmp_path / "out"
     ranks = (3, 12, 6)
     cmd_ranksweep(AuditConfig(graph_path=str(gpath), output_dir=str(out),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from embedaudit.embedding import (
     save_embedding,
     spectral_embed,
 )
+from embedaudit.embedding import _power, _spectrum_bounds
 from embedaudit.graph import Graph
 
 
@@ -111,20 +113,87 @@ def triangles_plus_noise(rng, t):
     return Graph.from_edges(n, np.concatenate(triangles + [noise]))
 
 
-@pytest.mark.parametrize("g, d", [
-    (random_graph(np.random.default_rng(14), 120, 0.08), 6),
-    (bipartite_graph(np.random.default_rng(21), 70, 50, 0.1), 10),   # lambda, -lambda pairs
-    (triangles_plus_noise(np.random.default_rng(8), 200), 100),      # n = 600
+def with_edges(g, edges, n=None):
+    """g plus the given edges, on n >= g.n vertices (the new ones isolated)."""
+    return Graph.from_edges(n or g.n, np.concatenate(
+        [np.argwhere(np.triu(g.adjacency_matrix())), edges]))
+
+
+def hub_graph():
+    # one vertex joined to 400 of the 600: lambda_1^2 is 80 times lambda_100^2
+    g = triangles_plus_noise(np.random.default_rng(8), 200)
+    return with_edges(g, np.column_stack([np.zeros(400, int), np.arange(1, 401)]))
+
+
+def twins_graph():
+    # vertices 150 and 151 share their 30 neighbours, and both are among the
+    # 10 highest degrees, so A^2 restricted to those 10 is singular
+    g = random_graph(np.random.default_rng(5), 150, 0.05)
+    return with_edges(g, np.concatenate([np.column_stack([np.full(30, v), np.arange(30)])
+                                         for v in (150, 151)]), n=160)
+
+
+@pytest.mark.parametrize("g, d, pairs", [
+    (random_graph(np.random.default_rng(14), 120, 0.08), 6, 0),
+    (bipartite_graph(np.random.default_rng(21), 70, 50, 0.1), 10, 5),   # lambda, -lambda pairs
+    (triangles_plus_noise(np.random.default_rng(8), 200), 100, 0),      # n = 600
 ], ids=["gnp", "bipartite", "triangles_plus_noise"])
-def test_iterative_solver_matches_dense(g, d):
+def test_iterative_solver_matches_dense(g, d, pairs):
     mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency_matrix())))[::-1]
     assert mags[d - 1] - mags[d] > 1e-3        # the top d are unique
     dense = spectral_embed(g, d)
-    sparse = spectral_embed(g, d, dense_cutoff=1)
-    # signed values; within an exact +-lambda pair rounding picks the order
-    assert np.max(np.abs(np.sort(dense.eigenvalues) - np.sort(sparse.eigenvalues))) <= 1e-10
-    assert np.max(np.abs(np.abs(dense.eigenvalues) - np.abs(sparse.eigenvalues))) <= 1e-10
+    report = {}
+    sparse = spectral_embed(g, d, dense_cutoff=1, report=report)
+    assert report["path"] == "folded" and report["power"] > 1   # ARPACK on (A^2)^p
+    assert np.max(np.abs(dense.eigenvalues - sparse.eigenvalues)) <= 1e-10
     assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
+    # each +lambda/-lambda pair comes out as (+, -) on both paths
+    ev = sparse.eigenvalues
+    first = np.flatnonzero(np.isclose(ev[:-1], -ev[1:], rtol=0, atol=1e-10))
+    assert first.size == pairs and np.all(ev[first] > 0)
+
+
+def test_hub_graph_solves_unpowered_and_matches_dense():
+    g = hub_graph()
+    report = {}
+    sparse = spectral_embed(g, 100, dense_cutoff=1, report=report)
+    assert report["path"] == "folded" and report["power"] == 1
+    assert report["max_relative_residual"] <= 1e-10
+    dense = spectral_embed(g, 100)
+    assert np.max(np.abs(dense.eigenvalues - sparse.eigenvalues)) <= 1e-10
+    assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
+
+
+@pytest.mark.parametrize("g, d", [
+    (random_graph(np.random.default_rng(14), 120, 0.08), 6),
+    (bipartite_graph(np.random.default_rng(21), 70, 50, 0.1), 10),
+    (triangles_plus_noise(np.random.default_rng(8), 200), 100),
+    (hub_graph(), 100),
+    (with_edges(random_graph(np.random.default_rng(5), 150, 0.05),
+                np.empty((0, 2), int), n=200), 10),                # 50 isolated vertices
+    (twins_graph(), 10),
+], ids=["gnp", "bipartite", "triangles_plus_noise", "hub", "isolated", "twins"])
+def test_spectrum_bounds_bracket_the_folded_spectrum(g, d):
+    mu = np.sort(np.linalg.eigvalsh(g.adjacency_matrix()) ** 2)[::-1]
+    upper, lower = _spectrum_bounds(scipy.sparse.csr_matrix(g.adjacency_matrix()), d)
+    # Collatz-Wielandt and Cauchy interlacing are exact; allow the rounding
+    assert upper >= mu[0] * (1 - 1e-12)
+    assert lower <= mu[d - 1] * (1 + 1e-12)
+
+
+def test_twin_hubs_force_power_one():
+    g = twins_graph()
+    upper, lower = _spectrum_bounds(scipy.sparse.csr_matrix(g.adjacency_matrix()), 10)
+    assert abs(lower) <= 1e-12 * upper
+    assert _power(upper, lower) == 1
+
+
+@pytest.mark.parametrize("upper, lower, power", [
+    (100.0, 1.0, 2), (10.0, 1.0, 4), (1.0, 1.0, 8), (1.5, 1.0, 8),
+    (1e5, 1.0, 1), (10.0, 0.0, 1), (10.0, -1e-15, 1),
+])
+def test_power_keeps_the_powered_spread_within_1e4(upper, lower, power):
+    assert _power(upper, lower) == power
 
 
 def test_sparse_path_splits_a_folded_pair(monkeypatch):
