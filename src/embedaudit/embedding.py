@@ -10,31 +10,43 @@ Negative eigenvalues keep their sign; eigenpairs are selected by magnitude.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .graph import Graph
 
 SPECTRAL = "spectral"
 PLAIN = "plain"
 
+logger = logging.getLogger(__name__)
+
 _ORTHO_TOL = 1e-8
 _RESIDUAL_TOL = 1e-6
+# an eigengap |lambda_d| - |lambda_{d+1}| below this fraction of |lambda_1|
+# is logged: the truncated embedding then hinges on a near-tie
+_GAP_WARN = 1e-6
 _DENSE_CUTOFF = 2000
 # |lambda| that agree within this fraction of |lambda_1| are tied
 _TIE_RTOL = 1e-10
 # the powered solve keeps (mu_1 / mu_d)^p below _POWER_SPREAD, so rounding in
-# the operator, about eps * mu_1^p, stays far below ARPACK's tol * mu_d^p
+# the operator, about eps * mu_1^p, stays far below _LANCZOS_TOL * mu_d^p
 _POWER_SPREAD = 1e4
 _MAX_POWER = 8
 # steps of the power iteration behind the Collatz-Wielandt bound on mu_1
 _BOUND_STEPS = 20
 # float64 entries (1 MiB) in one row chunk of the folded solve's basis rotation
 _CHUNK_ENTRIES = 1 << 17
+# block Lanczos: block size, relative Ritz residual, the singular value
+# (relative to the operator's norm) at which a new direction counts as lost,
+# and the start block's seed
+_BLOCK = 4
+_LANCZOS_TOL = 1e-10
+_BREAKDOWN = 1e-12
+_LANCZOS_SEED = 0
 
 
 class EigensolverError(RuntimeError):
@@ -152,16 +164,20 @@ def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF,
     """Eigenpairs of the adjacency matrix for the d largest-|lambda| values.
 
     Uses a dense symmetric solver for n <= dense_cutoff (and whenever d is
-    too close to n for a restarted iterative solver), otherwise the folded
-    sparse solve of ``_folded_eigsh``: ARPACK on (A^2)^p, with the power p
+    too close to n for an iterative solver), otherwise the folded sparse
+    solve of ``_folded_eigsh``: block Lanczos on (A^2)^p, with the power p
     set by two bounds on the spectrum of A^2, then Rayleigh-Ritz on A.
     Residuals ||A psi - lambda psi|| are checked against 1e-6 ||A||; failure
     to meet them raises EigensolverError rather than silently truncating.
+    An eigengap |lambda_d| - |lambda_{d+1}| below 1e-6 |lambda_1| is logged
+    as a warning: the truncated embedding then hinges on a near-tie.
 
     A ``report`` dict, when given, is filled with how the pairs were found:
-    ``path`` ("dense" or "folded"), the ``power`` p and ARPACK's
-    ``operator_applications`` (None on the dense path), and the
-    ``max_relative_residual`` max ||A psi - lambda psi|| / ||A||.
+    ``path`` ("dense" or "folded"); the ``power`` p, the Lanczos
+    ``block_size`` and the ``operator_applications`` to a block (each None
+    on the dense path); the ``max_relative_residual``
+    max ||A psi - lambda psi|| / ||A||; and the ``eigengap``, exact on the
+    dense path and an upper bound on the folded one (None when d = n).
     """
     n = g.n
     if not 1 <= d <= n:
@@ -170,14 +186,15 @@ def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF,
     if n <= dense_cutoff or d > n - 2:
         a = g.adjacency_matrix()
         w, u = np.linalg.eigh(a)
-        order = _canonical_order(w)[:d]
-        vals, vecs = w[order], u[:, order]
-        path, power, applications = "dense", None, None
+        order = _canonical_order(w)
+        vals, vecs = w[order[:d]], u[:, order[:d]]
+        next_magnitude = float(abs(w[order[d]])) if d < n else None
+        path, power, block, applications = "dense", None, None, None
     else:
         a = scipy.sparse.csr_matrix(
             (np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
-        vals, vecs, power, applications = _folded_eigsh(a, d)
-        path = "folded"
+        vals, vecs, power, applications, next_magnitude = _folded_eigsh(a, d)
+        path, block = "folded", min(_BLOCK, n)
 
     # vals[0] has the largest magnitude of all eigenvalues, which is ||A||_2
     norm_a = float(abs(vals[0]))
@@ -186,10 +203,17 @@ def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF,
         raise EigensolverError(
             f"eigenpair residual {residuals.max():.3e} exceeds "
             f"{_RESIDUAL_TOL:.0e} * ||A|| = {_RESIDUAL_TOL * norm_a:.3e}")
+    gap = None if next_magnitude is None else float(abs(vals[-1])) - next_magnitude
+    if gap is not None and gap < _GAP_WARN * norm_a:
+        logger.warning(
+            "eigengap |lambda_%d| - |lambda_%d| = %.3g is below %.0e * |lambda_1|: "
+            "the rank-%d spectral embedding is not unique", d, d + 1, gap, _GAP_WARN, d)
     if report is not None:
-        report.update(path=path, power=power, operator_applications=applications,
+        report.update(path=path, power=power, block_size=block,
+                      operator_applications=applications,
                       max_relative_residual=float(residuals.max() / norm_a)
-                      if norm_a > 0 else 0.0)
+                      if norm_a > 0 else 0.0,
+                      eigengap=gap)
 
     return Embedding(SPECTRAL, _fix_signs(vecs), vals)
 
@@ -226,22 +250,24 @@ def _power(upper: float, lower: float) -> int:
 
 def _folded_eigsh(a, d: int):
     """The d largest-|lambda| eigenpairs of the sparse symmetric A, in
-    canonical order, with the power p and ARPACK's operator applications.
+    canonical order; the power p and the block applications of (A^2)^p; and
+    the estimate of |lambda_{d+1}| that Ritz value d + 1 gives, which Cauchy
+    interlacing puts at or below the true one.
 
-    ARPACK finds the top d eigenvectors U of (A^2)^p, where every wanted
-    eigenvalue lambda^2 sits at one end of the spectrum; on the indefinite A
-    itself, "largest magnitude" asks for both ends at once and takes about
-    twice the Krylov work.  mu -> mu^p is increasing on mu >= 0, so (A^2)^p
-    has the same top-d eigenvectors as A^2, and its relative gaps are wider:
-    fewer Lanczos steps, each paying 2p cheap sparse products.  p comes from
-    the bounds U >= mu_1 and L <= mu_d of ``_spectrum_bounds``: the largest
-    p <= 8 with (U / L)^p <= 1e4, and 1 when L <= 0.  p = 1 is the plain
-    folded solve.
+    ``_block_lanczos`` finds the top d eigenvectors U of (A^2)^p, where every
+    wanted eigenvalue lambda^2 sits at one end of the spectrum; on the
+    indefinite A itself, "largest magnitude" asks for both ends at once and
+    takes about twice the Krylov work.  mu -> mu^p is increasing on mu >= 0,
+    so (A^2)^p has the same top-d eigenvectors as A^2, and its relative gaps
+    are wider: fewer Krylov steps, each paying 2p cheap sparse products.  p
+    comes from the bounds U >= mu_1 and L <= mu_d of ``_spectrum_bounds``:
+    the largest p <= 8 with (U / L)^p <= 1e4, and 1 when L <= 0.  p = 1 is
+    the plain folded solve.
 
     Rayleigh-Ritz on A over span(U) then splits +lambda from -lambda.
     span(U) is A^2-invariant, so span(U, AU) is A-invariant; U alone is
     A-invariant unless a +lambda/-lambda pair shares one A^2 eigenspace and
-    ARPACK returned a mixture of the two.  The Gram of R = AU - UH,
+    the solve returned a mixture of the two.  The Gram of R = AU - UH,
     H = U^T A U, is diag(mu) - H^2 with mu_i = ||A u_i||^2, the Rayleigh
     quotients of A^2, so that case is seen at no cost and U is then
     augmented with the range of R.
@@ -257,14 +283,7 @@ def _folded_eigsh(a, d: int):
             x = a @ x
         return x
 
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=powered, dtype=np.float64)
-    try:
-        u = scipy.sparse.linalg.eigsh(
-            op, k=d, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)), tol=1e-10,
-            maxiter=n * 100)[1]
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise EigensolverError(
-            f"ARPACK did not converge for n={n}, d={d}, p={power}: {exc}") from exc
+    u, theta_next = _block_lanczos(powered, n, d)
     au = a @ u
     mu = np.einsum("ij,ij->j", au, au)
     h = u.T @ au
@@ -284,7 +303,105 @@ def _folded_eigsh(a, d: int):
     step = max(1, _CHUNK_ENTRIES // u.shape[1])
     for r0 in range(0, n, step):
         u[r0:r0 + step, :d] = u[r0:r0 + step] @ v
-    return theta[order], u[:, :d], power, applications
+    next_magnitude = max(theta_next, 0.0) ** (0.5 / power)
+    return theta[order], u[:, :d], power, applications, next_magnitude
+
+
+def _block_lanczos(op, n: int, d: int):
+    """Top-d eigenvectors (n, d) of the positive semidefinite operator
+    ``op`` on (n, b) blocks, and its Ritz value d + 1.
+
+    Block Lanczos with full reorthogonalisation (Golub & Underwood 1977).
+    The Krylov basis V grows by one block of b = _BLOCK vectors per
+    application of op, so a repeated eigenvalue shows up to b copies, and
+    every product is a GEMM.  Each image op(Q) loses its components on the
+    previous block (through the last coupling) and on Q, whose coefficients
+    give the block's Rayleigh quotient, and is then reorthogonalised against
+    all of V by one classical Gram-Schmidt pass.  The QR of the remainder,
+    turned by the SVD of its small R factor, gives the next block and its
+    coupling B.  A direction whose singular value is below _BREAKDOWN times
+    the largest image norm seen lies in span(V): it is replaced by a seeded
+    random direction orthogonal to V, with zero coupling.  V^T op V is then
+    the block-tridiagonal T of those quotients and couplings.
+
+    The test runs at Krylov dimension k = 2d + b and after every further
+    max(b, d / 4) vectors, both rounded up to whole blocks.  The Ritz pair
+    (theta_i, V s_i) of T has the residual ||B s_i[last block]||, which must
+    be at most _LANCZOS_TOL * |theta_i| for each of the top d.  At k = n the projection is exact.  V is
+    kept as row chunks of V^T, one chunk per test, so it grows without a
+    copy; the Ritz vectors are one GEMM per chunk.
+    """
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    b = min(_BLOCK, n)
+    start = np.empty((n, b))
+    start[:, 0] = 1.0 / math.sqrt(n)
+    start[:, 1:] = rng.standard_normal((n, b - 1))
+    q = np.linalg.qr(start)[0]
+    chunks = []                 # [rows of V^T, rows filled]
+    alphas, betas = [], []
+    k, scale, span = 0, 0.0, 2 * d + b
+
+    def orthogonalise(w):
+        """One CGS pass of w against V, in place; the coefficients on the
+        last chunk of V."""
+        for rows, filled in chunks:
+            h = rows[:filled] @ w
+            w -= rows[:filled].T @ h
+        return h
+
+    while True:
+        if not chunks or chunks[-1][1] == len(chunks[-1][0]):
+            chunks.append([np.empty((min(n - k, -(-span // b) * b), n)), 0])
+            span = max(b, d // 4)
+        chunk = chunks[-1]
+        chunk[0][chunk[1]:chunk[1] + q.shape[1]] = q.T
+        chunk[1] += q.shape[1]
+        k += q.shape[1]
+        w = op(q)
+        scale = max(scale, float(np.linalg.norm(w, axis=0).max()))
+        if betas:
+            w -= q_prev @ betas[-1].T
+        coef = q.T @ w
+        w -= q @ coef
+        coef += orthogonalise(w)[-len(coef):]
+        alphas.append((coef + coef.T) / 2)
+        q_prev = q
+        beta = np.zeros((0, q.shape[1]))
+        if k < n:
+            q, r = np.linalg.qr(w)
+            x, sv, yt = np.linalg.svd(r)
+            keep = min(b, n - k)        # k + keep <= n: the rest is rounding
+            q, beta = q @ x[:, :keep], sv[:keep, None] * yt[:keep]
+            lost = sv[:keep] <= _BREAKDOWN * scale
+            if lost.any():
+                fresh = rng.standard_normal((n, int(lost.sum())))
+                for _ in range(2):
+                    orthogonalise(fresh)
+                    fresh -= q[:, ~lost] @ (q[:, ~lost].T @ fresh)
+                q[:, lost] = np.linalg.qr(fresh)[0]
+                beta[lost] = 0.0
+        if chunk[1] == len(chunk[0]):
+            t = np.zeros((k, k))
+            at = 0
+            for alpha, coupling in zip(alphas, betas + [beta[:0]]):
+                below = at + len(alpha)
+                t[at:below, at:below] = alpha
+                t[below:below + len(coupling), at:below] = coupling
+                t[at:below, below:below + len(coupling)] = coupling.T
+                at = below
+            theta, s = np.linalg.eigh(t)
+            top = slice(k - 1, k - d - 1, -1)
+            residual = np.linalg.norm(beta @ s[k - beta.shape[1]:, top], axis=0)
+            if k == n or np.all(residual <= _LANCZOS_TOL * np.abs(theta[top])):
+                break
+        betas.append(beta)
+
+    at = len(chunks[0][0])
+    u = chunks[0][0].T @ s[:at, top]
+    for rows, _ in chunks[1:]:
+        u += rows.T @ s[at:at + len(rows), top]
+        at += len(rows)
+    return u, float(theta[k - d - 1])
 
 
 def reconstruction(e: Embedding) -> np.ndarray:

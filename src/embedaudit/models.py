@@ -12,9 +12,9 @@ The logistic models are fitted by weighted maximum likelihood on all edges
 plus importance-weighted subsampled non-edges, then their intercept is
 recalibrated by a safeguarded Newton solve so the exact sum of pair
 probabilities matches the observed edge count.  All models are immutable and
-evaluate pure, symmetric probabilities in [0, 1].  Every logistic tile, in
-sampling and in the calibration, goes through ``_sigmoid_inplace``: one exp
-and one reciprocal, in place in the logit block.
+evaluate pure, symmetric probabilities in [0, 1].  Every sigmoid, in the
+logistic tiles of sampling and calibration and in the fits, goes through
+``_sigmoid_inplace``: one exp and one reciprocal, in place in the logits.
 
 Memory of the fits: a logistic fit holds one design matrix of
 (fitted pairs) x (features + 1) float64 entries, filled in row chunks of at
@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .blocks import DEFAULT_BLOCK_SIZE, upper_tiles
 from .embedding import SPECTRAL, Embedding
@@ -44,8 +43,7 @@ from .graph import Graph
 # beyond z = 37
 _MAX_NEWTON_STEP = 40.0
 
-# float64 entries (1 MiB) in one row chunk of a fit-stage work array; small
-# enough that logsumexp's five copies of a chunk stay below one pair tile
+# float64 entries (1 MiB) in one row chunk of a fit-stage work array
 _CHUNK_ENTRIES = 1 << 17
 
 
@@ -60,6 +58,24 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
         np.exp(z, out=z)
     z += 1.0
     return np.reciprocal(z, out=z)
+
+
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x), axis=1)) of the 2-d x, which it overwrites.
+
+    The arithmetic is that of scipy.special.logsumexp (1.17): the terms equal
+    to the row max M are set apart and counted as m, the rest sum to
+    s = sum exp(x - M), and the result is log1p(s / m) + log(m) + M.  A row
+    of -inf only gives -inf.
+    """
+    top = x.max(axis=1, keepdims=True)
+    at_top = x == top
+    count = at_top.sum(axis=1, keepdims=True, dtype=x.dtype)
+    x[at_top] = -np.inf
+    x -= np.where(np.isfinite(top), top, 0.0)
+    np.exp(x, out=x)
+    s = x.sum(axis=1, keepdims=True) / count
+    return (np.log1p(s) + np.log(count) + top)[:, 0]
 
 
 def _row_chunks(n_rows: int, row_len: int):
@@ -219,9 +235,9 @@ def build_softmax(e: Embedding, g: Graph,
         i1 = min(i0 + block_size, n)
         s = e.score_block(np.arange(i0, i1), np.arange(n))
         s[np.arange(i1 - i0), np.arange(i0, i1)] = -np.inf   # exclude the self-pair
-        # logsumexp copies its input several times: feed it row sub-blocks
+        # row sub-blocks keep the max mask and the sums small
         for r0, r1 in _row_chunks(i1 - i0, n):
-            log_z[i0 + r0:i0 + r1] = logsumexp(s[r0:r1], axis=1)
+            log_z[i0 + r0:i0 + r1] = _logsumexp_rows(s[r0:r1])
         del s                          # before the next block is scored
     with np.errstate(divide="ignore"):
         log_scale = np.where(deg > 0, np.log(np.maximum(deg, 1e-300)) - log_z, -np.inf)
@@ -310,8 +326,7 @@ def _weighted_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray,
     current = nll(beta)
     iters = 0
     for iters in range(1, max_iter + 1):
-        z = design @ beta
-        p = expit(z)
+        p = _sigmoid_inplace(design @ beta)
         grad = design.T @ (w * (p - y))
         if np.max(np.abs(grad)) <= grad_tol * scale:
             iters -= 1

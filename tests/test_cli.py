@@ -1,11 +1,16 @@
 import functools
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import embedaudit
 from embedaudit import cli
 from embedaudit.cli import AuditConfig, AuditStageError, cmd_audit, cmd_ranksweep, cmd_verify
 from embedaudit.embedding import load_embedding
@@ -93,7 +98,10 @@ def test_audit_report_contents(tmp_path):
     solve = doc["eigensolver"]
     assert solve["path"] == "dense"
     assert solve["power"] is None and solve["operator_applications"] is None
+    assert solve["block_size"] is None
     assert 0 <= solve["max_relative_residual"] <= 1e-10
+    mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency_matrix())))[::-1]
+    assert solve["eigengap"] == pytest.approx(mags[5] - mags[6], abs=1e-12)
     for stats in doc["sampled_edges"].values():
         assert set(stats) == {"min", "median", "max", "draw_candidates"}
         assert 0 <= stats["min"] <= stats["median"] <= stats["max"]
@@ -265,10 +273,13 @@ def test_ranksweep_reports_the_folded_solve(tmp_path, monkeypatch):
     cmd_ranksweep(AuditConfig(graph_path=str(gpath), output_dir=str(out),
                               num_samples=1, seed=2, rank_sweep_list=(3, 5)))
     solve = json.loads((out / "report.json").read_text())["eigensolver"]
-    assert set(solve) == {"path", "power", "operator_applications", "max_relative_residual"}
-    assert solve["path"] == "folded"
-    assert 1 <= solve["power"] <= 8 and solve["operator_applications"] >= 5
+    assert set(solve) == {"path", "power", "block_size", "operator_applications",
+                          "max_relative_residual", "eigengap"}
+    assert solve["path"] == "folded" and solve["block_size"] == 4
+    # block applications: the first test comes at Krylov dimension 2 * 5 + 4
+    assert 1 <= solve["power"] <= 8 and solve["operator_applications"] >= 4
     assert 0 <= solve["max_relative_residual"] <= 1e-10
+    assert solve["eigengap"] > 0
 
 
 def test_ranksweep_one_eigensolve_and_audit_outputs(tmp_path, monkeypatch):
@@ -411,3 +422,16 @@ def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, message):
     assert err.strip().splitlines()[-1].startswith("embedaudit")
     assert ": error: " in err.strip().splitlines()[-1]
     assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_special():
+    # scipy.sparse.linalg (which loads scipy.linalg) and scipy.special cost
+    # about 0.2 s of every run's start-up; the audit needs neither
+    src = str(Path(embedaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, embedaudit.cli; print(' '.join(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.sparse.linalg', 'scipy.linalg', 'scipy.special')))))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == []

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,8 @@ from embedaudit.embedding import (
     save_embedding,
     spectral_embed,
 )
-from embedaudit.embedding import _power, _spectrum_bounds
+from embedaudit import embedding
+from embedaudit.embedding import _BLOCK, _power, _spectrum_bounds
 from embedaudit.graph import Graph
 
 
@@ -58,19 +58,18 @@ def test_star_top2_eigenvalues():
     assert np.allclose(sorted(np.abs(e.eigenvalues)), [2.0, 2.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("solver, dense_cutoff", [(np.linalg, 2000),
-                                                  (scipy.sparse.linalg, 5)])
+@pytest.mark.parametrize("solver, dense_cutoff", [(np.linalg, 2000), (embedding, 5)])
 def test_eigenpair_residuals_checked_on_both_paths(monkeypatch, solver, dense_cutoff):
-    name = "eigh" if solver is np.linalg else "eigsh"
+    name = "eigh" if solver is np.linalg else "_block_lanczos"
     exact = getattr(solver, name)
 
     def corrupted(*args, **kwargs):
-        w, u = exact(*args, **kwargs)
         if solver is np.linalg:
+            w, u = exact(*args, **kwargs)
             return w + 1e-3, u
-        # the sparse path reads only the vectors of its folded solve
+        u, theta_next = exact(*args, **kwargs)
         u[:, 0] = np.roll(u[:, 0], 1)
-        return w, u
+        return u, theta_next
 
     g = random_graph(np.random.default_rng(3), 30, 0.3)
     spectral_embed(g, 4, dense_cutoff=dense_cutoff)
@@ -144,7 +143,7 @@ def test_iterative_solver_matches_dense(g, d, pairs):
     dense = spectral_embed(g, d)
     report = {}
     sparse = spectral_embed(g, d, dense_cutoff=1, report=report)
-    assert report["path"] == "folded" and report["power"] > 1   # ARPACK on (A^2)^p
+    assert report["path"] == "folded" and report["power"] > 1   # the solve ran on (A^2)^p
     assert np.max(np.abs(dense.eigenvalues - sparse.eigenvalues)) <= 1e-10
     assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
     # each +lambda/-lambda pair comes out as (+, -) on both paths
@@ -162,6 +161,41 @@ def test_hub_graph_solves_unpowered_and_matches_dense():
     dense = spectral_embed(g, 100)
     assert np.max(np.abs(dense.eigenvalues - sparse.eigenvalues)) <= 1e-10
     assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [40, 80])
+def test_folded_solve_finds_every_copy_of_a_repeated_eigenvalue(d):
+    # _BLOCK disjoint K4s: lambda = 3 has multiplicity _BLOCK, at 0-based
+    # positions 17-20 of 466; a single-vector Krylov solve sees one copy,
+    # finds others only through rounding, and fills the top d with smaller
+    # |lambda| (ARPACK returned 2 of the 4)
+    g = triangles_plus_noise(np.random.default_rng(8), 150)
+    k4 = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)])
+    g = with_edges(g, np.concatenate([k4 + g.n + 4 * c for c in range(_BLOCK)]),
+                   n=g.n + 4 * _BLOCK)
+    w = np.linalg.eigvalsh(g.adjacency_matrix())
+    assert np.sum(np.abs(w - 3) <= 1e-10) == _BLOCK
+    mags = np.sort(np.abs(w))[::-1]
+    assert mags[d - 1] - mags[d] > 1e-3        # the top d are unique
+    sparse = spectral_embed(g, d, dense_cutoff=1)
+    assert np.max(np.abs(np.abs(sparse.eigenvalues) - mags[:d])) <= 1e-10
+    dense = spectral_embed(g, d)
+    assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
+
+
+def test_folded_solve_goes_on_past_a_closed_krylov_space():
+    # 30 disjoint K_{3,3}: lambda = +3 and -3, 30 times each, and 0; the
+    # Krylov space of A^2 closes after one block, and the other copies come
+    # from the random directions that replace the lost ones
+    k33 = np.array([(i, j) for i in range(3) for j in range(3, 6)])
+    g = Graph.from_edges(180, np.concatenate([k33 + 6 * c for c in range(30)]))
+    report = {}
+    e = spectral_embed(g, 60, dense_cutoff=1, report=report)
+    assert report["path"] == "folded"
+    assert np.max(np.abs(np.abs(e.eigenvalues) - 3)) <= 1e-10
+    assert np.all(e.eigenvalues[:30] > 0) and np.all(e.eigenvalues[30:] < 0)
+    assert np.max(np.abs(reconstruction(e) - g.adjacency_matrix())) <= 1e-8
+    assert report["eigengap"] == pytest.approx(3.0, abs=1e-6)      # |lambda_61| = 0
 
 
 @pytest.mark.parametrize("g, d", [
@@ -204,12 +238,21 @@ def test_sparse_path_splits_a_folded_pair(monkeypatch):
     w, u = np.linalg.eigh(a)
     mixed = (u[:, np.argmax(w)] + u[:, np.argmin(w)]) / np.sqrt(2)
     assert np.allclose(a @ (a @ mixed), 4 * mixed, atol=1e-12)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        lambda *args, **kwargs: (np.array([4.0]), mixed[:, None].copy()))
-    e = spectral_embed(g, 1, dense_cutoff=1)
+    calls = []
+
+    def mixed_solve(op, n, d):
+        calls.append((n, d))
+        # Ritz value d + 1 of (A^2)^p is 4^p, that of the other sign
+        return mixed[:, None].copy(), float(mixed @ op(mixed[:, None])[:, 0])
+
+    monkeypatch.setattr(embedding, "_block_lanczos", mixed_solve)
+    report = {}
+    e = spectral_embed(g, 1, dense_cutoff=1, report=report)
+    assert calls == [(5, 1)]
     assert abs(abs(e.eigenvalues[0]) - 2) <= 1e-12
     psi = e.vectors[:, 0]
     assert np.max(np.abs(a @ psi - e.eigenvalues[0] * psi)) <= 1e-12
+    assert abs(report["eigengap"]) <= 1e-12        # |lambda_1| = |lambda_2| = 2
 
 
 def test_dense_prefix_equals_lower_rank_solve():

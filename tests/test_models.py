@@ -426,6 +426,24 @@ def test_sigmoid_matches_expit_without_warnings():
         np.testing.assert_allclose(p, ceiling * expit(3.0 * s - 1.5), rtol=4e-16)
 
 
+def test_row_logsumexp_matches_scipy_without_warnings():
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(17)
+    x = rng.normal(scale=30.0, size=(6, 50))
+    x[np.arange(6), np.arange(6)] = -np.inf          # the excluded self-pair
+    x[1, [3, 9, 40]] = x[1].max() + 2.0              # a three-way tie at the max
+    x[2] = np.round(x[2])                            # integer scores: ties below the max
+    x[3] = 710.0                                     # exp(max) alone would overflow
+    x[3, 3] = -np.inf
+    x[4] = -np.inf                                   # nothing to sum
+    want = logsumexp(x, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = models._logsumexp_rows(x.copy())
+    assert got[4] == -np.inf
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 def test_self_pairs_rejected():
     e = Embedding.plain(np.ones((3, 2)))
     with pytest.raises(ValueError):
