@@ -14,21 +14,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from embedaudit.cli import AuditConfig, cmd_ranksweep
-from embedaudit.graph import Graph, TriangleFoundationCurve, save_edge_list, triangle_foundation_curve
-
-
-def build_graph(seed: int, triangles: int) -> Graph:
-    rng = np.random.default_rng(seed)
-    n = 3 * triangles
-    tri = [(3 * t + a, 3 * t + b) for t in range(triangles)
-           for a, b in ((0, 1), (1, 2), (0, 2))]
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < 1.0 / n
-    edges = np.concatenate([np.array(tri), np.column_stack([iu[mask], ju[mask]])])
-    return Graph.from_edges(n, edges)
+from embedaudit.graph import TriangleFoundationCurve, save_edge_list, triangle_foundation_curve
+from headline_gap import build_headline_graph     # this script's directory is on sys.path
 
 
 def read_curve(path: Path, n_ref: int) -> TriangleFoundationCurve:
@@ -47,7 +35,7 @@ def main() -> int:
     ap.add_argument("--out", default="ranksweep_out")
     args = ap.parse_args()
 
-    g = build_graph(args.seed, args.triangles)
+    g = build_headline_graph(args.seed, args.triangles)
     n = g.n
     if args.ranks:
         ranks = tuple(int(r) for r in args.ranks.split(","))
@@ -63,7 +51,7 @@ def main() -> int:
           f"ranks {list(ranks)}")
 
     cmd_ranksweep(AuditConfig(
-        graph_path=str(gpath), output_dir=str(out), models=("tdp",),
+        graph_path=str(gpath), output_dir=str(out),
         num_samples=args.samples, seed=args.seed + 1, rank_sweep_list=ranks))
 
     probe = [2, 4, int(g.degrees.max())]

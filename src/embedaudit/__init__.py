@@ -39,11 +39,9 @@ from .models import (
     LogisticHadamard,
     TruncatedDot,
     build_softmax,
-    edge_probability,
     fit_lrdp,
     fit_lrhp,
     model_digest,
-    model_from_json,
     model_to_json,
     softmax_clamp_count,
 )
@@ -53,7 +51,6 @@ from .sampling import (
     curve_over_samples,
     expected_degree_second_moment,
     expected_degrees,
-    expected_edges,
     expected_triangles_exact,
     sample_graph,
 )

@@ -178,20 +178,36 @@ class _OutputTracker:
                 pass
 
 
+def _fit_model(name, e, g, negative_ratio, seed, block_size):
+    """Build the model ``name`` for e against g; returns (model, FitReport or
+    None) and logs a warning when an intercept calibration did not converge.
+
+    The fits are looked up as module globals at each call, so a rebinding of
+    ``fit_lrdp``, ``fit_lrhp`` or ``build_softmax`` here takes effect.
+    """
+    if name == "tdp":
+        return TruncatedDot(), None
+    if name == "softmax":
+        return build_softmax(e, g, block_size), None
+    fit = fit_lrdp if name == "lrdp" else fit_lrhp
+    model, rep = fit(e, g, negative_ratio, seed)
+    if not rep.converged:
+        logger.warning(
+            "%s intercept calibration did not converge: target %d "
+            "edges, achieved %.6g expected edges",
+            name, rep.target_edges, rep.achieved_expected_edges)
+    return model, rep
+
+
 def _fit_models(e, g, config):
     """Build every requested model; returns (models, fit_reports, extras)."""
     models, reports, extras = {}, {}, {}
     for name in config.models:
-        if name == "tdp":
-            models[name] = TruncatedDot()
-        elif name == "lrdp":
-            models[name], rep = fit_lrdp(e, g, config.negative_ratio, config.seed)
+        models[name], rep = _fit_model(name, e, g, config.negative_ratio,
+                                       config.seed, config.block_size)
+        if rep is not None:
             reports[name] = rep
-        elif name == "lrhp":
-            models[name], rep = fit_lrhp(e, g, config.negative_ratio, config.seed)
-            reports[name] = rep
-        elif name == "softmax":
-            models[name] = build_softmax(e, g, config.block_size)
+        if name == "softmax":
             extras["softmax_clamped_pairs"] = softmax_clamp_count(
                 models[name], e, config.block_size)
     return models, reports, extras
@@ -312,12 +328,6 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
 
     def fitted(g, e):
         models, fit_reports, extras = _fit_models(e, g, config)
-        for name, rep in fit_reports.items():
-            if not rep.converged:
-                logger.warning(
-                    "%s intercept calibration did not converge: target %d "
-                    "edges, achieved %.6g expected edges",
-                    name, rep.target_edges, rep.achieved_expected_edges)
         return [(name, e, m) for name, m in models.items()], fit_reports, extras
 
     return _run_pipeline(config, embed, fitted)
@@ -440,7 +450,7 @@ def _run_audit(args) -> int:
 
 def _run_ranksweep(args) -> int:
     config = AuditConfig(
-        graph_path=args.graph, output_dir=args.out, models=("tdp",),
+        graph_path=args.graph, output_dir=args.out,
         num_samples=args.samples, seed=args.seed, rank_sweep_list=args.ranks,
         block_size=args.block_size)
     report = cmd_ranksweep(config)
@@ -472,18 +482,11 @@ def _run_embed(args) -> int:
 
 def _run_sample(args) -> int:
     e = load_embedding(args.embedding)
-    if args.model == "tdp":
-        model = TruncatedDot()
-    else:
-        if not args.graph:
-            raise SystemExit(f"--graph is required to fit the {args.model} model")
-        g = load_edge_list(args.graph).graph
-        if args.model == "lrdp":
-            model, _ = fit_lrdp(e, g, args.negative_ratio, args.seed)
-        elif args.model == "lrhp":
-            model, _ = fit_lrhp(e, g, args.negative_ratio, args.seed)
-        else:
-            model = build_softmax(e, g)
+    if args.model != "tdp" and not args.graph:
+        raise SystemExit(f"--graph is required to fit the {args.model} model")
+    g = load_edge_list(args.graph).graph if args.model != "tdp" else None
+    model, _ = _fit_model(args.model, e, g, args.negative_ratio, args.seed,
+                          DEFAULT_BLOCK_SIZE)
     sampled = sample_graph(e, model, args.seed, args.sample_index)
     save_edge_list(sampled, args.out, header_lines=[
         f"sampled by embedaudit {__version__}",

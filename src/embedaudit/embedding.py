@@ -251,8 +251,12 @@ def _power(upper: float, lower: float) -> int:
 def _folded_eigsh(a, d: int):
     """The d largest-|lambda| eigenpairs of the sparse symmetric A, in
     canonical order; the power p and the block applications of (A^2)^p; and
-    the estimate of |lambda_{d+1}| that Ritz value d + 1 gives, which Cauchy
-    interlacing puts at or below the true one.
+    the estimate ||A y|| of |lambda_{d+1}|, with y the unit Ritz vector
+    d + 1 of (A^2)^p.  With theta its Ritz value, the power mean inequality
+    and Cauchy interlacing give ||A y||^2 = y^T A^2 y <= (y^T (A^2)^p y)^(1/p)
+    = theta^(1/p) <= lambda_{d+1}^2, so the estimate is at or below the true
+    |lambda_{d+1}|; unlike theta^(1/(2p)), it is accurate to about
+    eps ||A|| when |lambda_{d+1}| is near 0.
 
     ``_block_lanczos`` finds the top d eigenvectors U of (A^2)^p, where every
     wanted eigenvalue lambda^2 sits at one end of the spectrum; on the
@@ -283,7 +287,8 @@ def _folded_eigsh(a, d: int):
             x = a @ x
         return x
 
-    u, theta_next = _block_lanczos(powered, n, d)
+    u, y = _block_lanczos(powered, n, d)
+    next_magnitude = float(np.linalg.norm(a @ y))
     au = a @ u
     mu = np.einsum("ij,ij->j", au, au)
     h = u.T @ au
@@ -303,13 +308,12 @@ def _folded_eigsh(a, d: int):
     step = max(1, _CHUNK_ENTRIES // u.shape[1])
     for r0 in range(0, n, step):
         u[r0:r0 + step, :d] = u[r0:r0 + step] @ v
-    next_magnitude = max(theta_next, 0.0) ** (0.5 / power)
     return theta[order], u[:, :d], power, applications, next_magnitude
 
 
 def _block_lanczos(op, n: int, d: int):
     """Top-d eigenvectors (n, d) of the positive semidefinite operator
-    ``op`` on (n, b) blocks, and its Ritz value d + 1.
+    ``op`` on (n, b) blocks, and its Ritz vector d + 1 (n,), for d <= n - 2.
 
     Block Lanczos with full reorthogonalisation (Golub & Underwood 1977).
     The Krylov basis V grows by one block of b = _BLOCK vectors per
@@ -327,9 +331,10 @@ def _block_lanczos(op, n: int, d: int):
     The test runs at Krylov dimension k = 2d + b and after every further
     max(b, d / 4) vectors, both rounded up to whole blocks.  The Ritz pair
     (theta_i, V s_i) of T has the residual ||B s_i[last block]||, which must
-    be at most _LANCZOS_TOL * |theta_i| for each of the top d.  At k = n the projection is exact.  V is
-    kept as row chunks of V^T, one chunk per test, so it grows without a
-    copy; the Ritz vectors are one GEMM per chunk.
+    be at most _LANCZOS_TOL * |theta_i| for each of the top d.  At k = n
+    the projection is exact.  V is kept as row chunks of V^T, one chunk per
+    test, so it grows without a copy; the Ritz vectors are one GEMM per
+    chunk, and Ritz vector d + 1 one GEMV per chunk.
     """
     rng = np.random.default_rng(_LANCZOS_SEED)
     b = min(_BLOCK, n)
@@ -396,12 +401,15 @@ def _block_lanczos(op, n: int, d: int):
                 break
         betas.append(beta)
 
-    at = len(chunks[0][0])
-    u = chunks[0][0].T @ s[:at, top]
-    for rows, _ in chunks[1:]:
-        u += rows.T @ s[at:at + len(rows), top]
-        at += len(rows)
-    return u, float(theta[k - d - 1])
+    def ritz(cols):
+        at = len(chunks[0][0])
+        out = chunks[0][0].T @ s[:at, cols]
+        for rows, _ in chunks[1:]:
+            out += rows.T @ s[at:at + len(rows), cols]
+            at += len(rows)
+        return out
+
+    return ritz(top), ritz(k - d - 1)
 
 
 def reconstruction(e: Embedding) -> np.ndarray:

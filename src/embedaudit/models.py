@@ -46,6 +46,11 @@ _MAX_NEWTON_STEP = 40.0
 # float64 entries (1 MiB) in one row chunk of a fit-stage work array
 _CHUNK_ENTRIES = 1 << 17
 
+# most ordered pairs in one batch of the non-edge rejection sampler: on a
+# dense graph, where few draws land on a non-edge, it takes more batches
+# instead of more memory
+_MAX_DRAWS = 1 << 20
+
 
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) computed in place in z, which is returned.
@@ -98,35 +103,22 @@ class TruncatedDot:
 
 @dataclass(frozen=True)
 class LogisticDot:
-    """p = ceiling * sigmoid(slope * score + intercept).
+    """p = sigmoid(slope * score + intercept).
 
     Stored in slope/intercept form so a zero slope can still carry a
-    calibrated constant probability; the midpoint offset x0 (score at which
-    p = ceiling/2) is recoverable whenever the slope is nonzero.
+    calibrated constant probability.
     """
 
     slope: float
     intercept: float
-    ceiling: float = 1.0
 
     variant = "lrdp"
-
-    def __post_init__(self):
-        if not 0.0 < self.ceiling <= 1.0:
-            raise ValueError("ceiling must be in (0, 1]")
-
-    @property
-    def x0(self) -> float:
-        return -self.intercept / self.slope if self.slope != 0 else float("nan")
 
     def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
         p = e.score_block(rows, cols)
         p *= self.slope
         p += self.intercept
-        _sigmoid_inplace(p)
-        if self.ceiling != 1.0:
-            p *= self.ceiling
-        return p
+        return _sigmoid_inplace(p)
 
 
 @dataclass(frozen=True)
@@ -198,18 +190,6 @@ class DegreeSoftmax:
         return np.minimum(1.0, self._intensity(e, rows, cols))
 
 
-EDGE_MODEL_VARIANTS = ("tdp", "lrdp", "lrhp", "softmax")
-
-
-def edge_probability(model, e: Embedding, i: int, j: int) -> float:
-    """Probability of the pair (i, j) under the model; self-pairs rejected."""
-    if i == j:
-        raise ValueError("self-pairs are excluded from every edge model")
-    if not (0 <= i < e.n and 0 <= j < e.n):
-        raise IndexError(f"vertex index out of range: ({i}, {j})")
-    return float(model.prob_block(e, np.array([i]), np.array([j]))[0, 0])
-
-
 @dataclass(frozen=True)
 class FitReport:
     target_edges: float
@@ -264,14 +244,6 @@ def _sample_nonedges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarr
     if count == 0 or n_non == 0:
         return np.empty((0, 2), dtype=np.int64)
 
-    if n <= 1500:
-        a = g.adjacency_matrix().astype(bool)
-        iu, ju = np.triu_indices(n, k=1)
-        keep = ~a[iu, ju]
-        pool_i, pool_j = iu[keep], ju[keep]
-        pick = rng.integers(0, pool_i.size, size=count)
-        return np.column_stack([pool_i[pick], pool_j[pick]])
-
     e = g.edge_array()
     edge_keys = np.sort(e[:, 0] * n + e[:, 1]) if e.size else np.empty(0, np.int64)
     # share of ordered draws (i, j) that land on a non-edge
@@ -282,7 +254,7 @@ def _sample_nonedges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarr
             break
         # enough draws to fill the quota unless the accepted count falls
         # about three standard deviations short; a short batch is topped up
-        b = math.ceil((need + 3.0 * math.sqrt(need) + 16.0) / accept)
+        b = min(_MAX_DRAWS, math.ceil((need + 3.0 * math.sqrt(need) + 16.0) / accept))
         i = rng.integers(0, n, size=b)
         j = rng.integers(0, n, size=b)
         ok = i != j
@@ -396,18 +368,15 @@ def _calibrate_intercept(pair_sums, m_target: float, tol_rel: float = 1e-3,
     return best_delta, max_iter, False, best
 
 
-def _make_pair_logit_sum(e: Embedding, logit_block, block_size: int):
-    """Return pair_sums(delta) = (sum p, sum p(1-p)) over pairs i<j, where
-    p = sigmoid(z_ij + delta); each call is one walk over the pair tiles.
-    logit_block returns a new array, which pair_sums overwrites."""
+def _make_pair_sums(e: Embedding, model_at, block_size: int):
+    """Return pair_sums(delta) = (sum p, sum p(1-p)) over pairs i<j, with p
+    the probabilities of the model ``model_at(delta)``; each call is one walk
+    over that model's own ``prob_block`` tiles."""
     def pair_sums(delta):
-        def block(rows, cols):
-            z = logit_block(rows, cols)
-            z += delta
-            return _sigmoid_inplace(z)
-
+        model = model_at(delta)
         s = ds = 0.0
-        for *_, p in upper_tiles(e.n, block_size, block):
+        for *_, p in upper_tiles(e.n, block_size,
+                                 lambda r, c: model.prob_block(e, r, c)):
             p = p.ravel()              # entries outside i < j are 0 and add nothing
             s += p.sum()
             ds += p @ (1.0 - p)
@@ -435,7 +404,7 @@ def _lrhp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
             f *= e.eigenvalues
 
 
-def _fit_logistic_model(e, g, negative_ratio, seed, nfeat, features, logit_block, build):
+def _fit_logistic_model(e, g, negative_ratio, seed, nfeat, features, build):
     if e.n != g.n:
         raise ValueError("embedding and graph must agree on n")
     if negative_ratio < 1:
@@ -463,8 +432,8 @@ def _fit_logistic_model(e, g, negative_ratio, seed, nfeat, features, logit_block
     else:
         coef, intercept, newton_iters = np.zeros(nfeat), 0.0, 0
 
-    pair_sums = _make_pair_logit_sum(e, lambda r, c: logit_block(coef, intercept, r, c),
-                                     DEFAULT_BLOCK_SIZE)
+    pair_sums = _make_pair_sums(e, lambda delta: build(coef, intercept + delta),
+                                DEFAULT_BLOCK_SIZE)
     delta, evals, converged, achieved = _calibrate_intercept(pair_sums, float(m))
     model = build(coef, intercept + delta)
     return model, FitReport(float(m), achieved, newton_iters + evals, converged, evals)
@@ -480,17 +449,10 @@ def fit_lrdp(e: Embedding, g: Graph, negative_ratio: int = 10,
     until the exact sum of all pair probabilities matches m within relative
     1e-3; each Newton step costs one pass over the pairs.
     """
-    def logit_block(coef, intercept, rows, cols):
-        z = e.score_block(rows, cols)
-        z *= coef[0]
-        z += intercept
-        return z
-
     def build(coef, intercept):
         return LogisticDot(float(coef[0]), float(intercept))
 
-    return _fit_logistic_model(e, g, negative_ratio, seed, 1, _lrdp_features,
-                               logit_block, build)
+    return _fit_logistic_model(e, g, negative_ratio, seed, 1, _lrdp_features, build)
 
 
 def fit_lrhp(e: Embedding, g: Graph, negative_ratio: int = 10,
@@ -500,17 +462,10 @@ def fit_lrhp(e: Embedding, g: Graph, negative_ratio: int = 10,
     Same sampling, weighting, and calibration scheme as fit_lrdp; one weight
     per embedding coordinate instead of a single slope.
     """
-    def logit_block(coef, intercept, rows, cols):
-        lw = coef * e.eigenvalues if e.kind == SPECTRAL else coef
-        z = (e.vectors[rows] * lw) @ e.vectors[cols].T
-        z += intercept
-        return z
-
     def build(coef, intercept):
         return LogisticHadamard(coef, float(intercept))
 
-    return _fit_logistic_model(e, g, negative_ratio, seed, e.d, _lrhp_features,
-                               logit_block, build)
+    return _fit_logistic_model(e, g, negative_ratio, seed, e.d, _lrhp_features, build)
 
 
 # -------------------------------------------------------------- serialization
@@ -520,31 +475,13 @@ def model_to_json(model) -> dict:
     if isinstance(model, TruncatedDot):
         return {"variant": "tdp"}
     if isinstance(model, LogisticDot):
-        return {"variant": "lrdp", "slope": model.slope,
-                "intercept": model.intercept, "ceiling": model.ceiling}
+        return {"variant": "lrdp", "slope": model.slope, "intercept": model.intercept}
     if isinstance(model, LogisticHadamard):
         return {"variant": "lrhp", "weights": model.weights.tolist(),
                 "intercept": model.intercept}
     if isinstance(model, DegreeSoftmax):
         return {"variant": "softmax", "scale": model.scale.tolist()}
     raise TypeError(f"not an edge model: {model!r}")
-
-
-def model_from_json(doc: dict):
-    variant = doc.get("variant")
-    if variant == "tdp":
-        return TruncatedDot()
-    if variant == "lrdp":
-        return LogisticDot(doc["slope"], doc["intercept"], doc.get("ceiling", 1.0))
-    if variant == "lrhp":
-        return LogisticHadamard(np.asarray(doc["weights"], dtype=float), doc["intercept"])
-    if variant == "softmax":
-        scale = np.asarray(doc["scale"], dtype=float)
-        if np.any(scale < 0):
-            raise ValueError("softmax scale entries must be >= 0")
-        with np.errstate(divide="ignore"):
-            return DegreeSoftmax(np.where(scale > 0, np.log(np.maximum(scale, 1e-300)), -np.inf))
-    raise ValueError(f"unknown model variant {variant!r}")
 
 
 def model_digest(model) -> str:

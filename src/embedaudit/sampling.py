@@ -198,11 +198,6 @@ def expected_degree_second_moment(e, model, *, block_size: int = DEFAULT_BLOCK_S
     return ed, ed - sum_sq + ed * ed
 
 
-def expected_edges(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE) -> float:
-    """Exact sum of all pair probabilities."""
-    return float(math.fsum(expected_degrees(e, model, block_size=block_size)) / 2.0)
-
-
 def expected_triangles_exact(e, model) -> float:
     """Exact expected triangle count sum_{i<j<k} p_ij p_jk p_ik.
 
@@ -240,10 +235,6 @@ class SampleCurveSet:
         points = tuple((int(c), float(d)) for c, d in
                        zip(self.thresholds, self.deltas.max(axis=0)))
         return TriangleFoundationCurve(points, self.n_ref)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.deltas.mean(axis=0)
 
     @property
     def variance(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from .graph import Graph
 from .models import TruncatedDot
 from .sampling import expected_degrees, expected_triangles_exact
 
-# ceiling for the bound's leading constant; also its default value
+# largest admissible value of the bound's leading constant; also its default
 ALPHA_CEILING = 1.0 / (128 * 3600 * 4 ** 4)
 
 _NUMERIC_RANK_RTOL = 1e-9
@@ -117,8 +117,8 @@ def length_lower_bound(c: float, delta: float) -> LengthBounds:
 class TheoremBoundParams:
     """Inputs to the closed-form rank lower bound.
 
-    alpha defaults to its admissible ceiling; the bound is asymptotic, so
-    alpha is exposed rather than baked in.
+    alpha defaults to its largest admissible value; the bound is asymptotic,
+    so alpha is exposed rather than baked in.
     """
 
     n: int

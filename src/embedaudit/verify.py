@@ -194,8 +194,8 @@ def sweep_triangle_expectation_bound(seed: int, trials: int = 100) -> PropertyRe
             counterexample = {"trial": t, "vectors": v.tolist(),
                               "triangles": tri, "rhs": rhs}
     return _finish("triangle_expectation_bound",
-                   "expected triangles bounded by score ceiling times sum of "
-                   "squared expected degrees",
+                   "expected triangles bounded by the largest squared norm times "
+                   "the sum of squared expected degrees",
                    trials, margins, counterexample)
 
 

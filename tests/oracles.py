@@ -72,16 +72,26 @@ def random_gnp(rng, n, p):
     return (a | a.T)
 
 
-def pairwise_probabilities(model, emb):
-    """Probability matrix built entry by entry through the scalar API."""
-    from embedaudit.models import edge_probability
+def pair_probability(model, emb, i, j):
+    """p_ij of the model, from a 1 x 1 block of its prob_block."""
+    return float(model.prob_block(emb, [i], [j])[0, 0])
 
+
+def probability_sum(emb, model):
+    """Sum of p over unordered pairs, from the exact expected degrees."""
+    from embedaudit.sampling import expected_degrees
+
+    return math.fsum(expected_degrees(emb, model)) / 2
+
+
+def pairwise_probabilities(model, emb):
+    """Probability matrix built entry by entry from 1 x 1 blocks."""
     n = emb.n
     p = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                p[i, j] = edge_probability(model, emb, i, j)
+                p[i, j] = pair_probability(model, emb, i, j)
     return p
 
 
@@ -226,11 +236,11 @@ def softmax_log_scale_reference(e, g, block_size):
 
 
 def sample_nonedges_reference(g, count, rng, batch_sizes=None):
-    """Rejection sampler of non-edge pairs i < j (graphs with n > 1500), with
-    the same batch sizes and draws as the library: each batch is the quota
-    plus three times its square root plus 16, over the share of ordered
-    draws that land on a non-edge.  Each batch's (quota, size) is appended
-    to ``batch_sizes`` when given."""
+    """Rejection sampler of non-edge pairs i < j, with the same batch sizes
+    and draws as the library: each batch is the quota plus three times its
+    square root plus 16, over the share of ordered draws that land on a
+    non-edge, and at most 2^20.  Each batch's (quota, size) is appended to
+    ``batch_sizes`` when given."""
     n = g.n
     e = g.edge_array()
     edge_keys = np.sort(e[:, 0] * n + e[:, 1])
@@ -238,7 +248,7 @@ def sample_nonedges_reference(g, count, rng, batch_sizes=None):
     accept = (n - 1) / n * (n_pairs - g.m) / n_pairs
     chunks, need = [], count
     while need > 0:
-        b = math.ceil((need + 3.0 * math.sqrt(need) + 16.0) / accept)
+        b = min(1 << 20, math.ceil((need + 3.0 * math.sqrt(need) + 16.0) / accept))
         if batch_sizes is not None:
             batch_sizes.append((need, b))
         i = rng.integers(0, n, size=b)

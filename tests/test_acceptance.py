@@ -31,7 +31,6 @@ from embedaudit.sampling import (
     SampleSpec,
     curve_over_samples,
     expected_degree_second_moment,
-    expected_edges,
     expected_triangles_exact,
     sample_graph,
 )
@@ -218,11 +217,11 @@ def test_09_model_calibration_exact_sums():
         for name, fit in [("lrdp", fit_lrdp), ("lrhp", fit_lrhp)]:
             model, report = fit(e, g, seed=910)
             assert report.converged, f"{name} did not converge on n={g.n}"
-            achieved = expected_edges(e, model)
+            achieved = oracles.probability_sum(e, model)
             assert abs(achieved - g.m) <= 1e-3 * g.m, \
                 f"{name} n={g.n}: sum p = {achieved} vs m = {g.m}"
         sm = build_softmax(e, g)
-        achieved = expected_edges(e, sm)
+        achieved = oracles.probability_sum(e, sm)
         assert abs(achieved - g.m) <= 1e-3 * g.m, \
             f"softmax n={g.n}: sum p = {achieved} vs m = {g.m}"
     _ok(9, "LRDP/LRHP/softmax match expected edge counts within 1e-3 relative")

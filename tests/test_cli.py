@@ -188,13 +188,13 @@ def test_audit_config_validation():
     AuditConfig(graph_path="g", output_dir="o", seed=2**64 - 1, block_size=1)
 
 
+def unconverged_fit(e, graph, negative_ratio, seed):
+    model, _ = fit_lrdp(e, graph, negative_ratio, seed)
+    return model, FitReport(float(graph.m), 12.5, 130, False, 100)
+
+
 def test_audit_warns_on_unconverged_calibration(tmp_path, monkeypatch, caplog):
     gpath, g = write_random_graph(tmp_path, n=20)
-
-    def unconverged_fit(e, graph, negative_ratio, seed):
-        model, _ = fit_lrdp(e, graph, negative_ratio, seed)
-        return model, FitReport(float(graph.m), 12.5, 130, False, 100)
-
     monkeypatch.setattr(cli, "fit_lrdp", unconverged_fit)
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING, logger="embedaudit.cli"):
@@ -390,6 +390,21 @@ def test_sample_fitted_model_requires_graph(tmp_path):
     assert cli.main(["sample", "--embedding", str(epath), "--model", "softmax",
                      "--graph", str(gpath), "--seed", "1",
                      "--out", str(tmp_path / "s.txt")]) == 0
+
+
+def test_sample_warns_on_unconverged_calibration(tmp_path, monkeypatch, caplog):
+    gpath, g = write_random_graph(tmp_path, n=20)
+    epath = tmp_path / "emb.txt"
+    assert cli.main(["embed", "--graph", str(gpath), "--dim", "3", "--out", str(epath)]) == 0
+    monkeypatch.setattr(cli, "fit_lrdp", unconverged_fit)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="embedaudit.cli"):
+        assert cli.main(["sample", "--embedding", str(epath), "--model", "lrdp",
+                         "--graph", str(gpath), "--out", str(tmp_path / "s.txt")]) == 0
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "lrdp" in message and f"target {g.m} " in message and "12.5" in message
 
 
 def test_cli_audit_argument_parsing(tmp_path):

@@ -67,9 +67,9 @@ def test_eigenpair_residuals_checked_on_both_paths(monkeypatch, solver, dense_cu
         if solver is np.linalg:
             w, u = exact(*args, **kwargs)
             return w + 1e-3, u
-        u, theta_next = exact(*args, **kwargs)
+        u, y = exact(*args, **kwargs)
         u[:, 0] = np.roll(u[:, 0], 1)
-        return u, theta_next
+        return u, y
 
     g = random_graph(np.random.default_rng(3), 30, 0.3)
     spectral_embed(g, 4, dense_cutoff=dense_cutoff)
@@ -195,7 +195,20 @@ def test_folded_solve_goes_on_past_a_closed_krylov_space():
     assert np.max(np.abs(np.abs(e.eigenvalues) - 3)) <= 1e-10
     assert np.all(e.eigenvalues[:30] > 0) and np.all(e.eigenvalues[30:] < 0)
     assert np.max(np.abs(reconstruction(e) - g.adjacency_matrix())) <= 1e-8
-    assert report["eigengap"] == pytest.approx(3.0, abs=1e-6)      # |lambda_61| = 0
+    assert report["eigengap"] == pytest.approx(3.0, abs=1e-12)     # |lambda_61| = 0
+
+
+def test_folded_eigengap_is_accurate_when_the_next_eigenvalue_is_zero():
+    # 100 disjoint K_{3,3} at d = 250: lambda_1..200 = +-3, the rest 0, so
+    # the top 250 hold 50 zeros and the gap at d is exactly 0; the (d+1)-th
+    # Ritz value of (A^2)^p carries rounding of about eps * 3^(2p), which
+    # its (2p)-th root would blow up to about 1e-8
+    k33 = np.array([(i, j) for i in range(3) for j in range(3, 6)])
+    g = Graph.from_edges(600, np.concatenate([k33 + 6 * c for c in range(100)]))
+    report = {}
+    spectral_embed(g, 250, dense_cutoff=1, report=report)
+    assert report["path"] == "folded"
+    assert abs(report["eigengap"]) <= 1e-12
 
 
 @pytest.mark.parametrize("g, d", [
@@ -237,13 +250,14 @@ def test_sparse_path_splits_a_folded_pair(monkeypatch):
     a = g.adjacency_matrix()
     w, u = np.linalg.eigh(a)
     mixed = (u[:, np.argmax(w)] + u[:, np.argmin(w)]) / np.sqrt(2)
+    other = (u[:, np.argmax(w)] - u[:, np.argmin(w)]) / np.sqrt(2)
     assert np.allclose(a @ (a @ mixed), 4 * mixed, atol=1e-12)
     calls = []
 
     def mixed_solve(op, n, d):
         calls.append((n, d))
-        # Ritz value d + 1 of (A^2)^p is 4^p, that of the other sign
-        return mixed[:, None].copy(), float(mixed @ op(mixed[:, None])[:, 0])
+        # Ritz vector d + 1 is the other mixture of the plane, with ||A y|| = 2
+        return mixed[:, None].copy(), other
 
     monkeypatch.setattr(embedding, "_block_lanczos", mixed_solve)
     report = {}

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import tracemalloc
 import warnings
 
@@ -18,17 +20,15 @@ from embedaudit.models import (
     LogisticHadamard,
     TruncatedDot,
     _calibrate_intercept,
-    _make_pair_logit_sum,
+    _make_pair_sums,
     build_softmax,
-    edge_probability,
     fit_lrdp,
     fit_lrhp,
     model_digest,
-    model_from_json,
     model_to_json,
     softmax_clamp_count,
 )
-from embedaudit.sampling import expected_edges
+from oracles import pair_probability, probability_sum
 
 
 def k_complete(n):
@@ -58,7 +58,7 @@ def test_tdp_monotone_in_score():
 
 def test_tdp_on_orthogonal_unit_vectors():
     e = Embedding.plain([[1.0, 0.0], [0.0, 1.0]])
-    assert edge_probability(TruncatedDot(), e, 0, 1) == 0.0
+    assert pair_probability(TruncatedDot(), e, 0, 1) == 0.0
 
 
 # ------------------------------------------------------------------ LRDP
@@ -66,7 +66,7 @@ def test_tdp_on_orthogonal_unit_vectors():
 def test_lrdp_zero_slope_is_constant():
     e = Embedding.plain(np.linspace(-1, 1, 6)[:, None])
     model = LogisticDot(slope=0.0, intercept=0.3)
-    probs = {edge_probability(model, e, i, j) for i in range(6) for j in range(6) if i != j}
+    probs = {pair_probability(model, e, i, j) for i in range(6) for j in range(6) if i != j}
     assert len(probs) == 1
 
 
@@ -82,7 +82,7 @@ def test_lrdp_constant_scores_calibrate_to_half():
     assert model.slope == 0.0
     assert report.converged
     for i, j in pairs[:10]:
-        assert edge_probability(model, e, i, j) == pytest.approx(0.5, abs=1e-3)
+        assert pair_probability(model, e, i, j) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_lrdp_separated_scores():
@@ -95,7 +95,7 @@ def test_lrdp_separated_scores():
     model, report = fit_lrdp(e, g, negative_ratio=2, seed=3)
     assert model.slope > 0
     assert report.converged
-    achieved = expected_edges(e, model)
+    achieved = probability_sum(e, model)
     assert abs(achieved - g.m) <= 1e-3 * g.m
 
 
@@ -105,13 +105,7 @@ def test_lrdp_k3_full_rank_probabilities_near_one():
     model, report = fit_lrdp(e, g, negative_ratio=2, seed=2)
     assert report.converged
     for i, j in [(0, 1), (0, 2), (1, 2)]:
-        assert edge_probability(model, e, i, j) >= 0.9
-
-
-def test_lrdp_x0_recovered_from_slope_intercept():
-    model = LogisticDot(slope=2.0, intercept=-1.0)
-    assert model.x0 == pytest.approx(0.5)
-    assert np.isnan(LogisticDot(slope=0.0, intercept=1.0).x0)
+        assert pair_probability(model, e, i, j) >= 0.9
 
 
 def test_lrdp_calibration_on_random_instance():
@@ -121,13 +115,13 @@ def test_lrdp_calibration_on_random_instance():
     model, report = fit_lrdp(e, g, seed=5)
     assert report.converged
     assert abs(report.achieved_expected_edges - g.m) <= 1e-3 * g.m
-    assert abs(expected_edges(e, model) - report.achieved_expected_edges) < 1e-9
+    assert abs(probability_sum(e, model) - report.achieved_expected_edges) < 1e-9
 
 
 # ----------------------------------------------------------- calibration
 
 def offset_pair_sums(e, offset, block_size):
-    return _make_pair_logit_sum(e, lambda r, c: e.score_block(r, c) + offset, block_size)
+    return _make_pair_sums(e, lambda delta: LogisticDot(1.0, offset + delta), block_size)
 
 
 def upper_logits(e, offset):
@@ -190,7 +184,24 @@ def test_calibration_passes_bounded_on_triangle_graph(d):
         assert report.converged
         assert report.calibration_evals <= 4
         assert report.iterations > report.calibration_evals
-        assert abs(expected_edges(e, model) - report.achieved_expected_edges) < 1e-9
+        assert abs(probability_sum(e, model) - report.achieved_expected_edges) < 1e-9
+
+
+@pytest.mark.parametrize("fit, cls", [(fit_lrdp, LogisticDot), (fit_lrhp, LogisticHadamard)])
+def test_calibration_walks_the_models_own_probabilities(fit, cls, monkeypatch):
+    # a prob_block whose logits are shifted by +0.7: calibrating any other
+    # copy of the logit formula misses m on the probabilities that are sampled
+    raw = cls.prob_block
+    monkeypatch.setattr(cls, "prob_block", lambda self, e, rows, cols: raw(
+        dataclasses.replace(self, intercept=self.intercept + 0.7), e, rows, cols))
+    rng = np.random.default_rng(43)
+    g = random_graph(rng, 40, 0.2)
+    e = Embedding.plain(rng.normal(size=(40, 4)) * 0.4)
+    model, report = fit(e, g, seed=7)
+    assert report.converged
+    assert abs(report.achieved_expected_edges - g.m) <= 1e-3 * g.m
+    assert report.achieved_expected_edges == pytest.approx(probability_sum(e, model),
+                                                           rel=1e-9)
 
 
 # ------------------------------------------------------------------ LRHP
@@ -203,8 +214,8 @@ def test_lrhp_d1_reduces_to_lrdp():
     m2, _ = fit_lrhp(e, g, negative_ratio=5, seed=9)
     for i in range(25):
         for j in range(i + 1, 25):
-            p1 = edge_probability(m1, e, i, j)
-            p2 = edge_probability(m2, e, i, j)
+            p1 = pair_probability(m1, e, i, j)
+            p2 = pair_probability(m2, e, i, j)
             assert p1 == pytest.approx(p2, abs=1e-6)
 
 
@@ -215,7 +226,7 @@ def test_lrhp_constant_features_calibrate_to_density():
     model, report = fit_lrhp(e, g, negative_ratio=2, seed=0)
     assert report.converged
     density = g.m / (20 * 19 / 2)
-    assert edge_probability(model, e, 0, 1) == pytest.approx(density, rel=2e-3)
+    assert pair_probability(model, e, 0, 1) == pytest.approx(density, rel=2e-3)
 
 
 def test_lrhp_calibration_on_random_instance():
@@ -224,7 +235,7 @@ def test_lrhp_calibration_on_random_instance():
     e = Embedding.plain(rng.normal(size=(30, 4)) * 0.5)
     model, report = fit_lrhp(e, g, seed=11)
     assert report.converged
-    assert abs(expected_edges(e, model) - g.m) <= 1e-3 * g.m
+    assert abs(probability_sum(e, model) - g.m) <= 1e-3 * g.m
 
 
 def test_lrhp_spectral_features_match_score_sum():
@@ -235,7 +246,7 @@ def test_lrhp_spectral_features_match_score_sum():
     model = LogisticHadamard(np.ones(5), 0.0)
     from scipy.special import expit
     for i, j in [(0, 3), (2, 9), (7, 14)]:
-        assert edge_probability(model, e, i, j) == pytest.approx(
+        assert pair_probability(model, e, i, j) == pytest.approx(
             expit(e.score(i, j)), abs=1e-12)
 
 
@@ -248,7 +259,7 @@ def test_softmax_uniform_scores_on_k3():
     # each vertex has degree 2 spread uniformly over 2 partners: q = 1
     assert np.allclose(model.scale, [1.0, 1.0, 1.0])
     for i, j in [(0, 1), (0, 2), (1, 2)]:
-        assert edge_probability(model, e, i, j) == pytest.approx(1.0, abs=1e-12)
+        assert pair_probability(model, e, i, j) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_softmax_isolated_vertex_row_is_zero():
@@ -275,7 +286,7 @@ def test_softmax_large_scores_do_not_overflow():
     g = k_complete(3)
     e = Embedding.plain(np.full((3, 1), 40.0))   # scores of 1600
     model = build_softmax(e, g)
-    p = edge_probability(model, e, 0, 1)
+    p = pair_probability(model, e, 0, 1)
     assert np.isfinite(p) and 0 <= p <= 1
 
 
@@ -323,7 +334,7 @@ def test_lrhp_constant_column_gets_zero_weight():
 
 def _fit_instance(kind):
     rng = np.random.default_rng(17)
-    n = 1600                      # above the dense non-edge sampling path
+    n = 1600
     g = Graph.from_edges(n, rng.integers(0, n, size=(900, 2)))
     if kind == "spectral":
         return g, spectral_embed(g, 6)
@@ -380,6 +391,19 @@ def test_nonedge_sampler_matches_reference():
         assert all(b <= 1.1 * need + 64 for need, b in batches)
 
 
+def test_nonedge_sampler_on_a_dense_graph_stays_small():
+    # K_40 less one edge: 1 in 780 pairs is a non-edge, so the 7790 draws of
+    # a fit would ask for about 6.3M ordered pairs in one batch
+    g = Graph.from_edges(40, [(i, j) for i in range(40) for j in range(i + 1, 40)
+                              if (i, j) != (3, 17)])
+    rng = _SizeRecorder(np.random.default_rng(5))
+    peak = _traced_peak(lambda: models._sample_nonedges(g, 10 * g.m, rng))
+    assert max(rng.sizes) == models._MAX_DRAWS
+    assert peak < 8 * models._MAX_DRAWS * 8     # a few int64 arrays of one batch
+    got = models._sample_nonedges(g, 10 * g.m, np.random.default_rng(5))
+    assert got.shape == (10 * g.m, 2) and np.all(got == [3, 17])
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -421,9 +445,8 @@ def test_sigmoid_matches_expit_without_warnings():
     e = Embedding.plain(np.random.default_rng(3).normal(size=(9, 2)))
     rows, cols = np.arange(4), np.arange(9)
     s = e.score_block(rows, cols)
-    for ceiling in (1.0, 0.25):
-        p = LogisticDot(3.0, -1.5, ceiling).prob_block(e, rows, cols)
-        np.testing.assert_allclose(p, ceiling * expit(3.0 * s - 1.5), rtol=4e-16)
+    p = LogisticDot(3.0, -1.5).prob_block(e, rows, cols)
+    np.testing.assert_allclose(p, expit(3.0 * s - 1.5), rtol=4e-16)
 
 
 def test_row_logsumexp_matches_scipy_without_warnings():
@@ -444,12 +467,6 @@ def test_row_logsumexp_matches_scipy_without_warnings():
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
-def test_self_pairs_rejected():
-    e = Embedding.plain(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        edge_probability(TruncatedDot(), e, 1, 1)
-
-
 def test_symmetry_sweep_all_models():
     rng = np.random.default_rng(13)
     g = random_graph(rng, 30, 0.25)
@@ -462,8 +479,8 @@ def test_symmetry_sweep_all_models():
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     for model in models:
         for i, j in pairs:
-            pij = edge_probability(model, e, int(i), int(j))
-            pji = edge_probability(model, e, int(j), int(i))
+            pij = pair_probability(model, e, int(i), int(j))
+            pji = pair_probability(model, e, int(j), int(i))
             assert pij == pytest.approx(pji, abs=1e-12)
             assert 0.0 <= pij <= 1.0
 
@@ -489,16 +506,25 @@ def test_model_json_round_trip():
               LogisticDot(1.5, -0.25),
               LogisticHadamard(np.array([0.5, -1.0, 2.0]), 0.1),
               build_softmax(e, g)]
-    for model in models:
-        doc = model_to_json(model)
-        back = model_from_json(doc)
-        assert type(back) is type(model)
-        for i, j in [(0, 1), (3, 9), (2, 14)]:
-            assert edge_probability(back, e, i, j) == pytest.approx(
-                edge_probability(model, e, i, j), abs=1e-12)
-        assert model_digest(back) == model_digest(model)
+    docs = [model_to_json(model) for model in models]
+    assert docs[:3] == [{"variant": "tdp"},
+                        {"variant": "lrdp", "slope": 1.5, "intercept": -0.25},
+                        {"variant": "lrhp", "weights": [0.5, -1.0, 2.0], "intercept": 0.1}]
+    assert docs[3] == {"variant": "softmax", "scale": models[3].scale.tolist()}
+    for doc in docs:
+        assert json.loads(json.dumps(doc)) == doc
+    # equal parameters give equal digests, and every model its own
+    again = [TruncatedDot(), LogisticDot(1.5, -0.25),
+             LogisticHadamard(np.array([0.5, -1.0, 2.0]), 0.1),
+             DegreeSoftmax(models[3].log_scale.copy())]
+    digests = [model_digest(model) for model in models]
+    assert digests == [model_digest(model) for model in again]
+    assert len(set(digests)) == len(digests)
+    assert model_digest(LogisticDot(1.5, -0.5)) not in digests
 
 
 def test_model_json_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        model_from_json({"variant": "euclidean"})
+    with pytest.raises(TypeError):
+        model_to_json({"variant": "euclidean"})
+    with pytest.raises(TypeError):
+        model_digest("tdp")
