@@ -19,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from embedaudit.cli import AuditConfig, cmd_audit
-from embedaudit.graph import (
-    Graph,
-    TriangleFoundationCurve,
-    save_edge_list,
-    triangle_foundation_curve,
-)
+from embedaudit.graph import Graph, load_curve, save_edge_list, triangle_foundation_curve
 
 
 def build_headline_graph(seed: int, triangles: int = 1000) -> Graph:
@@ -67,11 +62,7 @@ def main() -> int:
         print(f" {name:>12s}", end="")
     print()
     probe = sorted({2, 3, 4, 6, 10, 20, int(g.degrees.max())})
-    curves = {}
-    for name in config.models:
-        rows = (out / f"curve_{name}.csv").read_text().strip().splitlines()[1:]
-        pts = tuple((int(r.split(",")[0]), float(r.split(",")[1])) for r in rows)
-        curves[name] = TriangleFoundationCurve(pts, g.n)
+    curves = {name: load_curve(out / f"curve_{name}.csv", g.n) for name in config.models}
     for c in probe:
         print(f"{c:5d} {original.value_at(c):12.6f}", end="")
         for name in config.models:

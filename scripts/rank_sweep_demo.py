@@ -15,14 +15,8 @@ import sys
 from pathlib import Path
 
 from embedaudit.cli import AuditConfig, cmd_ranksweep
-from embedaudit.graph import TriangleFoundationCurve, save_edge_list, triangle_foundation_curve
+from embedaudit.graph import load_curve, save_edge_list, triangle_foundation_curve
 from headline_gap import build_headline_graph     # this script's directory is on sys.path
-
-
-def read_curve(path: Path, n_ref: int) -> TriangleFoundationCurve:
-    rows = path.read_text().strip().splitlines()[1:]
-    pts = tuple((int(r.split(",")[0]), float(r.split(",")[1])) for r in rows)
-    return TriangleFoundationCurve(pts, n_ref)
 
 
 def main() -> int:
@@ -59,7 +53,7 @@ def main() -> int:
     print("\n" + header)
     print("  orig" + "".join(f"{original.value_at(c):14.6f}" for c in probe))
     for d in ranks:
-        curve = read_curve(out / f"curve_rank{d}.csv", n)
+        curve = load_curve(out / f"curve_rank{d}.csv", n)
         print(f"{d:6d}" + "".join(f"{curve.value_at(c):14.6f}" for c in probe))
     print(f"\noutputs in {out}/")
     return 0

@@ -5,6 +5,9 @@ softmax clamp count) walk the upper triangle in fixed square tiles through
 ``upper_tiles``, the one tile loop of the package.  Tile indices are
 assigned in a fixed row-major order over the tile grid, so per-tile
 randomness and every tile-order reduction depend only on the block size.
+Work arrays that are not pair tiles (fit designs, softmax score blocks,
+the eigensolver's basis rotation) are taken in row chunks by
+``row_chunks``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_BLOCK_SIZE = 1024
+
+# float64 entries (1 MiB) in one row chunk of a work array
+CHUNK_ENTRIES = 1 << 17
+
+
+def row_chunks(n_rows: int, row_len: int):
+    """Yield (r0, r1) covering range(n_rows) in chunks of at most
+    CHUNK_ENTRIES entries, but at least one row."""
+    step = max(1, CHUNK_ENTRIES // max(row_len, 1))
+    for r0 in range(0, n_rows, step):
+        yield r0, min(r0 + step, n_rows)
 
 
 def iter_pair_tiles(n: int, block_size: int = DEFAULT_BLOCK_SIZE):

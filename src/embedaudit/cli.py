@@ -33,11 +33,14 @@ from . import __version__
 from .blocks import DEFAULT_BLOCK_SIZE
 from .embedding import SPECTRAL, Embedding, load_embedding, save_embedding, spectral_embed
 from .graph import (
+    TriangleFoundationCurve,
     degree_distribution,
     expected_degree_distribution,
     load_edge_list,
+    save_curve,
     save_edge_list,
     triangle_foundation_curve,
+    union_grid,
 )
 from .models import (
     TruncatedDot,
@@ -48,7 +51,7 @@ from .models import (
     model_to_json,
     softmax_clamp_count,
 )
-from .sampling import SampleSpec, curve_over_samples, sample_graph, union_grid
+from .sampling import SampleSpec, curve_over_samples, sample_graph
 from .verify import run_all_sweeps, sweep_report
 
 MODEL_NAMES = ("tdp", "lrdp", "lrhp", "softmax")
@@ -141,21 +144,11 @@ def _model_sample_seed(seed: int, model_name: str) -> int:
     return int(np.random.SeedSequence((seed, 1000 + tag)).generate_state(1, np.uint64)[0])
 
 
-def _write_curve_csv(path: Path, grid, values) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("c,delta\n")
-        for c, v in zip(grid, values):
-            fh.write(f"{int(c)},{v:.15g}\n")
-
-
 def _write_degdist_csv(path: Path, dist) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("degree,count\n")
         for degree, count in dist.as_rows():
-            if isinstance(count, int) or float(count).is_integer():
-                fh.write(f"{degree},{int(count)}\n")
-            else:
-                fh.write(f"{degree},{count:.15g}\n")
+            fh.write(f"{degree},{count}\n")
 
 
 class _OutputTracker:
@@ -251,13 +244,11 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
 
         stage = "curves"
         original = triangle_foundation_curve(g, g.n)
-        grid = union_grid([original] + [cs.max_curve for cs in curve_sets.values()])
-        curve_rows = {"original": [original.value_at(int(c)) for c in grid]}
-        delta_std = {}
-        for label, cs in curve_sets.items():
-            max_curve = cs.max_curve
-            curve_rows[label] = [max_curve.value_at(int(c)) for c in grid]
-            delta_std[label] = float(np.sqrt(cs.variance.max())) if cs.variance.size else 0.0
+        curves = {"original": original,
+                  **{label: cs.max_curve for label, cs in curve_sets.items()}}
+        grid = union_grid(curves.values())
+        delta_std = {label: float(np.sqrt(cs.variance.max())) if cs.variance.size else 0.0
+                     for label, cs in curve_sets.items()}
 
         stage = "degrees"
         observed = degree_distribution(g)
@@ -266,9 +257,9 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
 
         stage = "write"
         files = {}
-        for label, rows in curve_rows.items():
+        for label, curve in curves.items():
             p = tracker.path(f"curve_{label}.csv")
-            _write_curve_csv(p, grid, rows)
+            save_curve(TriangleFoundationCurve(grid, curve.value_at(grid), g.n), p)
             files[f"curve_{label}"] = p.name
         p = tracker.path("degdist_observed.csv")
         _write_degdist_csv(p, observed)
@@ -500,13 +491,9 @@ def _run_sample(args) -> int:
 def _run_curve(args) -> int:
     g = load_edge_list(args.graph).graph
     curve = triangle_foundation_curve(g, g.n)
+    save_curve(curve, args.out or sys.stdout)
     if args.out:
-        _write_curve_csv(Path(args.out), curve.thresholds, curve.deltas)
-        print(f"wrote {len(curve.points)} curve points to {args.out}")
-    else:
-        sys.stdout.write("c,delta\n")
-        for c, v in curve.points:
-            sys.stdout.write(f"{c},{v:.15g}\n")
+        print(f"wrote {curve.thresholds.size} curve points to {args.out}")
     return 0
 
 

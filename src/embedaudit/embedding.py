@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from .blocks import row_chunks
 from .graph import Graph
 
 SPECTRAL = "spectral"
@@ -38,8 +39,6 @@ _POWER_SPREAD = 1e4
 _MAX_POWER = 8
 # steps of the power iteration behind the Collatz-Wielandt bound on mu_1
 _BOUND_STEPS = 20
-# float64 entries (1 MiB) in one row chunk of the folded solve's basis rotation
-_CHUNK_ENTRIES = 1 << 17
 # block Lanczos: block size, relative Ritz residual, the singular value
 # (relative to the operator's norm) at which a new direction counts as lost,
 # and the start block's seed
@@ -305,9 +304,8 @@ def _folded_eigsh(a, d: int):
     v = v[:, order]
     # rotate in place, in row chunks: a rotated copy of the basis stays in
     # the heap glibc keeps and raises the audit's peak RSS
-    step = max(1, _CHUNK_ENTRIES // u.shape[1])
-    for r0 in range(0, n, step):
-        u[r0:r0 + step, :d] = u[r0:r0 + step] @ v
+    for r0, r1 in row_chunks(n, u.shape[1]):
+        u[r0:r1, :d] = u[r0:r1] @ v
     return theta[order], u[:, :d], power, applications, next_magnitude
 
 

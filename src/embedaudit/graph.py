@@ -5,12 +5,14 @@ triangles whose three endpoints all have degree at most c, divided by a
 reference vertex count.  The reference count is always the *full* graph's n,
 even when the curve is read off an induced subgraph, so curves from different
 samples of the same vertex set are directly comparable.  Triangles are
-counted exactly by sparse matrix algebra on the degree-oriented adjacency.
+counted exactly by sparse matrix algebra on the degree-oriented adjacency,
+built straight from an (m, 2) edge array, so a sampled edge set needs no
+Graph.  ``save_curve`` and ``load_curve`` are the one writer and reader of
+the "c,delta" curve CSV.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +65,6 @@ class Graph:
         """Sorted neighbor list of v (read-only view)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        k = np.searchsorted(nb, v)
-        return bool(k < nb.size and nb[k] == v)
-
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
@@ -119,10 +116,6 @@ class LoadedEdgeList:
     original_ids: np.ndarray
     dropped_self_loops: int
     dropped_duplicates: int
-
-    @property
-    def dropped(self) -> int:
-        return self.dropped_self_loops + self.dropped_duplicates
 
 
 def load_edge_list(path) -> LoadedEdgeList:
@@ -185,12 +178,9 @@ def save_edge_list(g: Graph, path, header_lines=()) -> None:
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Histogram degree -> count; counts are real-valued for model output."""
+    """Histogram degree -> number of vertices (int)."""
 
     entries: dict
-
-    def total(self) -> float:
-        return float(sum(self.entries.values()))
 
     def as_rows(self):
         """Sorted (degree, count) rows for CSV output."""
@@ -211,43 +201,72 @@ def expected_degree_distribution(expected_degrees: np.ndarray) -> DegreeDistribu
     degrees (nearest integer)."""
     vals = np.rint(np.asarray(expected_degrees, dtype=float)).astype(np.int64)
     counts = np.bincount(vals)
-    return DegreeDistribution({int(d): float(c) for d, c in enumerate(counts) if c > 0})
+    return DegreeDistribution({int(d): int(c) for d, c in enumerate(counts) if c > 0})
 
 
 @dataclass(frozen=True)
 class TriangleFoundationCurve:
     """Step curve c -> (# triangles with max endpoint degree <= c) / n_ref.
 
-    ``points`` holds one (c, delta) pair per distinct threshold, ascending in
-    c; delta is non-decreasing.  Between thresholds the curve is constant
-    (step interpolation); below the smallest threshold it is 0.
+    ``thresholds`` (int64) holds the distinct thresholds, ascending, and
+    ``deltas`` (float64) the curve at each; delta is non-decreasing.  Both
+    are read-only copies.  Between thresholds the curve is constant (step
+    interpolation); below the smallest threshold it is 0.
     """
 
-    points: tuple
+    thresholds: np.ndarray
+    deltas: np.ndarray
     n_ref: int
 
     def __post_init__(self):
         if self.n_ref < 1:
             raise ValueError("n_ref must be >= 1")
+        cs = np.array(self.thresholds, dtype=np.int64)
+        ds = np.array(self.deltas, dtype=np.float64)
+        if cs.ndim != 1 or cs.shape != ds.shape:
+            raise ValueError("thresholds and deltas must be 1-d and of one length")
+        cs.flags.writeable = False
+        ds.flags.writeable = False
+        object.__setattr__(self, "thresholds", cs)
+        object.__setattr__(self, "deltas", ds)
 
-    @property
-    def thresholds(self) -> np.ndarray:
-        return np.array([c for c, _ in self.points], dtype=np.int64)
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([d for _, d in self.points])
-
-    def value_at(self, c) -> float:
-        """Step-interpolated delta at threshold c."""
-        cs = [p[0] for p in self.points]
-        k = bisect.bisect_right(cs, c)
-        return 0.0 if k == 0 else self.points[k - 1][1]
+    def value_at(self, c):
+        """Step-interpolated delta at threshold c, a scalar or an array."""
+        steps = np.concatenate(([0.0], self.deltas))
+        return steps[np.searchsorted(self.thresholds, c, side="right")]
 
     def total_triangles(self) -> int:
-        if not self.points:
+        if not self.deltas.size:
             return 0
-        return int(round(self.points[-1][1] * self.n_ref))
+        return int(round(self.deltas[-1] * self.n_ref))
+
+
+def union_grid(curves) -> np.ndarray:
+    """Sorted union of the thresholds of the given curves."""
+    return np.unique(np.concatenate([curve.thresholds for curve in curves]))
+
+
+def save_curve(curve: TriangleFoundationCurve, out) -> None:
+    """Write curve as CSV: a "c,delta" header, then one row per threshold
+    with delta to 15 significant digits.  ``out`` is a path or an open text
+    stream."""
+    text = "c,delta\n" + "".join(f"{c},{d:.15g}\n" for c, d in
+                                 zip(curve.thresholds.tolist(), curve.deltas.tolist()))
+    if hasattr(out, "write"):
+        out.write(text)
+        return
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def load_curve(path, n_ref: int) -> TriangleFoundationCurve:
+    """Read a curve CSV written by :func:`save_curve`."""
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().strip() != "c,delta":
+            raise ValueError(f"{path}: expected a 'c,delta' header")
+        rows = [line.split(",") for line in fh if line.strip()]
+    return TriangleFoundationCurve([int(c) for c, _ in rows],
+                                   [float(d) for _, d in rows], n_ref)
 
 
 # Two-step paths one block of the triangle product may hold.  The product
@@ -256,8 +275,10 @@ class TriangleFoundationCurve:
 _PATH_BLOCK = 1 << 20
 
 
-def _triangle_counts_by_max_degree(g: Graph) -> np.ndarray:
-    """counts[c] = number of triangles whose max endpoint degree equals c.
+def _triangle_counts_by_max_degree(n: int, edges: np.ndarray):
+    """(deg, counts) of the graph on vertices 0..n-1 whose (m, 2) array
+    ``edges`` holds each edge once with i < j: deg[v] is the degree of v and
+    counts[c] the number of triangles whose max endpoint degree equals c.
 
     Vertices are relabeled by their position in the (degree, index) order and
     each edge is oriented towards the later vertex, giving a lower-triangular
@@ -269,49 +290,51 @@ def _triangle_counts_by_max_degree(g: Graph) -> np.ndarray:
     of each block's product; the counts are integers, so any blocking gives
     the same result.
     """
-    deg = g.degrees
+    m = len(edges)
+    deg = np.bincount(np.ravel(edges), minlength=n)
     size = int(deg.max()) + 1 if deg.size else 1
-    if g.m == 0:
-        return np.zeros(size)
-    order = np.lexsort((np.arange(g.n), deg))
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[order] = np.arange(g.n)
-    src = pos[np.repeat(np.arange(g.n), deg)]
-    dst = pos[g.indices]
-    back = src > dst
-    low = sparse.csr_matrix((np.ones(g.m, dtype=np.int64), (src[back], dst[back])),
-                            shape=(g.n, g.n))
+    if m == 0:
+        return deg, np.zeros(size)
+    order = np.lexsort((np.arange(n), deg))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    u, v = pos[edges[:, 0]], pos[edges[:, 1]]
+    low = sparse.csr_matrix((np.ones(m, dtype=np.int64),
+                             (np.maximum(u, v), np.minimum(u, v))), shape=(n, n))
     paths = np.cumsum(low @ np.diff(low.indptr))
-    budget = max(g.m, _PATH_BLOCK)
+    budget = max(m, _PATH_BLOCK)
     cuts = np.searchsorted(paths, np.arange(budget, paths[-1], budget), side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [g.n])))
-    per_top = np.empty(g.n, dtype=np.int64)
+    bounds = np.unique(np.concatenate(([0], cuts, [n])))
+    per_top = np.empty(n, dtype=np.int64)
     for a, b in zip(bounds[:-1], bounds[1:]):
         rows = low[a:b]
         per_top[a:b] = np.asarray((rows @ low).multiply(rows).sum(axis=1)).ravel()
-    return np.bincount(deg[order], weights=per_top, minlength=size)
+    return deg, np.bincount(deg[order], weights=per_top, minlength=size)
 
 
-def triangle_foundation_curve(g: Graph, n_ref: int) -> TriangleFoundationCurve:
-    """Exact triangle-foundation curve of g, normalized by n_ref.
+def edge_curve(n: int, edges: np.ndarray, n_ref: int) -> TriangleFoundationCurve:
+    """Exact triangle-foundation curve of the graph on vertices 0..n-1 with
+    the (m, 2) edge array ``edges`` (i < j, no repeats), normalized by n_ref.
 
     A triangle lies in the subgraph induced by the vertices of degree <= c
-    exactly when all three of its endpoint degrees (in g) are <= c, so the
-    curve is the cumulative count of triangles keyed by max endpoint degree.
-    Thresholds are the distinct degrees observed in g.
+    exactly when all three of its endpoint degrees are <= c, so the curve is
+    the cumulative count of triangles keyed by max endpoint degree.
+    Thresholds are the distinct degrees of the graph.
     """
     if n_ref < 1:
         raise ValueError("n_ref must be >= 1")
-    deg = g.degrees
-    if deg.size == 0:
-        return TriangleFoundationCurve((), n_ref)
-    counts = _triangle_counts_by_max_degree(g)
-    cum = np.cumsum(counts)
+    deg, counts = _triangle_counts_by_max_degree(n, edges)
     cs = np.unique(deg)
-    points = tuple((int(c), float(cum[c] / n_ref)) for c in cs)
-    return TriangleFoundationCurve(points, n_ref)
+    cum = np.cumsum(counts)
+    return TriangleFoundationCurve(cs, cum[cs] / n_ref, n_ref)
+
+
+def triangle_foundation_curve(g: Graph, n_ref: int) -> TriangleFoundationCurve:
+    """Exact triangle-foundation curve of g, normalized by n_ref."""
+    return edge_curve(g.n, g.edge_array(), n_ref)
 
 
 def triangle_count(g: Graph) -> int:
     """Exact number of triangles in g."""
-    return int(round(_triangle_counts_by_max_degree(g).sum()))
+    _, counts = _triangle_counts_by_max_degree(g.n, g.edge_array())
+    return int(round(counts.sum()))

@@ -17,11 +17,11 @@ logistic tiles of sampling and calibration and in the fits, goes through
 ``_sigmoid_inplace``: one exp and one reciprocal, in place in the logits.
 
 Memory of the fits: a logistic fit holds one design matrix of
-(fitted pairs) x (features + 1) float64 entries, filled in row chunks of at
-most _CHUNK_ENTRIES entries, and sums its IRLS Hessian over the same chunks;
-the softmax normalizers take one block_size x n score block at a time and
-reduce it in row sub-blocks of at most _CHUNK_ENTRIES entries.  Chunking
-changes no entry's arithmetic, only the order of the Hessian's sums.
+(fitted pairs) x (features + 1) float64 entries, filled in the row chunks of
+``blocks.row_chunks``, and sums its IRLS Hessian over the same chunks; the
+softmax normalizers take one block_size x n score block at a time and reduce
+it in the same row chunks.  Chunking changes no entry's arithmetic, only the
+order of the Hessian's sums.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DEFAULT_BLOCK_SIZE, upper_tiles
+from .blocks import DEFAULT_BLOCK_SIZE, row_chunks, upper_tiles
 from .embedding import SPECTRAL, Embedding
 from .graph import Graph
 
@@ -42,9 +42,6 @@ from .graph import Graph
 # magnitude, while the sigmoid already rounds to 1 in double precision
 # beyond z = 37
 _MAX_NEWTON_STEP = 40.0
-
-# float64 entries (1 MiB) in one row chunk of a fit-stage work array
-_CHUNK_ENTRIES = 1 << 17
 
 # most ordered pairs in one batch of the non-edge rejection sampler: on a
 # dense graph, where few draws land on a non-edge, it takes more batches
@@ -81,14 +78,6 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
     np.exp(x, out=x)
     s = x.sum(axis=1, keepdims=True) / count
     return (np.log1p(s) + np.log(count) + top)[:, 0]
-
-
-def _row_chunks(n_rows: int, row_len: int):
-    """Yield (r0, r1) covering range(n_rows) in chunks of at most
-    _CHUNK_ENTRIES entries, but at least one row."""
-    step = max(1, _CHUNK_ENTRIES // max(row_len, 1))
-    for r0 in range(0, n_rows, step):
-        yield r0, min(r0 + step, n_rows)
 
 
 @dataclass(frozen=True)
@@ -216,7 +205,7 @@ def build_softmax(e: Embedding, g: Graph,
         s = e.score_block(np.arange(i0, i1), np.arange(n))
         s[np.arange(i1 - i0), np.arange(i0, i1)] = -np.inf   # exclude the self-pair
         # row sub-blocks keep the max mask and the sums small
-        for r0, r1 in _row_chunks(i1 - i0, n):
+        for r0, r1 in row_chunks(i1 - i0, n):
             log_z[i0 + r0:i0 + r1] = _logsumexp_rows(s[r0:r1])
         del s                          # before the next block is scored
     with np.errstate(divide="ignore"):
@@ -305,7 +294,7 @@ def _weighted_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray,
             break
         curv = w * p * (1.0 - p) + 1e-12
         hess = np.zeros((beta.size, beta.size))
-        for r0, r1 in _row_chunks(npts, beta.size):
+        for r0, r1 in row_chunks(npts, beta.size):
             rows = design[r0:r1]
             hess += rows.T @ (rows * curv[r0:r1, None])
         hess[np.diag_indices_from(hess)] += 1e-10 * (1.0 + np.trace(hess))
@@ -387,7 +376,7 @@ def _make_pair_sums(e: Embedding, model_at, block_size: int):
 
 def _lrdp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
     """out[k, 0] = pair score of pairs[k], computed over row chunks."""
-    for r0, r1 in _row_chunks(len(pairs), e.d):
+    for r0, r1 in row_chunks(len(pairs), e.d):
         left = e.vectors[pairs[r0:r1, 0]]
         if e.kind == SPECTRAL:
             left *= e.eigenvalues
@@ -397,7 +386,7 @@ def _lrdp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
 def _lrhp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
     """out[k] = v_i ⊙ v_j (times the eigenvalues for spectral embeddings)
     for pairs[k] = (i, j), written over row chunks."""
-    for r0, r1 in _row_chunks(len(pairs), e.d):
+    for r0, r1 in row_chunks(len(pairs), e.d):
         f = np.multiply(e.vectors[pairs[r0:r1, 0]], e.vectors[pairs[r0:r1, 1]],
                         out=out[r0:r1])
         if e.kind == SPECTRAL:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import DEFAULT_BLOCK_SIZE, upper_tiles
-from .graph import Graph, TriangleFoundationCurve, triangle_foundation_curve
+from .graph import Graph, TriangleFoundationCurve, edge_curve, union_grid
 
 _EXACT_TRIANGLE_GUARD = 500
 
@@ -232,24 +232,11 @@ class SampleCurveSet:
 
     @property
     def max_curve(self) -> TriangleFoundationCurve:
-        points = tuple((int(c), float(d)) for c, d in
-                       zip(self.thresholds, self.deltas.max(axis=0)))
-        return TriangleFoundationCurve(points, self.n_ref)
+        return TriangleFoundationCurve(self.thresholds, self.deltas.max(axis=0), self.n_ref)
 
     @property
     def variance(self) -> np.ndarray:
         return self.deltas.var(axis=0)
-
-
-def union_grid(curves) -> np.ndarray:
-    """Sorted union of all thresholds appearing in the given curves."""
-    values = sorted({int(c) for curve in curves for c, _ in curve.points})
-    return np.array(values, dtype=np.int64)
-
-
-def curves_on_grid(curves, grid) -> np.ndarray:
-    """Step-interpolate each curve onto the grid; rows follow input order."""
-    return np.array([[curve.value_at(int(c)) for c in grid] for curve in curves])
 
 
 def curve_over_samples(e, model, spec: SampleSpec, n_ref: int) -> SampleCurveSet:
@@ -258,16 +245,14 @@ def curve_over_samples(e, model, spec: SampleSpec, n_ref: int) -> SampleCurveSet
     All samples and the expected degrees come from one pair walk; sample s
     equals ``sample_graph(e, model, spec.seed, s, block_size=spec.block_size)``.
     Every curve is normalized by the original graph's n (n_ref), not by the
-    sampled graph's vertex count.
+    sampled graph's vertex count.  Curves are counted straight from each
+    sample's edge array; no Graph is built.
     """
     edges, (degrees,), examined = _pair_walk(
         e, model, block_size=spec.block_size, seed=spec.seed,
         sample_indices=range(spec.num_samples), moments=1)
-    curves, counts = [], []
-    for sample_edges in edges:
-        g = Graph.from_edges(e.n, sample_edges)
-        curves.append(triangle_foundation_curve(g, n_ref))
-        counts.append(g.m)
+    curves = [edge_curve(e.n, sample_edges, n_ref) for sample_edges in edges]
     grid = union_grid(curves)
-    return SampleCurveSet(grid, curves_on_grid(curves, grid), n_ref,
-                          degrees, np.array(counts, dtype=np.int64), examined)
+    return SampleCurveSet(grid, np.array([curve.value_at(grid) for curve in curves]),
+                          n_ref, degrees, np.array([len(sample) for sample in edges], dtype=np.int64),
+                          examined)

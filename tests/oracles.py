@@ -23,6 +23,13 @@ def recount_degrees(g):
     return dense_adjacency(g).sum(axis=1).astype(int)
 
 
+def assert_curve_is(curve, points):
+    """The curve's threshold and delta arrays equal the (c, delta) points
+    exactly."""
+    assert np.array_equal(curve.thresholds, np.array([c for c, _ in points], dtype=np.int64))
+    assert np.array_equal(curve.deltas, np.array([d for _, d in points], dtype=np.float64))
+
+
 def brute_force_triangle_maxdeg(a):
     """All-triples O(n^3) enumeration.
 

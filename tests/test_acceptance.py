@@ -65,7 +65,7 @@ def test_01_triangle_curves_match_bruteforce_oracle():
         g = Graph.from_edges(40, np.argwhere(np.triu(a, 1)))
         curve = triangle_foundation_curve(g, n_ref=40)
         expected = oracles.brute_force_curve_vectorized(a, 40, triples)
-        assert list(curve.points) == [tuple(p) for p in expected]
+        oracles.assert_curve_is(curve, expected)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"50-graph oracle sweep took {elapsed:.2f}s"
     _ok(1, "triangle curves equal O(n^3) oracle on 50 graphs in "

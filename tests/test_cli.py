@@ -120,8 +120,7 @@ def test_audit_original_curve_matches_standalone(tmp_path):
     for c, delta in written:
         assert delta == pytest.approx(standalone.value_at(c), abs=1e-12)
     # every native threshold appears in the union grid
-    cs = {c for c, _ in written}
-    assert {c for c, _ in standalone.points} <= cs
+    assert np.isin(standalone.thresholds, [c for c, _ in written]).all()
 
 
 def test_audit_stage_error_on_missing_graph(tmp_path):
@@ -377,7 +376,10 @@ def test_embed_sample_curve_round_trip(tmp_path, capsys):
     assert cli.main(["curve", "--graph", str(gpath), "--out", str(cpath)]) == 0
     rows = _read_curve(cpath)
     native = triangle_foundation_curve(g, g.n)
-    assert rows == [(c, d) for c, d in native.points]
+    oracles.assert_curve_is(native, rows)
+    capsys.readouterr()
+    assert cli.main(["curve", "--graph", str(gpath)]) == 0
+    assert capsys.readouterr().out == cpath.read_text()
 
 
 def test_sample_fitted_model_requires_graph(tmp_path):

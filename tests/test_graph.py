@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +9,12 @@ import oracles
 from embedaudit.graph import (
     EdgeListParseError,
     Graph,
+    TriangleFoundationCurve,
     degree_distribution,
     expected_degree_distribution,
+    load_curve,
     load_edge_list,
+    save_curve,
     save_edge_list,
     triangle_count,
     triangle_foundation_curve,
@@ -37,7 +42,7 @@ def test_load_triangle(tmp_path):
     loaded = load_edge_list(p)
     assert loaded.graph.n == 3
     assert loaded.graph.m == 3
-    assert loaded.dropped == 0
+    assert loaded.dropped_self_loops + loaded.dropped_duplicates == 0
     assert triangle_count(loaded.graph) == 1
 
 
@@ -47,7 +52,7 @@ def test_load_drops_duplicates_and_loops(tmp_path):
     loaded = load_edge_list(p)
     assert loaded.graph.n == 2
     assert loaded.graph.m == 1
-    assert loaded.dropped == 2
+    assert loaded.dropped_self_loops + loaded.dropped_duplicates == 2
     assert loaded.dropped_self_loops == 1
     assert loaded.dropped_duplicates == 1
 
@@ -114,26 +119,56 @@ def test_degree_distribution_matches_recount():
     for d in recount:
         expected[int(d)] = expected.get(int(d), 0) + 1
     assert dist.entries == expected
-    assert dist.total() == 50
+    assert sum(dist.entries.values()) == 50
 
 
 def test_expected_degree_distribution_bins_to_integers():
     dist = expected_degree_distribution(np.array([0.2, 1.9, 2.1, 2.4]))
-    assert dist.entries == {0: 1.0, 2: 3.0}
+    assert dist.entries == {0: 1, 2: 3}
+    assert all(type(count) is int for count in dist.entries.values())
 
 
 # ----------------------------------------------------------------- curves
 
 def test_curve_k3():
     curve = triangle_foundation_curve(k_complete(3), n_ref=3)
-    assert curve.points == ((2, 1.0 / 3.0),)
+    oracles.assert_curve_is(curve, [(2, 1.0 / 3.0)])
 
 
 def test_curve_k4():
     curve = triangle_foundation_curve(k_complete(4), n_ref=4)
-    assert curve.points == ((3, 1.0),)
+    oracles.assert_curve_is(curve, [(3, 1.0)])
     assert curve.value_at(2) == 0.0
     assert curve.value_at(10) == 1.0
+
+
+def test_value_at_on_an_array_grid_equals_scalar_lookups():
+    curve = TriangleFoundationCurve([2, 3, 7], [0.125, 0.25, 0.5], n_ref=8)
+    grid = np.array([-1, 0, 1, 2, 3, 4, 6, 7, 8, 100])
+    got = curve.value_at(grid)
+    assert got.shape == grid.shape
+    assert got.tolist() == [curve.value_at(int(c)) for c in grid]
+    assert got.tolist() == [0.0, 0.0, 0.0, 0.125, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5]
+    empty = TriangleFoundationCurve([], [], n_ref=1)
+    assert empty.value_at(grid).tolist() == [0.0] * grid.size
+    with pytest.raises(ValueError):
+        curve.deltas[0] = 1.0
+
+
+def test_curve_csv_writer_and_reader(tmp_path):
+    curve = TriangleFoundationCurve([0, 2], [0.0, 1.0 / 3.0], n_ref=3)
+    path = tmp_path / "curve.csv"
+    save_curve(curve, path)
+    stream = io.StringIO()
+    save_curve(curve, stream)
+    text = "c,delta\n0,0\n2,0.333333333333333\n"
+    assert path.read_bytes() == stream.getvalue().encode() == text.encode()
+    back = load_curve(path, n_ref=3)
+    assert back.thresholds.tolist() == [0, 2]
+    assert back.deltas.tolist() == [0.0, 0.333333333333333]
+    path.write_text("degree,count\n2,1\n")
+    with pytest.raises(ValueError, match="c,delta"):
+        load_curve(path, n_ref=3)
 
 
 def test_curve_uses_full_graph_degrees():
@@ -150,7 +185,7 @@ def test_curve_matches_bruteforce_oracle():
     a = oracles.random_gnp(rng, 40, 0.3)
     g = graph_from_matrix(a)
     curve = triangle_foundation_curve(g, n_ref=g.n)
-    assert list(curve.points) == [tuple(p) for p in oracles.brute_force_curve(a, g.n)]
+    oracles.assert_curve_is(curve, oracles.brute_force_curve(a, g.n))
 
 
 def test_curve_matches_networkx_on_tdp_sample():
@@ -171,7 +206,7 @@ def test_curve_matches_networkx_on_tdp_sample():
     for c in np.unique(deg):
         sub = h.subgraph(np.flatnonzero(deg <= c).tolist())
         expected.append((int(c), sum(nx.triangles(sub).values()) // 3 / n))
-    assert list(curve.points) == expected
+    oracles.assert_curve_is(curve, expected)
     assert triangle_count(g) == sum(nx.triangles(h).values()) // 3 > 1000
 
 
@@ -198,8 +233,8 @@ def test_blocked_triangle_count_matches_bruteforce(monkeypatch):
     for n, p in ((40, 0.6), (25, 0.9), (30, 0.1)):
         a = oracles.random_gnp(rng, n, p)
         g = graph_from_matrix(a)
-        assert list(triangle_foundation_curve(g, n_ref=n).points) == [
-            tuple(q) for q in oracles.brute_force_curve(a, n)]
+        oracles.assert_curve_is(triangle_foundation_curve(g, n_ref=n),
+                                oracles.brute_force_curve(a, n))
 
 
 def test_curve_consistency_invariants():
@@ -224,7 +259,8 @@ def test_relabeling_leaves_curve_unchanged(n, seed):
     g2 = Graph.from_edges(n, np.column_stack([perm[e[:, 0]], perm[e[:, 1]]]) if e.size else [])
     c1 = triangle_foundation_curve(g, n_ref=n)
     c2 = triangle_foundation_curve(g2, n_ref=n)
-    assert c1.points == c2.points
+    assert np.array_equal(c1.thresholds, c2.thresholds)
+    assert np.array_equal(c1.deltas, c2.deltas)
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,7 +287,7 @@ def test_graph_structural_invariants():
         assert np.all(np.diff(nb) > 0)        # sorted, no duplicates
         assert u not in nb                     # no self-loops
         for v in nb:
-            assert g.has_edge(v, u)            # symmetry
+            assert u in g.neighbors(v)         # symmetry
 
 
 def test_graph_is_immutable():

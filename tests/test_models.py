@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import oracles
-from embedaudit import models
+from embedaudit import blocks, models
 from embedaudit.blocks import DEFAULT_BLOCK_SIZE
 from embedaudit.embedding import Embedding, spectral_embed
 from embedaudit.graph import Graph
@@ -346,7 +346,7 @@ def test_chunked_pair_features_equal_whole_list(kind, monkeypatch):
     g, e = _fit_instance(kind)
     pairs = np.concatenate([g.edge_array(),
                             models._sample_nonedges(g, 10 * g.m, np.random.default_rng(0))])
-    monkeypatch.setattr(models, "_CHUNK_ENTRIES", 7 * e.d)      # 7 rows per chunk
+    monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 7 * e.d)      # 7 rows per chunk
     assert len(pairs) % 7
     out = np.full((len(pairs), e.d + 1), np.nan)
     models._lrdp_features(e, pairs, out[:, :1])
@@ -360,7 +360,7 @@ def test_chunked_pair_features_equal_whole_list(kind, monkeypatch):
 @pytest.mark.parametrize("block_size", [16, DEFAULT_BLOCK_SIZE])
 def test_chunked_softmax_normalizers_equal_one_shot(kind, block_size, monkeypatch):
     g, e = _fit_instance(kind)
-    monkeypatch.setattr(models, "_CHUNK_ENTRIES", 3 * e.n)      # 3-row sub-blocks
+    monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 3 * e.n)      # 3-row sub-blocks
     model = build_softmax(e, g, block_size)
     assert np.array_equal(model.log_scale,
                           oracles.softmax_log_scale_reference(e, g, block_size))

@@ -223,7 +223,24 @@ def test_single_sample_max_curve_is_that_curve():
     spec = SampleSpec(seed=41, num_samples=1)
     curve = curve_over_samples(e, TDP, spec, n_ref=30).max_curve
     g = sample_graph(e, TDP, seed=41, sample_index=0, block_size=spec.block_size)
-    assert curve.points == triangle_foundation_curve(g, 30).points
+    native = triangle_foundation_curve(g, 30)
+    assert np.array_equal(curve.thresholds, native.thresholds)
+    assert np.array_equal(curve.deltas, native.deltas)
+
+
+def test_sample_curves_build_no_graph(monkeypatch):
+    rng = np.random.default_rng(26)
+    e = plain_random(rng, 30, 3, 0.5)
+    spec = SampleSpec(seed=43, num_samples=3)
+    native = [triangle_foundation_curve(sample_graph(e, TDP, 43, s), 30) for s in range(3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(Graph, "from_edges", refuse)
+    cs = curve_over_samples(e, TDP, spec, n_ref=30)
+    for s, curve in enumerate(native):
+        assert np.array_equal(cs.deltas[s], curve.value_at(cs.thresholds))
 
 
 def test_deterministic_model_makes_identical_samples():
