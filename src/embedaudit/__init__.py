@@ -15,7 +15,6 @@ from .embedding import (
     Embedding,
     EmbeddingFormatError,
     load_embedding,
-    reconstruction,
     save_embedding,
     spectral_embed,
 )
@@ -47,7 +46,6 @@ from .models import (
 )
 from .sampling import (
     SampleCurveSet,
-    SampleSpec,
     curve_over_samples,
     expected_degree_second_moment,
     expected_degrees,

@@ -1,20 +1,23 @@
 """Deterministic tiling of the unordered-pair space {(i, j): i < j}.
 
 All O(n^2) pair passes (sampling, expectation sums, calibration, the
-softmax clamp count) walk the upper triangle in fixed square tiles through
-``upper_tiles``, the one tile loop of the package.  Tile indices are
-assigned in a fixed row-major order over the tile grid, so per-tile
-randomness and every tile-order reduction depend only on the block size.
-Work arrays that are not pair tiles (fit designs, softmax score blocks,
-the eigensolver's basis rotation) are taken in row chunks by
-``row_chunks``.
+softmax clamp count) walk the upper triangle in square tiles of side
+``TILE`` through ``upper_tiles``, the one tile loop of the package.  Tile
+indices are assigned in a fixed row-major order over the tile grid, so
+per-tile randomness and every tile-order reduction depend only on n and
+the tile side, which is fixed here and nowhere else; the softmax
+normalizers score ``TILE`` rows at a time.  Work arrays that are not pair
+tiles (fit designs, softmax score blocks, the eigensolver's basis rotation)
+are taken in row chunks by ``row_chunks``.  Both sizes are read at call
+time, so a test can patch them on this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_BLOCK_SIZE = 1024
+# side of a square pair tile: the unit of work and of randomness
+TILE = 1024
 
 # float64 entries (1 MiB) in one row chunk of a work array
 CHUNK_ENTRIES = 1 << 17
@@ -28,22 +31,22 @@ def row_chunks(n_rows: int, row_len: int):
         yield r0, min(r0 + step, n_rows)
 
 
-def iter_pair_tiles(n: int, block_size: int = DEFAULT_BLOCK_SIZE):
-    """Yield (tile_index, (i0, i1), (j0, j1)) covering every pair i < j once."""
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    starts = list(range(0, n, block_size))
+def iter_pair_tiles(n: int, side: int):
+    """Yield (tile_index, (i0, i1), (j0, j1)) covering every pair i < j once,
+    in tiles of side ``side``."""
+    starts = list(range(0, n, side))
     t = 0
     for bi, i0 in enumerate(starts):
-        i1 = min(i0 + block_size, n)
+        i1 = min(i0 + side, n)
         for j0 in starts[bi:]:
-            j1 = min(j0 + block_size, n)
+            j1 = min(j0 + side, n)
             yield t, (i0, i1), (j0, j1)
             t += 1
 
 
-def upper_tiles(n: int, block_size: int, block):
-    """Yield (tile_index, rows, cols, tile) in tile order.
+def upper_tiles(n: int, block):
+    """Yield (tile_index, rows, cols, tile) over the ``TILE``-side tiles, in
+    tile order.
 
     ``rows`` and ``cols`` are the tile's index arrays and ``tile`` is
     ``block(rows, cols)``, a fresh array that is overwritten here: every
@@ -52,7 +55,7 @@ def upper_tiles(n: int, block_size: int, block):
     caller that drops its own before the next step holds one tile at a
     time.
     """
-    for t, (i0, i1), (j0, j1) in iter_pair_tiles(n, block_size):
+    for t, (i0, i1), (j0, j1) in iter_pair_tiles(n, TILE):
         rows, cols = np.arange(i0, i1), np.arange(j0, j1)
         tile = block(rows, cols)
         if j0 < i1:

@@ -30,7 +30,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .blocks import DEFAULT_BLOCK_SIZE
 from .embedding import SPECTRAL, Embedding, load_embedding, save_embedding, spectral_embed
 from .graph import (
     TriangleFoundationCurve,
@@ -51,7 +50,7 @@ from .models import (
     model_to_json,
     softmax_clamp_count,
 )
-from .sampling import SampleSpec, curve_over_samples, sample_graph
+from .sampling import curve_over_samples, sample_graph
 from .verify import run_all_sweeps, sweep_report
 
 MODEL_NAMES = ("tdp", "lrdp", "lrhp", "softmax")
@@ -83,7 +82,6 @@ class AuditConfig:
     external_embedding_path: str | None = None
     rank_sweep_list: tuple | None = None
     negative_ratio: int = 10
-    block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
         if self.dim < 1:
@@ -97,8 +95,6 @@ class AuditConfig:
             raise AuditConfigError(f"unknown models: {bad}")
         if self.negative_ratio < 1:
             raise AuditConfigError("negative_ratio must be >= 1")
-        if self.block_size < 1:
-            raise AuditConfigError("block_size must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise AuditConfigError("seed must be in [0, 2**64)")
         ranks = self.rank_sweep_list or ()
@@ -119,7 +115,6 @@ class AuditConfig:
                                         if self.external_embedding_path else None),
             "rank_sweep_list": list(self.rank_sweep_list) if self.rank_sweep_list else None,
             "negative_ratio": self.negative_ratio,
-            "block_size": self.block_size,
         }
         if self.rank_sweep_list:
             # a rank sweep fits nothing and takes its dimensions from the ranks
@@ -171,7 +166,7 @@ class _OutputTracker:
                 pass
 
 
-def _fit_model(name, e, g, negative_ratio, seed, block_size):
+def _fit_model(name, e, g, negative_ratio, seed):
     """Build the model ``name`` for e against g; returns (model, FitReport or
     None) and logs a warning when an intercept calibration did not converge.
 
@@ -181,7 +176,7 @@ def _fit_model(name, e, g, negative_ratio, seed, block_size):
     if name == "tdp":
         return TruncatedDot(), None
     if name == "softmax":
-        return build_softmax(e, g, block_size), None
+        return build_softmax(e, g), None
     fit = fit_lrdp if name == "lrdp" else fit_lrhp
     model, rep = fit(e, g, negative_ratio, seed)
     if not rep.converged:
@@ -196,13 +191,11 @@ def _fit_models(e, g, config):
     """Build every requested model; returns (models, fit_reports, extras)."""
     models, reports, extras = {}, {}, {}
     for name in config.models:
-        models[name], rep = _fit_model(name, e, g, config.negative_ratio,
-                                       config.seed, config.block_size)
+        models[name], rep = _fit_model(name, e, g, config.negative_ratio, config.seed)
         if rep is not None:
             reports[name] = rep
         if name == "softmax":
-            extras["softmax_clamped_pairs"] = softmax_clamp_count(
-                models[name], e, config.block_size)
+            extras["softmax_clamped_pairs"] = softmax_clamp_count(models[name], e)
     return models, reports, extras
 
 
@@ -235,11 +228,10 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
         stage = "sample"                 # one pair walk per variant: samples and degrees
         models, curve_sets = {}, {}
         for label, emb, model in labelled:
-            spec = SampleSpec(seed=_model_sample_seed(config.seed, model.variant),
-                              num_samples=config.num_samples,
-                              block_size=config.block_size)
             models[label] = model
-            curve_sets[label] = curve_over_samples(emb, model, spec, n_ref=g.n)
+            curve_sets[label] = curve_over_samples(
+                emb, model, _model_sample_seed(config.seed, model.variant),
+                config.num_samples, n_ref=g.n)
             del emb                      # free it before the next variant is built
 
         stage = "curves"
@@ -357,13 +349,29 @@ def cmd_verify(seed: int = 0, out_path=None) -> dict:
 
 # --------------------------------------------------------------- arguments
 
+def _seed(text: str) -> int:
+    """argparse type of a 64-bit seed."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def _at_least(low: int):
+    """argparse type of the integers >= low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_common_audit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="edge-list file to audit")
     p.add_argument("--samples", type=int, default=100, help="graphs to sample per model")
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    p.add_argument("--seed", type=_seed, default=0, help="64-bit master seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
-                   help="pair-tile side length (part of the RNG configuration)")
 
 
 def _parse_ranks(text: str) -> tuple:
@@ -401,12 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated embedding ranks, e.g. 10,50,100")
 
     p = sub.add_parser("verify-theory", help="run all theory property sweeps")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("embed", help="compute and save a spectral embedding")
     p.add_argument("--graph", required=True)
-    p.add_argument("--dim", type=int, default=100)
+    p.add_argument("--dim", type=_at_least(1), default=100)
     p.add_argument("--out", required=True, help="embedding file to write")
 
     p = sub.add_parser("sample", help="draw one graph from embedding + model")
@@ -414,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="tdp", choices=MODEL_NAMES)
     p.add_argument("--graph", default=None,
                    help="graph to fit against (required for lrdp/lrhp/softmax)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-index", type=int, default=0)
-    p.add_argument("--negative-ratio", type=int, default=10)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--sample-index", type=_at_least(0), default=0)
+    p.add_argument("--negative-ratio", type=_at_least(1), default=10)
     p.add_argument("--out", required=True, help="edge-list file to write")
 
     p = sub.add_parser("curve", help="triangle-foundation curve of a graph")
@@ -431,7 +439,7 @@ def _run_audit(args) -> int:
         models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
         num_samples=args.samples, seed=args.seed,
         external_embedding_path=args.embedding,
-        negative_ratio=args.negative_ratio, block_size=args.block_size)
+        negative_ratio=args.negative_ratio)
     report = cmd_audit(config)
     print(f"audit complete: n={report.metadata['n']} m={report.metadata['m']} "
           f"triangles={report.metadata['triangles']}; wrote "
@@ -442,8 +450,7 @@ def _run_audit(args) -> int:
 def _run_ranksweep(args) -> int:
     config = AuditConfig(
         graph_path=args.graph, output_dir=args.out,
-        num_samples=args.samples, seed=args.seed, rank_sweep_list=args.ranks,
-        block_size=args.block_size)
+        num_samples=args.samples, seed=args.seed, rank_sweep_list=args.ranks)
     report = cmd_ranksweep(config)
     print(f"ranksweep complete over ranks {list(args.ranks)}; wrote "
           f"{len(report.files) + 1} files to {args.out}")
@@ -476,8 +483,7 @@ def _run_sample(args) -> int:
     if args.model != "tdp" and not args.graph:
         raise SystemExit(f"--graph is required to fit the {args.model} model")
     g = load_edge_list(args.graph).graph if args.model != "tdp" else None
-    model, _ = _fit_model(args.model, e, g, args.negative_ratio, args.seed,
-                          DEFAULT_BLOCK_SIZE)
+    model, _ = _fit_model(args.model, e, g, args.negative_ratio, args.seed)
     sampled = sample_graph(e, model, args.seed, args.sample_index)
     save_edge_list(sampled, args.out, header_lines=[
         f"sampled by embedaudit {__version__}",

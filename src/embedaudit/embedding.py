@@ -30,6 +30,7 @@ _RESIDUAL_TOL = 1e-6
 # an eigengap |lambda_d| - |lambda_{d+1}| below this fraction of |lambda_1|
 # is logged: the truncated embedding then hinges on a near-tie
 _GAP_WARN = 1e-6
+# largest n that spectral_embed solves densely; read at call time
 _DENSE_CUTOFF = 2000
 # |lambda| that agree within this fraction of |lambda_1| are tied
 _TIE_RTOL = 1e-10
@@ -104,14 +105,6 @@ class Embedding:
     def d(self) -> int:
         return self.vectors.shape[1]
 
-    def score(self, i: int, j: int) -> float:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"vertex index out of range: ({i}, {j})")
-        vi, vj = self.vectors[i], self.vectors[j]
-        if self.kind == SPECTRAL:
-            return float(np.dot(vi * self.eigenvalues, vj))
-        return float(np.dot(vi, vj))
-
     def score_block(self, rows, cols) -> np.ndarray:
         """Pair scores for the index block rows x cols."""
         left = self.vectors[rows]
@@ -158,11 +151,10 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF,
-                   report: dict | None = None) -> Embedding:
+def spectral_embed(g: Graph, d: int, *, report: dict | None = None) -> Embedding:
     """Eigenpairs of the adjacency matrix for the d largest-|lambda| values.
 
-    Uses a dense symmetric solver for n <= dense_cutoff (and whenever d is
+    Uses a dense symmetric solver for n <= _DENSE_CUTOFF (and whenever d is
     too close to n for an iterative solver), otherwise the folded sparse
     solve of ``_folded_eigsh``: block Lanczos on (A^2)^p, with the power p
     set by two bounds on the spectrum of A^2, then Rayleigh-Ritz on A.
@@ -182,7 +174,7 @@ def spectral_embed(g: Graph, d: int, *, dense_cutoff: int = _DENSE_CUTOFF,
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
 
-    if n <= dense_cutoff or d > n - 2:
+    if n <= _DENSE_CUTOFF or d > n - 2:
         a = g.adjacency_matrix()
         w, u = np.linalg.eigh(a)
         order = _canonical_order(w)
@@ -408,11 +400,6 @@ def _block_lanczos(op, n: int, d: int):
         return out
 
     return ritz(top), ritz(k - d - 1)
-
-
-def reconstruction(e: Embedding) -> np.ndarray:
-    """Full score matrix (the rank-d adjacency reconstruction for spectral)."""
-    return e.score_block(np.arange(e.n), np.arange(e.n))
 
 
 # ------------------------------------------------------------------ files

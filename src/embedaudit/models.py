@@ -19,9 +19,11 @@ logistic tiles of sampling and calibration and in the fits, goes through
 Memory of the fits: a logistic fit holds one design matrix of
 (fitted pairs) x (features + 1) float64 entries, filled in the row chunks of
 ``blocks.row_chunks``, and sums its IRLS Hessian over the same chunks; the
-softmax normalizers take one block_size x n score block at a time and reduce
-it in the same row chunks.  Chunking changes no entry's arithmetic, only the
-order of the Hessian's sums.
+softmax normalizers take one ``blocks.TILE`` x n score block at a time and
+reduce it in the same row chunks.  Chunking changes no entry's arithmetic,
+only the order of the Hessian's sums.  The intercept calibration, the
+softmax clamp count and the sampler all walk the same ``blocks.TILE`` pair
+tiles.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DEFAULT_BLOCK_SIZE, row_chunks, upper_tiles
+from . import blocks
+from .blocks import row_chunks, upper_tiles
 from .embedding import SPECTRAL, Embedding
 from .graph import Graph
 
@@ -188,8 +191,7 @@ class FitReport:
     calibration_evals: int     # pair passes of the intercept calibration
 
 
-def build_softmax(e: Embedding, g: Graph,
-                  block_size: int = DEFAULT_BLOCK_SIZE) -> DegreeSoftmax:
+def build_softmax(e: Embedding, g: Graph) -> DegreeSoftmax:
     """Degree-calibrated softmax model for e against g's degree sequence.
 
     Normalizers are computed with max-subtraction (logsumexp) so large
@@ -200,8 +202,8 @@ def build_softmax(e: Embedding, g: Graph,
     n = e.n
     deg = g.degrees.astype(np.float64)
     log_z = np.empty(n)
-    for i0 in range(0, n, block_size):
-        i1 = min(i0 + block_size, n)
+    for i0 in range(0, n, blocks.TILE):
+        i1 = min(i0 + blocks.TILE, n)
         s = e.score_block(np.arange(i0, i1), np.arange(n))
         s[np.arange(i1 - i0), np.arange(i0, i1)] = -np.inf   # exclude the self-pair
         # row sub-blocks keep the max mask and the sums small
@@ -213,11 +215,10 @@ def build_softmax(e: Embedding, g: Graph,
     return DegreeSoftmax(log_scale)
 
 
-def softmax_clamp_count(model: DegreeSoftmax, e: Embedding,
-                        block_size: int = DEFAULT_BLOCK_SIZE) -> int:
+def softmax_clamp_count(model: DegreeSoftmax, e: Embedding) -> int:
     """Number of unordered pairs whose symmetrized intensity was clamped at 1."""
     count = 0
-    for *_, raw in upper_tiles(e.n, block_size, lambda r, c: model._intensity(e, r, c)):
+    for *_, raw in upper_tiles(e.n, lambda r, c: model._intensity(e, r, c)):
         count += int(np.count_nonzero(raw > 1.0))
         del raw                        # before the next tile is built
     return count
@@ -357,15 +358,14 @@ def _calibrate_intercept(pair_sums, m_target: float, tol_rel: float = 1e-3,
     return best_delta, max_iter, False, best
 
 
-def _make_pair_sums(e: Embedding, model_at, block_size: int):
+def _make_pair_sums(e: Embedding, model_at):
     """Return pair_sums(delta) = (sum p, sum p(1-p)) over pairs i<j, with p
     the probabilities of the model ``model_at(delta)``; each call is one walk
     over that model's own ``prob_block`` tiles."""
     def pair_sums(delta):
         model = model_at(delta)
         s = ds = 0.0
-        for *_, p in upper_tiles(e.n, block_size,
-                                 lambda r, c: model.prob_block(e, r, c)):
+        for *_, p in upper_tiles(e.n, lambda r, c: model.prob_block(e, r, c)):
             p = p.ravel()              # entries outside i < j are 0 and add nothing
             s += p.sum()
             ds += p @ (1.0 - p)
@@ -421,8 +421,7 @@ def _fit_logistic_model(e, g, negative_ratio, seed, nfeat, features, build):
     else:
         coef, intercept, newton_iters = np.zeros(nfeat), 0.0, 0
 
-    pair_sums = _make_pair_sums(e, lambda delta: build(coef, intercept + delta),
-                                DEFAULT_BLOCK_SIZE)
+    pair_sums = _make_pair_sums(e, lambda delta: build(coef, intercept + delta))
     delta, evals, converged, achieved = _calibrate_intercept(pair_sums, float(m))
     model = build(coef, intercept + delta)
     return model, FitReport(float(m), achieved, newton_iters + evals, converged, evals)

@@ -3,7 +3,9 @@
 Every unordered pair (i, j) is an independent Bernoulli trial with the
 model's probability.  Randomness is organized per pair tile: the generator
 for a tile is seeded from (seed, sample_index, tile_index), so a sampled
-graph is bit-identical across runs and processes for a fixed block size.
+graph is bit-identical across runs and processes.  The tiles are those of
+``blocks.upper_tiles``, whose fixed side ``blocks.TILE`` is part of what
+a sample depends on.
 
 One private walk over ``blocks.upper_tiles``, ``_pair_walk``, serves every
 O(n^2) pass in this module: per tile it takes the masked probability tile
@@ -33,32 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DEFAULT_BLOCK_SIZE, upper_tiles
+from .blocks import upper_tiles
 from .graph import Graph, TriangleFoundationCurve, edge_curve, union_grid
 
 _EXACT_TRIANGLE_GUARD = 500
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """How many graphs to draw and how to seed them.
-
-    block_size is the side length of the square pair tiles that form the
-    RNG/work units; changing it selects a different (equally valid) random
-    stream, so it is part of the experiment configuration.
-    """
-
-    seed: int
-    num_samples: int
-    block_size: int = DEFAULT_BLOCK_SIZE
-
-    def __post_init__(self):
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
 
 def _tile_rng(seed: int, sample_index: int, tile_index: int) -> np.random.Generator:
@@ -136,8 +116,7 @@ def _draw_tile(rng, flat, plan):
     return np.sort(np.concatenate(hits)), examined
 
 
-def _pair_walk(e, model, *, block_size: int, seed: int = 0,
-               sample_indices=(), moments: int = 0):
+def _pair_walk(e, model, *, seed: int = 0, sample_indices=(), moments: int = 0):
     """One pass over the pair tiles; returns (edges, sums, examined).
 
     ``edges[k]`` is the (m, 2) edge array (i < j, in tile order) of sample
@@ -150,8 +129,7 @@ def _pair_walk(e, model, *, block_size: int, seed: int = 0,
     examined = 0
     sums = [np.zeros(n) for _ in range(moments)]
     comps = [np.zeros(n) for _ in range(moments)]
-    for t, rows, cols, p in upper_tiles(n, block_size,
-                                        lambda r, c: model.prob_block(e, r, c)):
+    for t, rows, cols, p in upper_tiles(n, lambda r, c: model.prob_block(e, r, c)):
         flat = p.ravel()
         plan = _draw_plan(flat) if drawn else None
         if plan is not None:
@@ -174,27 +152,25 @@ def _pair_walk(e, model, *, block_size: int, seed: int = 0,
     return edges, sums, examined
 
 
-def sample_graph(e, model, seed: int, sample_index: int, *,
-                 block_size: int = DEFAULT_BLOCK_SIZE) -> Graph:
+def sample_graph(e, model, seed: int, sample_index: int) -> Graph:
     """One Bernoulli draw over all pairs; deterministic in (seed, sample_index)."""
-    (edges,), _, _ = _pair_walk(e, model, block_size=block_size, seed=seed,
-                                sample_indices=(sample_index,))
+    (edges,), _, _ = _pair_walk(e, model, seed=seed, sample_indices=(sample_index,))
     return Graph.from_edges(e.n, edges)
 
 
-def expected_degrees(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
+def expected_degrees(e, model) -> np.ndarray:
     """Exact E[D_i] = sum_{j != i} p_ij for every vertex (O(n^2) pass)."""
-    _, (sums,), _ = _pair_walk(e, model, block_size=block_size, moments=1)
+    _, (sums,), _ = _pair_walk(e, model, moments=1)
     return sums
 
 
-def expected_degree_second_moment(e, model, *, block_size: int = DEFAULT_BLOCK_SIZE):
+def expected_degree_second_moment(e, model):
     """Exact (E[D_i], E[D_i^2]) per vertex.
 
     For a sum of independent Bernoulli(p_ij) indicators,
     E[D^2] = Var + E[D]^2 = sum p(1-p) + (sum p)^2.
     """
-    _, (ed, sum_sq), _ = _pair_walk(e, model, block_size=block_size, moments=2)
+    _, (ed, sum_sq), _ = _pair_walk(e, model, moments=2)
     return ed, ed - sum_sq + ed * ed
 
 
@@ -239,18 +215,21 @@ class SampleCurveSet:
         return self.deltas.var(axis=0)
 
 
-def curve_over_samples(e, model, spec: SampleSpec, n_ref: int) -> SampleCurveSet:
-    """Sample spec.num_samples graphs and collect their curves.
+def curve_over_samples(e, model, seed: int, num_samples: int, n_ref: int) -> SampleCurveSet:
+    """Sample num_samples graphs and collect their curves.
 
     All samples and the expected degrees come from one pair walk; sample s
-    equals ``sample_graph(e, model, spec.seed, s, block_size=spec.block_size)``.
-    Every curve is normalized by the original graph's n (n_ref), not by the
-    sampled graph's vertex count.  Curves are counted straight from each
-    sample's edge array; no Graph is built.
+    equals ``sample_graph(e, model, seed, s)``.  Every curve is normalized
+    by the original graph's n (n_ref), not by the sampled graph's vertex
+    count.  Curves are counted straight from each sample's edge array; no
+    Graph is built.
     """
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 bits")
     edges, (degrees,), examined = _pair_walk(
-        e, model, block_size=spec.block_size, seed=spec.seed,
-        sample_indices=range(spec.num_samples), moments=1)
+        e, model, seed=seed, sample_indices=range(num_samples), moments=1)
     curves = [edge_curve(e.n, sample_edges, n_ref) for sample_edges in edges]
     grid = union_grid(curves)
     return SampleCurveSet(grid, np.array([curve.value_at(grid) for curve in curves]),

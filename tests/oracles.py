@@ -79,6 +79,13 @@ def random_gnp(rng, n, p):
     return (a | a.T)
 
 
+def pair_score(e, i, j):
+    """The pair score sum_r lambda_r psi_i[r] psi_j[r] of a spectral
+    embedding, or the dot product of a plain one, as an explicit sum."""
+    lam = e.eigenvalues if e.kind == "spectral" else np.ones(e.d)
+    return math.fsum(float(lam[r] * e.vectors[i, r] * e.vectors[j, r]) for r in range(e.d))
+
+
 def pair_probability(model, emb, i, j):
     """p_ij of the model, from a 1 x 1 block of its prob_block."""
     return float(model.prob_block(emb, [i], [j])[0, 0])
@@ -117,12 +124,13 @@ def numeric_rank_svd(m, rel_tol=1e-9):
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def _masked_prob_tiles(e, model, block_size):
-    """(tile_index, (i0, i1), (j0, j1), p) per pair tile, by a plain loop:
-    p is the model's probability tile with every entry outside i < j at 0."""
-    from embedaudit.blocks import iter_pair_tiles
+def _masked_prob_tiles(e, model):
+    """(tile_index, (i0, i1), (j0, j1), p) per pair tile of side blocks.TILE,
+    by a plain loop: p is the model's probability tile with every entry
+    outside i < j at 0."""
+    from embedaudit import blocks
 
-    for t, (i0, i1), (j0, j1) in iter_pair_tiles(e.n, block_size):
+    for t, (i0, i1), (j0, j1) in blocks.iter_pair_tiles(e.n, blocks.TILE):
         rows, cols = np.arange(i0, i1), np.arange(j0, j1)
         p = model.prob_block(e, rows, cols)
         yield t, (i0, i1), (j0, j1), np.where(cols[None, :] > rows[:, None], p, 0.0)
@@ -145,7 +153,7 @@ def _skip_stream_reference(rng, n, rate):
     return kept
 
 
-def per_sample_edges_reference(e, model, seed, sample_index, block_size):
+def per_sample_edges_reference(e, model, seed, sample_index):
     """Edge array of one sample drawn by a tile loop of its own, with the
     same (seed, sample_index, tile_index) generators as the library.
 
@@ -155,7 +163,7 @@ def per_sample_edges_reference(e, model, seed, sample_index, block_size):
     (1 for p = 1); each candidate is kept iff u * rate < p.
     """
     parts = []
-    for t, rows, cols, p in _masked_prob_tiles(e, model, block_size):
+    for t, rows, cols, p in _masked_prob_tiles(e, model):
         flat = p.ravel()
         mass = flat.sum()
         if not mass > 0:
@@ -181,13 +189,13 @@ def per_sample_edges_reference(e, model, seed, sample_index, block_size):
     return np.array(parts, dtype=np.int64).reshape(-1, 2)
 
 
-def kahan_moment_reference(e, model, block_size):
+def kahan_moment_reference(e, model):
     """(sum_j p_ij, sum_j p_ij^2) per vertex by a separate tile pass with a
     Kahan update per tile, in tile order."""
     n = e.n
     totals = [np.zeros(n), np.zeros(n)]
     comps = [np.zeros(n), np.zeros(n)]
-    for _, rows, cols, p in _masked_prob_tiles(e, model, block_size):
+    for _, rows, cols, p in _masked_prob_tiles(e, model):
         p2 = p * p
         moments = (p.sum(axis=1), p.sum(axis=0)), (p2.sum(axis=1), p2.sum(axis=0))
         for total, comp, (row_sum, col_sum) in zip(totals, comps, moments):
@@ -225,14 +233,16 @@ def lrhp_features_reference(e, pairs):
     return f * e.eigenvalues if e.kind == "spectral" else f
 
 
-def softmax_log_scale_reference(e, g, block_size):
-    """log s_i from one logsumexp call per block_size x n score block."""
+def softmax_log_scale_reference(e, g):
+    """log s_i from one logsumexp call per blocks.TILE x n score block."""
     from scipy.special import logsumexp
+
+    from embedaudit import blocks
 
     n = e.n
     log_z = np.empty(n)
-    for i0 in range(0, n, block_size):
-        i1 = min(i0 + block_size, n)
+    for i0 in range(0, n, blocks.TILE):
+        i1 = min(i0 + blocks.TILE, n)
         s = e.score_block(np.arange(i0, i1), np.arange(n))
         for r, i in enumerate(range(i0, i1)):
             s[r, i] = -np.inf

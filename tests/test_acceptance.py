@@ -28,7 +28,6 @@ from embedaudit.graph import (
 )
 from embedaudit.models import TruncatedDot, build_softmax, fit_lrdp, fit_lrhp
 from embedaudit.sampling import (
-    SampleSpec,
     curve_over_samples,
     expected_degree_second_moment,
     expected_triangles_exact,
@@ -253,8 +252,7 @@ def test_10_headline_low_degree_triangle_gap():
     assert orig_delta >= 0.2, f"original delta(4) = {orig_delta}"
 
     e = spectral_embed(g, 100)
-    spec = SampleSpec(seed=2025, num_samples=100)
-    model_max = curve_over_samples(e, TDP, spec, n_ref=g.n).max_curve
+    model_max = curve_over_samples(e, TDP, 2025, 100, n_ref=g.n).max_curve
     model_delta = model_max.value_at(4)
     assert model_delta <= 0.1, f"model max delta(4) = {model_delta}"
     assert orig_delta >= 10.0 * model_delta, \

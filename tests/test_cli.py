@@ -1,4 +1,3 @@
-import functools
 import json
 import logging
 import os
@@ -11,9 +10,9 @@ import pytest
 
 import oracles
 import embedaudit
-from embedaudit import cli
+from embedaudit import blocks, cli, embedding
 from embedaudit.cli import AuditConfig, AuditStageError, cmd_audit, cmd_ranksweep, cmd_verify
-from embedaudit.embedding import load_embedding
+from embedaudit.embedding import Embedding, load_embedding, save_embedding, spectral_embed
 from embedaudit.graph import Graph, load_edge_list, save_edge_list, triangle_foundation_curve
 from embedaudit.models import FitReport, fit_lrdp
 
@@ -94,6 +93,10 @@ def test_audit_report_contents(tmp_path):
     assert "softmax_clamped_pairs" in doc
     assert doc["seed"] == 3
     assert doc["config"]["dim"] == 6 and doc["config"]["negative_ratio"] == 10
+    # the pair-tile side is fixed, so the config echo has no tiling key
+    assert set(doc["config"]) == {"graph_path", "output_dir", "dim", "models", "num_samples",
+                                  "seed", "external_embedding_path", "rank_sweep_list",
+                                  "negative_ratio"}
     assert set(doc["sampled_edges"]) == set(cli.MODEL_NAMES)
     solve = doc["eigensolver"]
     assert solve["path"] == "dense"
@@ -105,7 +108,7 @@ def test_audit_report_contents(tmp_path):
     for stats in doc["sampled_edges"].values():
         assert set(stats) == {"min", "median", "max", "draw_candidates"}
         assert 0 <= stats["min"] <= stats["median"] <= stats["max"]
-        # every kept edge was a candidate; one tile (n <= block size) of
+        # every kept edge was a candidate; one tile (n <= blocks.TILE) of
         # n^2 positions per sample bounds the work
         assert 4 * stats["min"] <= stats["draw_candidates"] <= 4 * g.n ** 2
 
@@ -179,12 +182,10 @@ def test_audit_config_validation():
         AuditConfig(graph_path="g", output_dir="o", models=("euclid",))
     with pytest.raises(ValueError):
         AuditConfig(graph_path="g", output_dir="o", num_samples=0)
-    with pytest.raises(ValueError):
-        AuditConfig(graph_path="g", output_dir="o", block_size=0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             AuditConfig(graph_path="g", output_dir="o", seed=seed)
-    AuditConfig(graph_path="g", output_dir="o", seed=2**64 - 1, block_size=1)
+    AuditConfig(graph_path="g", output_dir="o", seed=2**64 - 1)
 
 
 def unconverged_fit(e, graph, negative_ratio, seed):
@@ -266,8 +267,7 @@ def test_ranksweep_echoes_only_the_model_it_runs(tmp_path):
 
 def test_ranksweep_reports_the_folded_solve(tmp_path, monkeypatch):
     gpath, _ = write_random_graph(tmp_path)
-    monkeypatch.setattr(cli, "spectral_embed",
-                        functools.partial(cli.spectral_embed, dense_cutoff=1))
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
     out = tmp_path / "out"
     cmd_ranksweep(AuditConfig(graph_path=str(gpath), output_dir=str(out),
                               num_samples=1, seed=2, rank_sweep_list=(3, 5)))
@@ -422,7 +422,7 @@ def test_cli_audit_argument_parsing(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["audit", "--dim", "2", "--seed", "-1"], "seed must be in"),
-    (["audit", "--dim", "2", "--block-size", "0"], "block_size must be >= 1"),
+    (["audit", "--dim", "2", "--block-size", "16"], "unrecognized arguments: --block-size"),
     (["audit", "--dim", "2", "--threads", "2"], "unrecognized arguments: --threads"),
     (["ranksweep", "--ranks", "1,x"], "argument --ranks"),
     (["ranksweep", "--ranks", "0"], "ranks must be >= 1"),
@@ -439,6 +439,62 @@ def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, message):
     assert err.strip().splitlines()[-1].startswith("embedaudit")
     assert ": error: " in err.strip().splitlines()[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--seed", "-1"], "seed must be in"),
+    (["sample", "--sample-index", "-3"], "argument --sample-index: must be >= 0"),
+    (["sample", "--model", "lrdp", "--negative-ratio", "0"],
+     "argument --negative-ratio: must be >= 1"),
+    (["embed", "--dim", "0"], "argument --dim: must be >= 1"),
+    (["verify-theory", "--seed", "-1"], "seed must be in"),
+])
+def test_building_block_arguments_are_usage_errors(tmp_path, capsys, argv, message):
+    gpath = write_k4(tmp_path)
+    epath = tmp_path / "k4.emb"
+    save_embedding(spectral_embed(load_edge_list(gpath).graph, 2), epath)
+    out = tmp_path / "out.txt"
+    files = {"sample": ["--embedding", str(epath), "--graph", str(gpath)],
+             "embed": ["--graph", str(gpath)], "verify-theory": []}[argv[0]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *files, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("embedaudit") and ": error: " in last
+    assert not out.exists()
+
+
+def test_every_walk_takes_the_one_tile_side(tmp_path, monkeypatch):
+    # calibration, sampling, the clamp count and the softmax normalizers all
+    # follow blocks.TILE; 60 vertices in 16-side tiles are 4 x 5 / 2 tiles
+    gpath, g = write_random_graph(tmp_path, n=60, p=0.1)
+    assert g.n == 60
+    monkeypatch.setattr(blocks, "TILE", 16)
+    tile_walk, walks = blocks.iter_pair_tiles, []
+
+    def counted(n, side):
+        walks.append([side, 0])
+        for tile in tile_walk(n, side):
+            walks[-1][1] += 1
+            yield tile
+
+    score_block, softmax_rows = Embedding.score_block, []
+
+    def recorded(self, rows, cols):
+        if len(cols) == self.n:                 # a softmax normalizer block
+            softmax_rows.append(len(rows))
+        return score_block(self, rows, cols)
+
+    monkeypatch.setattr(blocks, "iter_pair_tiles", counted)
+    monkeypatch.setattr(Embedding, "score_block", recorded)
+    report = cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(tmp_path / "o"),
+                                   dim=4, models=("lrdp", "softmax"), num_samples=2))
+    # the lrdp calibration passes, the clamp count, and one sampling walk per model
+    assert len(walks) == report.fit_reports["lrdp"]["calibration_evals"] + 1 + 2
+    assert walks == [[16, 10]] * len(walks)
+    assert softmax_rows == [16, 16, 16, 12]
 
 
 def test_cli_import_leaves_out_scipy_linalg_and_special():

@@ -10,7 +10,6 @@ from embedaudit.embedding import (
     Embedding,
     EmbeddingFormatError,
     load_embedding,
-    reconstruction,
     save_embedding,
     spectral_embed,
 )
@@ -29,6 +28,11 @@ def star(leaves):
 
 def random_graph(rng, n, p):
     return Graph.from_edges(n, np.argwhere(np.triu(oracles.random_gnp(rng, n, p), 1)))
+
+
+def reconstruction(e):
+    """Full score matrix: the rank-d adjacency reconstruction of a spectral e."""
+    return e.score_block(np.arange(e.n), np.arange(e.n))
 
 
 # ------------------------------------------------------------- spectral
@@ -58,8 +62,8 @@ def test_star_top2_eigenvalues():
     assert np.allclose(sorted(np.abs(e.eigenvalues)), [2.0, 2.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("solver, dense_cutoff", [(np.linalg, 2000), (embedding, 5)])
-def test_eigenpair_residuals_checked_on_both_paths(monkeypatch, solver, dense_cutoff):
+@pytest.mark.parametrize("solver, cutoff", [(np.linalg, 2000), (embedding, 5)])
+def test_eigenpair_residuals_checked_on_both_paths(monkeypatch, solver, cutoff):
     name = "eigh" if solver is np.linalg else "_block_lanczos"
     exact = getattr(solver, name)
 
@@ -72,10 +76,11 @@ def test_eigenpair_residuals_checked_on_both_paths(monkeypatch, solver, dense_cu
         return u, y
 
     g = random_graph(np.random.default_rng(3), 30, 0.3)
-    spectral_embed(g, 4, dense_cutoff=dense_cutoff)
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", cutoff)
+    spectral_embed(g, 4)
     monkeypatch.setattr(solver, name, corrupted)
     with pytest.raises(EigensolverError, match="residual"):
-        spectral_embed(g, 4, dense_cutoff=dense_cutoff)
+        spectral_embed(g, 4)
 
 
 def test_eigenvalues_sorted_by_magnitude_and_columns_orthonormal():
@@ -137,12 +142,13 @@ def twins_graph():
     (bipartite_graph(np.random.default_rng(21), 70, 50, 0.1), 10, 5),   # lambda, -lambda pairs
     (triangles_plus_noise(np.random.default_rng(8), 200), 100, 0),      # n = 600
 ], ids=["gnp", "bipartite", "triangles_plus_noise"])
-def test_iterative_solver_matches_dense(g, d, pairs):
+def test_iterative_solver_matches_dense(g, d, pairs, monkeypatch):
     mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency_matrix())))[::-1]
     assert mags[d - 1] - mags[d] > 1e-3        # the top d are unique
     dense = spectral_embed(g, d)
     report = {}
-    sparse = spectral_embed(g, d, dense_cutoff=1, report=report)
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
+    sparse = spectral_embed(g, d, report=report)
     assert report["path"] == "folded" and report["power"] > 1   # the solve ran on (A^2)^p
     assert np.max(np.abs(dense.eigenvalues - sparse.eigenvalues)) <= 1e-10
     assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
@@ -152,19 +158,20 @@ def test_iterative_solver_matches_dense(g, d, pairs):
     assert first.size == pairs and np.all(ev[first] > 0)
 
 
-def test_hub_graph_solves_unpowered_and_matches_dense():
+def test_hub_graph_solves_unpowered_and_matches_dense(monkeypatch):
     g = hub_graph()
+    dense = spectral_embed(g, 100)
     report = {}
-    sparse = spectral_embed(g, 100, dense_cutoff=1, report=report)
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
+    sparse = spectral_embed(g, 100, report=report)
     assert report["path"] == "folded" and report["power"] == 1
     assert report["max_relative_residual"] <= 1e-10
-    dense = spectral_embed(g, 100)
     assert np.max(np.abs(dense.eigenvalues - sparse.eigenvalues)) <= 1e-10
     assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
 
 
 @pytest.mark.parametrize("d", [40, 80])
-def test_folded_solve_finds_every_copy_of_a_repeated_eigenvalue(d):
+def test_folded_solve_finds_every_copy_of_a_repeated_eigenvalue(d, monkeypatch):
     # _BLOCK disjoint K4s: lambda = 3 has multiplicity _BLOCK, at 0-based
     # positions 17-20 of 466; a single-vector Krylov solve sees one copy,
     # finds others only through rounding, and fills the top d with smaller
@@ -177,20 +184,22 @@ def test_folded_solve_finds_every_copy_of_a_repeated_eigenvalue(d):
     assert np.sum(np.abs(w - 3) <= 1e-10) == _BLOCK
     mags = np.sort(np.abs(w))[::-1]
     assert mags[d - 1] - mags[d] > 1e-3        # the top d are unique
-    sparse = spectral_embed(g, d, dense_cutoff=1)
-    assert np.max(np.abs(np.abs(sparse.eigenvalues) - mags[:d])) <= 1e-10
     dense = spectral_embed(g, d)
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
+    sparse = spectral_embed(g, d)
+    assert np.max(np.abs(np.abs(sparse.eigenvalues) - mags[:d])) <= 1e-10
     assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
 
 
-def test_folded_solve_goes_on_past_a_closed_krylov_space():
+def test_folded_solve_goes_on_past_a_closed_krylov_space(monkeypatch):
     # 30 disjoint K_{3,3}: lambda = +3 and -3, 30 times each, and 0; the
     # Krylov space of A^2 closes after one block, and the other copies come
     # from the random directions that replace the lost ones
     k33 = np.array([(i, j) for i in range(3) for j in range(3, 6)])
     g = Graph.from_edges(180, np.concatenate([k33 + 6 * c for c in range(30)]))
     report = {}
-    e = spectral_embed(g, 60, dense_cutoff=1, report=report)
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
+    e = spectral_embed(g, 60, report=report)
     assert report["path"] == "folded"
     assert np.max(np.abs(np.abs(e.eigenvalues) - 3)) <= 1e-10
     assert np.all(e.eigenvalues[:30] > 0) and np.all(e.eigenvalues[30:] < 0)
@@ -198,7 +207,7 @@ def test_folded_solve_goes_on_past_a_closed_krylov_space():
     assert report["eigengap"] == pytest.approx(3.0, abs=1e-12)     # |lambda_61| = 0
 
 
-def test_folded_eigengap_is_accurate_when_the_next_eigenvalue_is_zero():
+def test_folded_eigengap_is_accurate_when_the_next_eigenvalue_is_zero(monkeypatch):
     # 100 disjoint K_{3,3} at d = 250: lambda_1..200 = +-3, the rest 0, so
     # the top 250 hold 50 zeros and the gap at d is exactly 0; the (d+1)-th
     # Ritz value of (A^2)^p carries rounding of about eps * 3^(2p), which
@@ -206,7 +215,8 @@ def test_folded_eigengap_is_accurate_when_the_next_eigenvalue_is_zero():
     k33 = np.array([(i, j) for i in range(3) for j in range(3, 6)])
     g = Graph.from_edges(600, np.concatenate([k33 + 6 * c for c in range(100)]))
     report = {}
-    spectral_embed(g, 250, dense_cutoff=1, report=report)
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
+    spectral_embed(g, 250, report=report)
     assert report["path"] == "folded"
     assert abs(report["eigengap"]) <= 1e-12
 
@@ -261,7 +271,8 @@ def test_sparse_path_splits_a_folded_pair(monkeypatch):
 
     monkeypatch.setattr(embedding, "_block_lanczos", mixed_solve)
     report = {}
-    e = spectral_embed(g, 1, dense_cutoff=1, report=report)
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
+    e = spectral_embed(g, 1, report=report)
     assert calls == [(5, 1)]
     assert abs(abs(e.eigenvalues[0]) - 2) <= 1e-12
     psi = e.vectors[:, 0]
@@ -301,20 +312,14 @@ def test_dimension_bounds_rejected():
 
 def test_pair_score_plain():
     e = Embedding.plain([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert e.score(0, 1) == 1.0
-    assert e.score(0, 2) == 0.0
+    assert e.score_block([0], [1, 2]).tolist() == [[1.0, 0.0]]
 
 
 def test_pair_score_spectral_reconstructs_adjacency():
     e = spectral_embed(k_complete(3), 3)
-    assert e.score(0, 1) == pytest.approx(1.0, abs=1e-10)
-    assert e.score(1, 2) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_pair_score_out_of_range():
-    e = Embedding.plain(np.ones((3, 2)))
-    with pytest.raises(IndexError):
-        e.score(0, 3)
+    block = e.score_block([0, 1], [1, 2])
+    assert block[0, 0] == pytest.approx(1.0, abs=1e-10)
+    assert block[1, 1] == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -324,7 +329,8 @@ def test_pair_score_symmetric(n, d, seed):
     rng = np.random.default_rng(seed)
     e = Embedding.plain(rng.normal(size=(n, d)))
     i, j = rng.integers(0, n, size=2)
-    assert e.score(int(i), int(j)) == pytest.approx(e.score(int(j), int(i)), abs=1e-12)
+    assert e.score_block([i], [j])[0, 0] == pytest.approx(e.score_block([j], [i])[0, 0],
+                                                           abs=1e-12)
 
 
 def test_score_block_matches_scalar():
@@ -335,7 +341,7 @@ def test_score_block_matches_scalar():
     block = e.score_block(rows, cols)
     for a, i in enumerate(rows):
         for b, j in enumerate(cols):
-            assert block[a, b] == pytest.approx(e.score(int(i), int(j)), abs=1e-12)
+            assert block[a, b] == pytest.approx(oracles.pair_score(e, i, j), abs=1e-12)
 
 
 # ----------------------------------------------------------------- files
@@ -391,5 +397,4 @@ def test_load_external_plain_file_with_comments(tmp_path):
     p.write_text("# produced elsewhere\n# more provenance\n3 2 plain\n2 0.5 0.5\n0 1 0\n1 0 1\n")
     e = load_embedding(p)
     assert e.n == 3 and e.d == 2
-    assert e.score(0, 1) == 0.0
-    assert e.score(0, 2) == 0.5
+    assert e.score_block([0], [1, 2]).tolist() == [[0.0, 0.5]]

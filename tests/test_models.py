@@ -2,6 +2,7 @@ import dataclasses
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy.special import expit
 
 import oracles
 from embedaudit import blocks, models
-from embedaudit.blocks import DEFAULT_BLOCK_SIZE
 from embedaudit.embedding import Embedding, spectral_embed
 from embedaudit.graph import Graph
 from embedaudit.models import (
@@ -120,8 +120,8 @@ def test_lrdp_calibration_on_random_instance():
 
 # ----------------------------------------------------------- calibration
 
-def offset_pair_sums(e, offset, block_size):
-    return _make_pair_sums(e, lambda delta: LogisticDot(1.0, offset + delta), block_size)
+def offset_pair_sums(e, offset):
+    return _make_pair_sums(e, lambda delta: LogisticDot(1.0, offset + delta))
 
 
 def upper_logits(e, offset):
@@ -133,24 +133,26 @@ def upper_logits(e, offset):
        st.floats(min_value=-30.0, max_value=30.0),
        st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
        st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**32 - 1))
-def test_calibrate_intercept_converges(n, d, offset, fraction, block_size, seed):
+def test_calibrate_intercept_converges(n, d, offset, fraction, side, seed):
     e = Embedding.plain(np.random.default_rng(seed).normal(size=(n, d)))
-    pair_sums = offset_pair_sums(e, offset, block_size)
+    pair_sums = offset_pair_sums(e, offset)
     m = fraction * n * (n - 1) / 2
-    delta, evals, converged, achieved = _calibrate_intercept(pair_sums, m)
-    assert converged
-    assert abs(achieved - m) <= 1e-3 * m
-    assert achieved == pair_sums(delta)[0]
-    p = expit(upper_logits(e, offset) + delta)
-    assert achieved == pytest.approx(p.sum(), rel=1e-12)
-    assert pair_sums(delta)[1] == pytest.approx((p * (1.0 - p)).sum(), rel=1e-12)
+    with mock.patch.object(blocks, "TILE", side):
+        delta, evals, converged, achieved = _calibrate_intercept(pair_sums, m)
+        assert converged
+        assert abs(achieved - m) <= 1e-3 * m
+        assert achieved == pair_sums(delta)[0]
+        p = expit(upper_logits(e, offset) + delta)
+        assert achieved == pytest.approx(p.sum(), rel=1e-12)
+        assert pair_sums(delta)[1] == pytest.approx((p * (1.0 - p)).sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12])
 @pytest.mark.parametrize("offset", [-20.0, 0.0, 20.0])
-def test_calibrate_intercept_extreme_targets(n, offset):
+def test_calibrate_intercept_extreme_targets(n, offset, monkeypatch):
     e = Embedding.plain(np.random.default_rng(n).normal(size=(n, 2)))
-    pair_sums = offset_pair_sums(e, offset, 5)
+    monkeypatch.setattr(blocks, "TILE", 5)
+    pair_sums = offset_pair_sums(e, offset)
     n_pairs = n * (n - 1) // 2
     delta, _, converged, achieved = _calibrate_intercept(pair_sums, 0.0)
     assert converged and 0.0 <= achieved <= 1e-9
@@ -160,9 +162,10 @@ def test_calibrate_intercept_extreme_targets(n, offset):
     assert achieved == pair_sums(delta)[0]
 
 
-def test_pair_sums_derivative_matches_finite_difference():
+def test_pair_sums_derivative_matches_finite_difference(monkeypatch):
     e = Embedding.plain(np.random.default_rng(37).normal(size=(23, 3)))
-    pair_sums = offset_pair_sums(e, -1.5, 4)
+    monkeypatch.setattr(blocks, "TILE", 4)
+    pair_sums = offset_pair_sums(e, -1.5)
     h = 1e-4
     for delta in (-6.0, -0.5, 0.0, 2.0, 7.0):
         central = (pair_sums(delta + h)[0] - pair_sums(delta - h)[0]) / (2 * h)
@@ -247,7 +250,7 @@ def test_lrhp_spectral_features_match_score_sum():
     from scipy.special import expit
     for i, j in [(0, 3), (2, 9), (7, 14)]:
         assert pair_probability(model, e, i, j) == pytest.approx(
-            expit(e.score(i, j)), abs=1e-12)
+            expit(e.score_block([i], [j])[0, 0]), abs=1e-12)
 
 
 # --------------------------------------------------------------- softmax
@@ -301,9 +304,9 @@ def test_softmax_clamp_count():
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(0, 30), d=st.integers(1, 3), block_size=st.integers(1, 40),
+@given(n=st.integers(0, 30), d=st.integers(1, 3), side=st.integers(1, 40),
        boost=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
-def test_softmax_clamp_count_matches_dense_triu(n, d, block_size, boost, seed):
+def test_softmax_clamp_count_matches_dense_triu(n, d, side, boost, seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, 0.3)
     # quarter-integer coordinates make every score exact under any tiling
@@ -312,7 +315,8 @@ def test_softmax_clamp_count_matches_dense_triu(n, d, block_size, boost, seed):
     ls, scores = model.log_scale, e.vectors @ e.vectors.T
     raw = 0.5 * (np.exp(ls[:, None] + scores) + np.exp(ls[None, :] + scores))
     expected = int(np.count_nonzero(np.triu(raw > 1.0, 1)))
-    assert softmax_clamp_count(model, e, block_size) == expected
+    with mock.patch.object(blocks, "TILE", side):
+        assert softmax_clamp_count(model, e) == expected
 
 
 def test_lrhp_constant_column_gets_zero_weight():
@@ -357,13 +361,13 @@ def test_chunked_pair_features_equal_whole_list(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["plain", "spectral"])
-@pytest.mark.parametrize("block_size", [16, DEFAULT_BLOCK_SIZE])
-def test_chunked_softmax_normalizers_equal_one_shot(kind, block_size, monkeypatch):
+@pytest.mark.parametrize("side", [16, 1024])
+def test_chunked_softmax_normalizers_equal_one_shot(kind, side, monkeypatch):
     g, e = _fit_instance(kind)
     monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 3 * e.n)      # 3-row sub-blocks
-    model = build_softmax(e, g, block_size)
-    assert np.array_equal(model.log_scale,
-                          oracles.softmax_log_scale_reference(e, g, block_size))
+    monkeypatch.setattr(blocks, "TILE", side)
+    model = build_softmax(e, g)
+    assert np.array_equal(model.log_scale, oracles.softmax_log_scale_reference(e, g))
 
 
 class _SizeRecorder:
@@ -424,7 +428,7 @@ def test_fit_stage_memory_is_chunk_bounded():
     assert _traced_peak(lambda: fit_lrdp(e, g)) < 0.5 * fitted * d * 8
     assert _traced_peak(lambda: fit_lrhp(e, g)) < 1.5 * fitted * (d + 1) * 8
     assert (_traced_peak(lambda: build_softmax(e, g))
-            < (DEFAULT_BLOCK_SIZE * n + DEFAULT_BLOCK_SIZE ** 2) * 8)
+            < (blocks.TILE * n + blocks.TILE ** 2) * 8)
 
 
 # ------------------------------------------------------------- dispatch

@@ -1,4 +1,5 @@
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from embedaudit import blocks
 from embedaudit.blocks import iter_pair_tiles, upper_tiles
 from embedaudit.embedding import Embedding, spectral_embed
 from embedaudit.graph import Graph, triangle_count, triangle_foundation_curve
 from embedaudit.models import TruncatedDot, build_softmax, fit_lrdp, fit_lrhp
 from embedaudit.sampling import (
-    SampleSpec,
     curve_over_samples,
     expected_degree_second_moment,
     expected_degrees,
@@ -53,11 +54,12 @@ def test_single_pair_frequency_near_half():
     assert 0.46 <= hits / 2000 <= 0.54
 
 
-def test_sampling_reproducible():
+def test_sampling_reproducible(monkeypatch):
     rng = np.random.default_rng(3)
     e = plain_random(rng, 40, 4, 0.4)
-    a = sample_graph(e, TDP, seed=7, sample_index=2, block_size=16)
-    b = sample_graph(e, TDP, seed=7, sample_index=2, block_size=16)
+    monkeypatch.setattr(blocks, "TILE", 16)
+    a = sample_graph(e, TDP, seed=7, sample_index=2)
+    b = sample_graph(e, TDP, seed=7, sample_index=2)
     assert a.m > 0
     assert np.array_equal(a.edge_array(), b.edge_array())
 
@@ -80,8 +82,9 @@ class FixedProbabilities:
         return self.p[np.ix_(rows, cols)]
 
 
-def test_sparse_draw_is_exact_bernoulli():
-    n, samples, block_size = 40, 2000, 16
+def test_sparse_draw_is_exact_bernoulli(monkeypatch):
+    n, samples = 40, 2000
+    monkeypatch.setattr(blocks, "TILE", 16)
     rng = np.random.default_rng(7)
     tiny = [0.0, 1e-6, 2.0 ** -9, 0.004]
     spread = [0.02, 0.0625, 0.1, 0.125, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0]
@@ -94,7 +97,7 @@ def test_sparse_draw_is_exact_bernoulli():
     # every tile has p on both sides of its floor rate; some p equal a floor
     # rate, and some powers of two 2^-k lie above it
     at_floor = power_above = 0
-    for *_, tile in upper_tiles(n, block_size, lambda r, c: p[np.ix_(r, c)]):
+    for *_, tile in upper_tiles(n, lambda r, c: p[np.ix_(r, c)]):
         flat = tile.ravel()
         tau, _ = _draw_plan(flat)
         assert np.any((flat > 0) & (flat < tau)) and np.any(flat > tau)
@@ -102,8 +105,7 @@ def test_sparse_draw_is_exact_bernoulli():
         power_above += np.count_nonzero((flat > tau) & (np.frexp(flat)[0] == 0.5))
     assert at_floor and power_above
 
-    edges, _, _ = _pair_walk(e, model, block_size=block_size, seed=5,
-                             sample_indices=range(samples))
+    edges, _, _ = _pair_walk(e, model, seed=5, sample_indices=range(samples))
     iu, ju = np.triu_indices(n, 1)
     column = np.full(n * n, -1)
     column[iu * n + ju] = np.arange(iu.size)
@@ -129,11 +131,12 @@ def test_sparse_draw_is_exact_bernoulli():
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0])
-def test_sparse_draw_of_constant_tiles(value):
+def test_sparse_draw_of_constant_tiles(value, monkeypatch):
     n = 40
     model = FixedProbabilities(np.full((n, n), value))
+    monkeypatch.setattr(blocks, "TILE", 16)
     edges, _, examined = _pair_walk(Embedding.plain(np.zeros((n, 1))), model,
-                                    block_size=16, seed=5, sample_indices=range(3))
+                                    seed=5, sample_indices=range(3))
     for ed in edges:
         assert Graph.from_edges(n, ed).m == len(ed) == value * n * (n - 1) // 2
     assert (examined == 0) == (value == 0.0)
@@ -171,14 +174,16 @@ def test_expected_degrees_match_monte_carlo():
     assert np.all(np.abs(mean - exact) <= 3.0 * std_of_mean + 1e-9)
 
 
-def test_expected_degrees_reproducible_and_block_invariant():
+def test_expected_degrees_reproducible_and_block_invariant(monkeypatch):
     rng = np.random.default_rng(12)
     e = plain_random(rng, 60, 4, 0.3)
-    a = expected_degrees(e, TDP, block_size=17)
-    b = expected_degrees(e, TDP, block_size=17)
+    monkeypatch.setattr(blocks, "TILE", 17)
+    a = expected_degrees(e, TDP)
+    b = expected_degrees(e, TDP)
     assert np.array_equal(a, b)
     # another tiling sums in another order: equal up to rounding only
-    np.testing.assert_allclose(expected_degrees(e, TDP, block_size=1024), a, rtol=1e-12)
+    monkeypatch.setattr(blocks, "TILE", 1024)
+    np.testing.assert_allclose(expected_degrees(e, TDP), a, rtol=1e-12)
 
 
 def test_expected_triangles_small_cases():
@@ -220,9 +225,8 @@ def test_expected_triangles_vs_monte_carlo():
 def test_single_sample_max_curve_is_that_curve():
     rng = np.random.default_rng(25)
     e = plain_random(rng, 30, 3, 0.5)
-    spec = SampleSpec(seed=41, num_samples=1)
-    curve = curve_over_samples(e, TDP, spec, n_ref=30).max_curve
-    g = sample_graph(e, TDP, seed=41, sample_index=0, block_size=spec.block_size)
+    curve = curve_over_samples(e, TDP, 41, 1, n_ref=30).max_curve
+    g = sample_graph(e, TDP, seed=41, sample_index=0)
     native = triangle_foundation_curve(g, 30)
     assert np.array_equal(curve.thresholds, native.thresholds)
     assert np.array_equal(curve.deltas, native.deltas)
@@ -231,22 +235,20 @@ def test_single_sample_max_curve_is_that_curve():
 def test_sample_curves_build_no_graph(monkeypatch):
     rng = np.random.default_rng(26)
     e = plain_random(rng, 30, 3, 0.5)
-    spec = SampleSpec(seed=43, num_samples=3)
     native = [triangle_foundation_curve(sample_graph(e, TDP, 43, s), 30) for s in range(3)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Graph was built")
 
     monkeypatch.setattr(Graph, "from_edges", refuse)
-    cs = curve_over_samples(e, TDP, spec, n_ref=30)
+    cs = curve_over_samples(e, TDP, 43, 3, n_ref=30)
     for s, curve in enumerate(native):
         assert np.array_equal(cs.deltas[s], curve.value_at(cs.thresholds))
 
 
 def test_deterministic_model_makes_identical_samples():
     e = Embedding.plain(np.full((8, 1), 1.5))    # all p = 1
-    spec = SampleSpec(seed=1, num_samples=5)
-    curves = curve_over_samples(e, TDP, spec, n_ref=8)
+    curves = curve_over_samples(e, TDP, 1, 5, n_ref=8)
     assert np.all(curves.deltas == curves.deltas[0])
     assert curves.variance.max() == 0.0
 
@@ -254,8 +256,7 @@ def test_deterministic_model_makes_identical_samples():
 def test_max_curve_dominates_mean():
     rng = np.random.default_rng(27)
     e = plain_random(rng, 40, 4, 0.35)
-    spec = SampleSpec(seed=55, num_samples=20)
-    curves = curve_over_samples(e, TDP, spec, n_ref=40)
+    curves = curve_over_samples(e, TDP, 55, 20, n_ref=40)
     assert np.all(curves.max_curve.deltas >= curves.deltas.mean(axis=0) - 1e-12)
 
 
@@ -300,13 +301,13 @@ def test_triangle_expectation_bounded_by_degree_moments():
         assert tri <= l_sq * np.sum(ed ** 2) + 1e-9
 
 
-def test_sample_spec_validation():
-    with pytest.raises(ValueError):
-        SampleSpec(seed=1, num_samples=0)
-    with pytest.raises(ValueError):
-        SampleSpec(seed=-1, num_samples=1)
-    with pytest.raises(ValueError):
-        SampleSpec(seed=1, num_samples=1, block_size=0)
+def test_curve_over_samples_validation():
+    e = Embedding.plain(np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="num_samples"):
+        curve_over_samples(e, TDP, 1, 0, n_ref=4)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            curve_over_samples(e, TDP, seed, 1, n_ref=4)
 
 
 # ------------------------------------------------- one walk, same bytes
@@ -321,47 +322,46 @@ def four_models():
 
 
 @pytest.mark.parametrize("samples", [1, 3])
-@pytest.mark.parametrize("block_size", [7, 16, 1024])
+@pytest.mark.parametrize("side", [7, 16, 1024])
 @pytest.mark.parametrize("name", ["tdp", "lrdp", "lrhp", "softmax"])
-def test_fused_walk_matches_separate_passes(four_models, name, block_size, samples):
+def test_fused_walk_matches_separate_passes(four_models, name, side, samples, monkeypatch):
     e, models = four_models
     model = models[name]
     seed = 2024
+    monkeypatch.setattr(blocks, "TILE", side)
     edges, (ed, sum_sq), examined = _pair_walk(
-        e, model, block_size=block_size, seed=seed,
-        sample_indices=range(samples), moments=2)
-    ref_ed, ref_sq = oracles.kahan_moment_reference(e, model, block_size)
+        e, model, seed=seed, sample_indices=range(samples), moments=2)
+    ref_ed, ref_sq = oracles.kahan_moment_reference(e, model)
     assert np.array_equal(ed, ref_ed)
     assert np.array_equal(sum_sq, ref_sq)
-    refs = [oracles.per_sample_edges_reference(e, model, seed, s, block_size)
+    refs = [oracles.per_sample_edges_reference(e, model, seed, s)
             for s in range(samples)]
     assert len(edges) == samples
     for got, ref in zip(edges, refs):
         assert np.array_equal(got, ref)
 
-    spec = SampleSpec(seed=seed, num_samples=samples, block_size=block_size)
-    cs = curve_over_samples(e, model, spec, n_ref=e.n)
+    cs = curve_over_samples(e, model, seed, samples, n_ref=e.n)
     assert np.array_equal(cs.expected_degrees, ref_ed)
-    assert np.array_equal(expected_degrees(e, model, block_size=block_size), ref_ed)
-    ed1, ed2 = expected_degree_second_moment(e, model, block_size=block_size)
+    assert np.array_equal(expected_degrees(e, model), ref_ed)
+    ed1, ed2 = expected_degree_second_moment(e, model)
     assert np.array_equal(ed1, ref_ed)
     assert np.array_equal(ed2, ref_ed - ref_sq + ref_ed * ref_ed)
     graphs = [Graph.from_edges(e.n, ref) for ref in refs]
     assert cs.edge_counts.tolist() == [g.m for g in graphs]
     assert cs.draw_candidates == examined
     for s, g in enumerate(graphs):
-        one = sample_graph(e, model, seed, s, block_size=block_size)
+        one = sample_graph(e, model, seed, s)
         assert np.array_equal(one.edge_array(), g.edge_array())
         curve = triangle_foundation_curve(g, e.n)
         assert cs.deltas[s].tolist() == [curve.value_at(int(c)) for c in cs.thresholds]
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(0, 70), block_size=st.integers(1, 80))
-def test_pair_tiles_cover_each_pair_once(n, block_size):
+@given(n=st.integers(0, 70), side=st.integers(1, 80))
+def test_pair_tiles_cover_each_pair_once(n, side):
     hits = np.zeros((n, n), dtype=np.int64)
     spans = []
-    for t, (tile, (i0, i1), (j0, j1)) in enumerate(iter_pair_tiles(n, block_size)):
+    for t, (tile, (i0, i1), (j0, j1)) in enumerate(iter_pair_tiles(n, side)):
         assert tile == t
         mask = np.arange(j0, j1)[None, :] > np.arange(i0, i1)[:, None]
         hits[i0:i1, j0:j1] += mask
@@ -371,7 +371,8 @@ def test_pair_tiles_cover_each_pair_once(n, block_size):
     # upper_tiles yields block(rows, cols) on the same tiles, zero outside i < j
     dense = np.random.default_rng(n).uniform(0.5, 1.5, size=(n, n))
     upper = np.triu(dense, 1)
-    walked = list(upper_tiles(n, block_size, lambda r, c: dense[np.ix_(r, c)]))
+    with mock.patch.object(blocks, "TILE", side):
+        walked = list(upper_tiles(n, lambda r, c: dense[np.ix_(r, c)]))
     assert len(walked) == len(spans)
     total = np.zeros((n, n))
     for t, ((tile_index, rows, cols, tile), (i0, i1, j0, j1)) in enumerate(zip(walked, spans)):
@@ -383,16 +384,17 @@ def test_pair_tiles_cover_each_pair_once(n, block_size):
     assert np.array_equal(total, upper)
 
 
-def test_upper_tiles_frees_each_tile_before_the_next():
+def test_upper_tiles_frees_each_tile_before_the_next(monkeypatch):
     # a caller that drops its tile holds one tile at a time: the previous
     # tile is gone when the next one is built
     refs = []
+    monkeypatch.setattr(blocks, "TILE", 16)
 
     def block(rows, cols):
         assert all(ref() is None for ref in refs)
         return np.ones((len(rows), len(cols)))
 
-    for *_, tile in upper_tiles(50, 16, block):
+    for *_, tile in upper_tiles(50, block):
         refs.append(weakref.ref(tile))
         del tile
     assert len(refs) == 10
