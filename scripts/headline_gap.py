@@ -48,7 +48,7 @@ def main() -> int:
     g = build_headline_graph(args.seed, args.triangles)
     gpath = out / "synthetic.txt"
     save_edge_list(g, gpath, header_lines=[f"synthetic triangles seed={args.seed}"])
-    original = triangle_foundation_curve(g, g.n)
+    original = triangle_foundation_curve(g)
     print(f"graph: n={g.n} m={g.m} triangles={original.total_triangles()}")
 
     config = AuditConfig(

@@ -40,7 +40,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     gpath = out / "synthetic.txt"
     save_edge_list(g, gpath)
-    original = triangle_foundation_curve(g, n)
+    original = triangle_foundation_curve(g)
     print(f"graph: n={n} m={g.m} triangles={original.total_triangles()}; "
           f"ranks {list(ranks)}")
 

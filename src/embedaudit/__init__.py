@@ -22,13 +22,13 @@ from .graph import (
     DegreeDistribution,
     EdgeListParseError,
     Graph,
+    InputError,
     LoadedEdgeList,
     TriangleFoundationCurve,
     degree_distribution,
     expected_degree_distribution,
     load_edge_list,
     save_edge_list,
-    triangle_count,
     triangle_foundation_curve,
 )
 from .models import (

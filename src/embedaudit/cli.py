@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ import scipy
 from . import __version__
 from .embedding import SPECTRAL, Embedding, load_embedding, save_embedding, spectral_embed
 from .graph import (
+    InputError,
     TriangleFoundationCurve,
     degree_distribution,
     expected_degree_distribution,
@@ -81,7 +83,6 @@ class AuditConfig:
     seed: int = 0
     external_embedding_path: str | None = None
     rank_sweep_list: tuple | None = None
-    negative_ratio: int = 10
 
     def __post_init__(self):
         if self.dim < 1:
@@ -93,8 +94,6 @@ class AuditConfig:
         bad = [m for m in self.models if m not in MODEL_NAMES]
         if bad:
             raise AuditConfigError(f"unknown models: {bad}")
-        if self.negative_ratio < 1:
-            raise AuditConfigError("negative_ratio must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise AuditConfigError("seed must be in [0, 2**64)")
         ranks = self.rank_sweep_list or ()
@@ -104,21 +103,10 @@ class AuditConfig:
             raise AuditConfigError("ranks must be distinct")
 
     def to_json(self) -> dict:
-        doc = {
-            "graph_path": str(self.graph_path),
-            "output_dir": str(self.output_dir),
-            "dim": self.dim,
-            "models": list(self.models),
-            "num_samples": self.num_samples,
-            "seed": self.seed,
-            "external_embedding_path": (str(self.external_embedding_path)
-                                        if self.external_embedding_path else None),
-            "rank_sweep_list": list(self.rank_sweep_list) if self.rank_sweep_list else None,
-            "negative_ratio": self.negative_ratio,
-        }
+        doc = asdict(self)
         if self.rank_sweep_list:
-            # a rank sweep fits nothing and takes its dimensions from the ranks
-            del doc["dim"], doc["negative_ratio"]
+            # a rank sweep takes its dimensions from the ranks
+            del doc["dim"]
         return doc
 
 
@@ -166,7 +154,7 @@ class _OutputTracker:
                 pass
 
 
-def _fit_model(name, e, g, negative_ratio, seed):
+def _fit_model(name, e, g, seed):
     """Build the model ``name`` for e against g; returns (model, FitReport or
     None) and logs a warning when an intercept calibration did not converge.
 
@@ -178,7 +166,7 @@ def _fit_model(name, e, g, negative_ratio, seed):
     if name == "softmax":
         return build_softmax(e, g), None
     fit = fit_lrdp if name == "lrdp" else fit_lrhp
-    model, rep = fit(e, g, negative_ratio, seed)
+    model, rep = fit(e, g, seed)
     if not rep.converged:
         logger.warning(
             "%s intercept calibration did not converge: target %d "
@@ -191,7 +179,7 @@ def _fit_models(e, g, config):
     """Build every requested model; returns (models, fit_reports, extras)."""
     models, reports, extras = {}, {}, {}
     for name in config.models:
-        models[name], rep = _fit_model(name, e, g, config.negative_ratio, config.seed)
+        models[name], rep = _fit_model(name, e, g, config.seed)
         if rep is not None:
             reports[name] = rep
         if name == "softmax":
@@ -231,11 +219,11 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
             models[label] = model
             curve_sets[label] = curve_over_samples(
                 emb, model, _model_sample_seed(config.seed, model.variant),
-                config.num_samples, n_ref=g.n)
+                config.num_samples)
             del emb                      # free it before the next variant is built
 
         stage = "curves"
-        original = triangle_foundation_curve(g, g.n)
+        original = triangle_foundation_curve(g)
         curves = {"original": original,
                   **{label: cs.max_curve for label, cs in curve_sets.items()}}
         grid = union_grid(curves.values())
@@ -290,7 +278,8 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
                              metadata)
         p = tracker.path("report.json")
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+            # paths in the config echo may be os.PathLike
+            json.dump(report.to_json(), fh, indent=2, sort_keys=True, default=os.fspath)
             fh.write("\n")
         return report
     except Exception as exc:
@@ -306,7 +295,7 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
             return spectral_embed(g, config.dim, report=solve)
         e = load_embedding(config.external_embedding_path)
         if e.n != g.n:
-            raise ValueError(f"embedding has n={e.n}, graph has n={g.n}")
+            raise InputError(f"embedding has n={e.n}, graph has n={g.n}")
         return e
 
     def fitted(g, e):
@@ -395,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="full audit against one graph")
     _add_common_audit_args(p)
     p.add_argument("--dim", type=int, default=100, help="embedding dimension")
-    p.add_argument("--negative-ratio", type=int, default=10,
-                   help="sampled non-edges per edge during logistic fitting")
     p.add_argument("--models", default="tdp,lrdp,lrhp,softmax",
                    help="comma-separated subset of tdp,lrdp,lrhp,softmax")
     p.add_argument("--embedding", default=None,
@@ -424,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph to fit against (required for lrdp/lrhp/softmax)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sample-index", type=_at_least(0), default=0)
-    p.add_argument("--negative-ratio", type=_at_least(1), default=10)
     p.add_argument("--out", required=True, help="edge-list file to write")
 
     p = sub.add_parser("curve", help="triangle-foundation curve of a graph")
@@ -438,8 +424,7 @@ def _run_audit(args) -> int:
         graph_path=args.graph, output_dir=args.out, dim=args.dim,
         models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
         num_samples=args.samples, seed=args.seed,
-        external_embedding_path=args.embedding,
-        negative_ratio=args.negative_ratio)
+        external_embedding_path=args.embedding)
     report = cmd_audit(config)
     print(f"audit complete: n={report.metadata['n']} m={report.metadata['m']} "
           f"triangles={report.metadata['triangles']}; wrote "
@@ -481,9 +466,9 @@ def _run_embed(args) -> int:
 def _run_sample(args) -> int:
     e = load_embedding(args.embedding)
     if args.model != "tdp" and not args.graph:
-        raise SystemExit(f"--graph is required to fit the {args.model} model")
+        raise InputError(f"--graph is required to fit the {args.model} model")
     g = load_edge_list(args.graph).graph if args.model != "tdp" else None
-    model, _ = _fit_model(args.model, e, g, args.negative_ratio, args.seed)
+    model, _ = _fit_model(args.model, e, g, args.seed)
     sampled = sample_graph(e, model, args.seed, args.sample_index)
     save_edge_list(sampled, args.out, header_lines=[
         f"sampled by embedaudit {__version__}",
@@ -496,7 +481,7 @@ def _run_sample(args) -> int:
 
 def _run_curve(args) -> int:
     g = load_edge_list(args.graph).graph
-    curve = triangle_foundation_curve(g, g.n)
+    curve = triangle_foundation_curve(g)
     save_curve(curve, args.out or sys.stdout)
     if args.out:
         print(f"wrote {curve.thresholds.size} curve points to {args.out}")
@@ -513,13 +498,28 @@ _DISPATCH = {
 }
 
 
+# errors of the input, not of the program: a file that cannot be opened or
+# parsed, an empty graph, a dimension above n, or a missing or mismatched
+# graph
+_INPUT_ERRORS = (OSError, InputError)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand.  A bad configuration is a usage error; an input
+    error, raised directly or as the cause of an AuditStageError, ends in one
+    ``embedaudit <cmd>: error:`` line.  Both exit with code 2; any other
+    error keeps its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except AuditConfigError as exc:
         parser.error(str(exc))
+    except (*_INPUT_ERRORS, AuditStageError) as exc:
+        cause = exc.cause if isinstance(exc, AuditStageError) else exc
+        if not isinstance(cause, _INPUT_ERRORS):
+            raise
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 
 from .blocks import row_chunks
-from .graph import Graph
+from .graph import Graph, InputError
 
 SPECTRAL = "spectral"
 PLAIN = "plain"
@@ -53,7 +53,7 @@ class EigensolverError(RuntimeError):
     """Eigensolver failed to converge to the requested residual."""
 
 
-class EmbeddingFormatError(ValueError):
+class EmbeddingFormatError(InputError):
     """Malformed embedding file."""
 
 
@@ -105,12 +105,15 @@ class Embedding:
     def d(self) -> int:
         return self.vectors.shape[1]
 
+    @property
+    def scale(self) -> np.ndarray:
+        """Weight of each coordinate in the pair score: the eigenvalues of a
+        spectral embedding, ones for a plain one."""
+        return self.eigenvalues if self.kind == SPECTRAL else np.ones(self.d)
+
     def score_block(self, rows, cols) -> np.ndarray:
         """Pair scores for the index block rows x cols."""
-        left = self.vectors[rows]
-        if self.kind == SPECTRAL:
-            left = left * self.eigenvalues
-        return left @ self.vectors[cols].T
+        return (self.vectors[rows] * self.scale) @ self.vectors[cols].T
 
     def take(self, indices) -> "Embedding":
         """Plain sub-embedding on a subset of vertices."""
@@ -172,7 +175,7 @@ def spectral_embed(g: Graph, d: int, *, report: dict | None = None) -> Embedding
     """
     n = g.n
     if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+        raise InputError(f"need 1 <= d <= n, got d={d}, n={n}")
 
     if n <= _DENSE_CUTOFF or d > n - 2:
         a = g.adjacency_matrix()

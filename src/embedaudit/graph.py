@@ -1,14 +1,15 @@
 """Immutable undirected simple graphs and exact triangle-foundation statistics.
 
 A triangle-foundation curve maps a degree threshold c to the number of
-triangles whose three endpoints all have degree at most c, divided by a
-reference vertex count.  The reference count is always the *full* graph's n,
-even when the curve is read off an induced subgraph, so curves from different
-samples of the same vertex set are directly comparable.  Triangles are
-counted exactly by sparse matrix algebra on the degree-oriented adjacency,
-built straight from an (m, 2) edge array, so a sampled edge set needs no
-Graph.  ``save_curve`` and ``load_curve`` are the one writer and reader of
-the "c,delta" curve CSV.
+triangles whose three endpoints all have degree at most c, divided by n,
+the vertex count of the graph that holds them.  A sampled graph keeps every
+vertex of its embedding, isolated ones too, so its curve divides by the
+same n as the original's and the two are directly comparable.  An empty
+graph (n = 0) has no curve.  Triangles are counted exactly by sparse
+matrix algebra on the degree-oriented adjacency, built straight from an
+(m, 2) edge array, so a sampled edge set needs no Graph.  ``save_curve``
+and ``load_curve`` are the one writer and reader of the "c,delta" curve
+CSV.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import numpy as np
 from scipy import sparse
 
 
-class EdgeListParseError(ValueError):
+class InputError(ValueError):
+    """The input cannot be audited: a malformed file, an empty graph, a
+    dimension above the graph's n, or a missing graph or one whose n differs
+    from the embedding's."""
+
+
+class EdgeListParseError(InputError):
     """Malformed edge-list input (names the offending line)."""
 
 
@@ -206,7 +213,8 @@ def expected_degree_distribution(expected_degrees: np.ndarray) -> DegreeDistribu
 
 @dataclass(frozen=True)
 class TriangleFoundationCurve:
-    """Step curve c -> (# triangles with max endpoint degree <= c) / n_ref.
+    """Step curve c -> (# triangles with max endpoint degree <= c) / n_ref,
+    where n_ref is the vertex count of the graph that holds the triangles.
 
     ``thresholds`` (int64) holds the distinct thresholds, ascending, and
     ``deltas`` (float64) the curve at each; delta is non-decreasing.  Both
@@ -312,29 +320,23 @@ def _triangle_counts_by_max_degree(n: int, edges: np.ndarray):
     return deg, np.bincount(deg[order], weights=per_top, minlength=size)
 
 
-def edge_curve(n: int, edges: np.ndarray, n_ref: int) -> TriangleFoundationCurve:
+def edge_curve(n: int, edges: np.ndarray) -> TriangleFoundationCurve:
     """Exact triangle-foundation curve of the graph on vertices 0..n-1 with
-    the (m, 2) edge array ``edges`` (i < j, no repeats), normalized by n_ref.
+    the (m, 2) edge array ``edges`` (i < j, no repeats), normalized by n.
 
     A triangle lies in the subgraph induced by the vertices of degree <= c
     exactly when all three of its endpoint degrees are <= c, so the curve is
     the cumulative count of triangles keyed by max endpoint degree.
     Thresholds are the distinct degrees of the graph.
     """
-    if n_ref < 1:
-        raise ValueError("n_ref must be >= 1")
+    if n < 1:
+        raise InputError("the graph is empty (no vertices), so it has no curve")
     deg, counts = _triangle_counts_by_max_degree(n, edges)
     cs = np.unique(deg)
     cum = np.cumsum(counts)
-    return TriangleFoundationCurve(cs, cum[cs] / n_ref, n_ref)
+    return TriangleFoundationCurve(cs, cum[cs] / n, n)
 
 
-def triangle_foundation_curve(g: Graph, n_ref: int) -> TriangleFoundationCurve:
-    """Exact triangle-foundation curve of g, normalized by n_ref."""
-    return edge_curve(g.n, g.edge_array(), n_ref)
-
-
-def triangle_count(g: Graph) -> int:
-    """Exact number of triangles in g."""
-    _, counts = _triangle_counts_by_max_degree(g.n, g.edge_array())
-    return int(round(counts.sum()))
+def triangle_foundation_curve(g: Graph) -> TriangleFoundationCurve:
+    """Exact triangle-foundation curve of g, normalized by g.n."""
+    return edge_curve(g.n, g.edge_array())

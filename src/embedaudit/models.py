@@ -37,8 +37,8 @@ import numpy as np
 
 from . import blocks
 from .blocks import row_chunks, upper_tiles
-from .embedding import SPECTRAL, Embedding
-from .graph import Graph
+from .embedding import Embedding
+from .graph import Graph, InputError
 
 # longest Newton step of the intercept calibration: when most pairs sit at
 # p = 1, sum p(1-p) is nearly 0 and the raw step overshoots by orders of
@@ -50,6 +50,18 @@ _MAX_NEWTON_STEP = 40.0
 # dense graph, where few draws land on a non-edge, it takes more batches
 # instead of more memory
 _MAX_DRAWS = 1 << 20
+
+# sampled non-edges per edge in a logistic fit
+_NEGATIVE_RATIO = 10
+
+# damped-Newton logistic MLE: iteration cap, and the gradient's largest
+# entry, relative to the total weight, at which it stops
+_MLE_MAX_ITER = 100
+_MLE_GRAD_TOL = 1e-8
+
+# intercept calibration: relative tolerance on sum p, and its pass cap
+_CALIBRATION_RTOL = 1e-3
+_CALIBRATION_MAX_EVALS = 100
 
 
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
@@ -117,8 +129,9 @@ class LogisticDot:
 class LogisticHadamard:
     """p = sigmoid(w . (v_i ⊙ v_j) + b).
 
-    For spectral embeddings coordinate r of the pair feature is
-    lambda_r psi_i[r] psi_j[r], so unit weights recover the pair score.
+    Coordinate r of the pair feature is v_i[r] v_j[r] times the
+    embedding's ``scale[r]`` (lambda_r for a spectral embedding), so unit
+    weights recover the pair score.
     """
 
     weights: np.ndarray
@@ -133,14 +146,8 @@ class LogisticHadamard:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
-    def _effective_weights(self, e: Embedding) -> np.ndarray:
-        if e.kind == "spectral":
-            return self.weights * e.eigenvalues
-        return self.weights
-
     def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
-        lw = self._effective_weights(e)
-        z = (e.vectors[rows] * lw) @ e.vectors[cols].T
+        z = (e.vectors[rows] * (self.weights * e.scale)) @ e.vectors[cols].T
         z += self.intercept
         return _sigmoid_inplace(z)
 
@@ -198,7 +205,7 @@ def build_softmax(e: Embedding, g: Graph) -> DegreeSoftmax:
     scores cannot overflow.  Isolated vertices get a zero intensity row.
     """
     if e.n != g.n:
-        raise ValueError("embedding and graph must agree on n")
+        raise InputError("embedding and graph must agree on n")
     n = e.n
     deg = g.degrees.astype(np.float64)
     log_z = np.empty(n)
@@ -261,8 +268,7 @@ def _sample_nonedges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarr
     return np.concatenate(chunks)
 
 
-def _weighted_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray,
-                       max_iter: int = 100, grad_tol: float = 1e-8):
+def _weighted_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Damped-Newton weighted logistic MLE; returns (coef, intercept, iters).
 
     ``design`` holds the feature columns followed by a column of ones for
@@ -287,10 +293,10 @@ def _weighted_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray,
 
     current = nll(beta)
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _MLE_MAX_ITER + 1):
         p = _sigmoid_inplace(design @ beta)
         grad = design.T @ (w * (p - y))
-        if np.max(np.abs(grad)) <= grad_tol * scale:
+        if np.max(np.abs(grad)) <= _MLE_GRAD_TOL * scale:
             iters -= 1
             break
         curv = w * p * (1.0 - p) + 1e-12
@@ -317,8 +323,7 @@ def _weighted_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray,
     return coef, float(beta[-1]), iters
 
 
-def _calibrate_intercept(pair_sums, m_target: float, tol_rel: float = 1e-3,
-                         max_iter: int = 100):
+def _calibrate_intercept(pair_sums, m_target: float):
     """Shift delta such that sum_p(delta) matches m_target.
 
     pair_sums(delta) returns sum_p(delta) = sum p and its derivative
@@ -330,12 +335,12 @@ def _calibrate_intercept(pair_sums, m_target: float, tol_rel: float = 1e-3,
     (a sum of sigmoids does), so the bracket is valid.
     Returns (delta, evals, converged, achieved) with achieved = sum_p(delta).
     """
-    tol = tol_rel * m_target if m_target > 0 else 1e-9
+    tol = _CALIBRATION_RTOL * m_target if m_target > 0 else 1e-9
     log_target = np.log(max(m_target, 0.5 * tol))
     lo, hi = -np.inf, np.inf
     delta = best_delta = 0.0
     best = np.inf
-    for evals in range(1, max_iter + 1):
+    for evals in range(1, _CALIBRATION_MAX_EVALS + 1):
         s, ds = pair_sums(delta)
         if abs(s - m_target) < abs(best - m_target):
             best_delta, best = delta, s
@@ -355,7 +360,7 @@ def _calibrate_intercept(pair_sums, m_target: float, tol_rel: float = 1e-3,
             delta = 0.5 * (lo + hi)
         else:
             delta += np.copysign(max(1.0, abs(delta)), m_target - s)
-    return best_delta, max_iter, False, best
+    return best_delta, _CALIBRATION_MAX_EVALS, False, best
 
 
 def _make_pair_sums(e: Embedding, model_at):
@@ -378,33 +383,29 @@ def _lrdp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
     """out[k, 0] = pair score of pairs[k], computed over row chunks."""
     for r0, r1 in row_chunks(len(pairs), e.d):
         left = e.vectors[pairs[r0:r1, 0]]
-        if e.kind == SPECTRAL:
-            left *= e.eigenvalues
+        left *= e.scale
         out[r0:r1, 0] = np.einsum("ij,ij->i", left, e.vectors[pairs[r0:r1, 1]])
 
 
 def _lrhp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
-    """out[k] = v_i ⊙ v_j (times the eigenvalues for spectral embeddings)
-    for pairs[k] = (i, j), written over row chunks."""
+    """out[k] = v_i ⊙ v_j ⊙ e.scale for pairs[k] = (i, j), written over row
+    chunks."""
     for r0, r1 in row_chunks(len(pairs), e.d):
         f = np.multiply(e.vectors[pairs[r0:r1, 0]], e.vectors[pairs[r0:r1, 1]],
                         out=out[r0:r1])
-        if e.kind == SPECTRAL:
-            f *= e.eigenvalues
+        f *= e.scale
 
 
-def _fit_logistic_model(e, g, negative_ratio, seed, nfeat, features, build):
+def _fit_logistic_model(e, g, seed, nfeat, features, build):
     if e.n != g.n:
-        raise ValueError("embedding and graph must agree on n")
-    if negative_ratio < 1:
-        raise ValueError("negative_ratio must be >= 1")
+        raise InputError("embedding and graph must agree on n")
     n, m = g.n, g.m
     n_pairs = n * (n - 1) // 2
     n_non = n_pairs - m
 
     rng = np.random.default_rng(seed)
     pos = g.edge_array()
-    neg = _sample_nonedges(g, negative_ratio * m, rng)
+    neg = _sample_nonedges(g, _NEGATIVE_RATIO * m, rng)
     pairs = np.concatenate([pos, neg]) if neg.size else pos
     y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
     # subsampled non-edges stand in for all of them: weight them such that
@@ -427,11 +428,10 @@ def _fit_logistic_model(e, g, negative_ratio, seed, nfeat, features, build):
     return model, FitReport(float(m), achieved, newton_iters + evals, converged, evals)
 
 
-def fit_lrdp(e: Embedding, g: Graph, negative_ratio: int = 10,
-             seed: int = 0) -> tuple[LogisticDot, FitReport]:
+def fit_lrdp(e: Embedding, g: Graph, seed: int = 0) -> tuple[LogisticDot, FitReport]:
     """Logistic regression on the pair score, edge-count calibrated.
 
-    Positives are all m edges; negatives are negative_ratio * m uniformly
+    Positives are all m edges; negatives are _NEGATIVE_RATIO * m uniformly
     sampled non-edges carrying importance weight (#non-edges)/(#sampled).
     After the MLE fit the intercept is shifted by a safeguarded Newton solve
     until the exact sum of all pair probabilities matches m within relative
@@ -440,11 +440,10 @@ def fit_lrdp(e: Embedding, g: Graph, negative_ratio: int = 10,
     def build(coef, intercept):
         return LogisticDot(float(coef[0]), float(intercept))
 
-    return _fit_logistic_model(e, g, negative_ratio, seed, 1, _lrdp_features, build)
+    return _fit_logistic_model(e, g, seed, 1, _lrdp_features, build)
 
 
-def fit_lrhp(e: Embedding, g: Graph, negative_ratio: int = 10,
-             seed: int = 0) -> tuple[LogisticHadamard, FitReport]:
+def fit_lrhp(e: Embedding, g: Graph, seed: int = 0) -> tuple[LogisticHadamard, FitReport]:
     """Logistic regression on Hadamard-product features, edge-count calibrated.
 
     Same sampling, weighting, and calibration scheme as fit_lrdp; one weight
@@ -453,7 +452,7 @@ def fit_lrhp(e: Embedding, g: Graph, negative_ratio: int = 10,
     def build(coef, intercept):
         return LogisticHadamard(coef, float(intercept))
 
-    return _fit_logistic_model(e, g, negative_ratio, seed, e.d, _lrhp_features, build)
+    return _fit_logistic_model(e, g, seed, e.d, _lrhp_features, build)
 
 
 # -------------------------------------------------------------- serialization

@@ -215,14 +215,13 @@ class SampleCurveSet:
         return self.deltas.var(axis=0)
 
 
-def curve_over_samples(e, model, seed: int, num_samples: int, n_ref: int) -> SampleCurveSet:
+def curve_over_samples(e, model, seed: int, num_samples: int) -> SampleCurveSet:
     """Sample num_samples graphs and collect their curves.
 
     All samples and the expected degrees come from one pair walk; sample s
-    equals ``sample_graph(e, model, seed, s)``.  Every curve is normalized
-    by the original graph's n (n_ref), not by the sampled graph's vertex
-    count.  Curves are counted straight from each sample's edge array; no
-    Graph is built.
+    equals ``sample_graph(e, model, seed, s)``.  Every sample has the e.n
+    vertices of the embedding, so every curve is normalized by e.n.  Curves
+    are counted straight from each sample's edge array; no Graph is built.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
@@ -230,8 +229,8 @@ def curve_over_samples(e, model, seed: int, num_samples: int, n_ref: int) -> Sam
         raise ValueError("seed must fit in 64 bits")
     edges, (degrees,), examined = _pair_walk(
         e, model, seed=seed, sample_indices=range(num_samples), moments=1)
-    curves = [edge_curve(e.n, sample_edges, n_ref) for sample_edges in edges]
+    curves = [edge_curve(e.n, sample_edges) for sample_edges in edges]
     grid = union_grid(curves)
     return SampleCurveSet(grid, np.array([curve.value_at(grid) for curve in curves]),
-                          n_ref, degrees, np.array([len(sample) for sample in edges], dtype=np.int64),
+                          e.n, degrees, np.array([len(sample) for sample in edges], dtype=np.int64),
                           examined)

@@ -25,6 +25,8 @@ from .sampling import expected_degrees, expected_triangles_exact
 ALPHA_CEILING = 1.0 / (128 * 3600 * 4 ** 4)
 
 _NUMERIC_RANK_RTOL = 1e-9
+# largest | |u| - 1 | that packing_max_dot accepts as a unit vector
+_UNIT_NORM_TOL = 1e-9
 
 
 def rank_lemma_bound(m) -> float:
@@ -45,15 +47,15 @@ def rank_lemma_bound(m) -> float:
     return trace * trace / denom
 
 
-def numeric_rank(m, rel_tol: float = _NUMERIC_RANK_RTOL) -> int:
-    """Rank as the number of singular values above rel_tol * sigma_max."""
+def numeric_rank(m) -> int:
+    """Rank as the number of singular values above 1e-9 * sigma_max."""
     s = np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > _NUMERIC_RANK_RTOL * s[0]))
 
 
-def packing_max_dot(u, *, norm_tol: float = 1e-9) -> float:
+def packing_max_dot(u) -> float:
     """Largest pairwise dot product among >= 2 unit vectors.
 
     With at least 4d vectors in dimension d the result is guaranteed to be
@@ -63,7 +65,7 @@ def packing_max_dot(u, *, norm_tol: float = 1e-9) -> float:
     if vecs.ndim != 2 or vecs.shape[0] < 2:
         raise ValueError("need at least two vectors (rows)")
     norms = np.linalg.norm(vecs, axis=1)
-    if np.any(np.abs(norms - 1.0) > norm_tol):
+    if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
         worst = float(np.max(np.abs(norms - 1.0)))
         raise ValueError(f"inputs must be unit vectors (deviation {worst:.2e})")
     gram = vecs @ vecs.T

@@ -42,17 +42,18 @@ def _random_gnp(rng, n, p) -> Graph:
     return Graph.from_edges(n, np.argwhere(upper))
 
 
-def _finish(name, description, trials, margins, counterexample) -> PropertyResult:
+def _finish(name, description, margins, counterexample) -> PropertyResult:
+    """The result of one margin per check; trials counts the checks."""
     worst = float(min(margins)) if margins else float("inf")
-    return PropertyResult(name, description, trials, counterexample is None,
+    return PropertyResult(name, description, len(margins), counterexample is None,
                           worst, counterexample)
 
 
-def sweep_rank_lemma(seed: int, trials: int = 1000) -> PropertyResult:
+def sweep_rank_lemma(seed: int) -> PropertyResult:
     """Trace-squared bound never exceeds the numeric rank (1e-6 relative)."""
     rng = _rng(seed, 1)
     margins, counterexample = [], None
-    for t in range(trials):
+    for t in range(1000):
         n = int(rng.integers(1, 21))
         kind = t % 4
         if kind == 0:
@@ -78,18 +79,16 @@ def sweep_rank_lemma(seed: int, trials: int = 1000) -> PropertyResult:
             counterexample = {"matrix": m.tolist(), "bound": bound, "numeric_rank": rank}
     return _finish("rank_lemma_bound",
                    "trace^2/sum-of-squares never exceeds numeric rank",
-                   trials, margins, counterexample)
+                   margins, counterexample)
 
 
-def sweep_packing(seed: int, trials_per_dim: int = 100, max_dim: int = 6) -> PropertyResult:
+def sweep_packing(seed: int) -> PropertyResult:
     """Any 4d unit vectors in R^d contain a pair with dot >= 1/(4d)."""
     rng = _rng(seed, 2)
     margins, counterexample = [], None
-    trials = 0
-    for d in range(1, max_dim + 1):
+    for d in range(1, 7):
         floor = 1.0 / (4 * d) - 1e-12
-        for _ in range(trials_per_dim):
-            trials += 1
+        for _ in range(100):
             u = rng.normal(size=(4 * d, d))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             got = theory.packing_max_dot(u)
@@ -99,15 +98,15 @@ def sweep_packing(seed: int, trials_per_dim: int = 100, max_dim: int = 6) -> Pro
                 counterexample = {"d": d, "vectors": u.tolist(), "max_dot": got}
     return _finish("packing_max_dot",
                    "4d unit vectors always contain a pair with dot >= 1/(4d)",
-                   trials, margins, counterexample)
+                   margins, counterexample)
 
 
-def sweep_independent_set(seed: int, trials: int = 100, n: int = 50) -> PropertyResult:
+def sweep_independent_set(seed: int) -> PropertyResult:
     """Greedy set is independent and meets the h/(max degree + 1) floor."""
     rng = _rng(seed, 3)
     margins, counterexample = [], None
-    for _ in range(trials):
-        g = _random_gnp(rng, n, float(rng.uniform(0.01, 0.5)))
+    for _ in range(100):
+        g = _random_gnp(rng, 50, float(rng.uniform(0.01, 0.5)))
         s = theory.greedy_independent_set(g)
         members = set(int(v) for v in s)
         independent = all(int(w) not in members
@@ -121,14 +120,14 @@ def sweep_independent_set(seed: int, trials: int = 100, n: int = 50) -> Property
                               "floor": floor, "independent": independent}
     return _finish("greedy_independent_set",
                    "greedy set independent and of size >= ceil(h/(b+1))",
-                   trials, margins, counterexample)
+                   margins, counterexample)
 
 
-def sweep_negative_dot_mass(seed: int, trials: int = 1000) -> PropertyResult:
+def sweep_negative_dot_mass(seed: int) -> PropertyResult:
     """Ordered-pair negative dot mass never exceeds the positive mass."""
     rng = _rng(seed, 4)
     margins, counterexample = [], None
-    for _ in range(trials):
+    for _ in range(1000):
         s = int(rng.integers(2, 30))
         d = int(rng.integers(1, 9))
         w = rng.normal(size=(s, d)) * float(rng.uniform(0.1, 10.0))
@@ -139,15 +138,14 @@ def sweep_negative_dot_mass(seed: int, trials: int = 1000) -> PropertyResult:
             counterexample = {"vectors": w.tolist(), "neg": neg, "pos": pos}
     return _finish("negative_dot_mass",
                    "negative pairwise dot mass bounded by positive mass",
-                   trials, margins, counterexample)
+                   margins, counterexample)
 
 
-def sweep_degree_second_moment(seed: int, trials: int = 50) -> PropertyResult:
+def sweep_degree_second_moment(seed: int) -> PropertyResult:
     """E[D^2] <= E[D] + E[D]^2 per vertex, for every model variant."""
     rng = _rng(seed, 5)
     margins, counterexample = [], None
-    checks = 0
-    for t in range(trials):
+    for t in range(50):
         n = int(rng.integers(10, 101))
         d = int(rng.integers(1, 7))
         e = Embedding.plain(rng.normal(size=(n, d)) * float(rng.uniform(0.1, 0.8)))
@@ -158,7 +156,6 @@ def sweep_degree_second_moment(seed: int, trials: int = 50) -> PropertyResult:
                   "lrhp": fit_lrhp(e, g, seed=fit_seed)[0],
                   "softmax": build_softmax(e, g)}
         for name, model in models.items():
-            checks += 1
             ed, ed2 = expected_degree_second_moment(e, model)
             slack = ed + ed * ed - ed2
             margin = float(slack.min() + 1e-9 * (1.0 + np.abs(ed2).max()))
@@ -169,15 +166,15 @@ def sweep_degree_second_moment(seed: int, trials: int = 50) -> PropertyResult:
                                   "ed": float(ed[worst]), "ed2": float(ed2[worst])}
     return _finish("degree_second_moment",
                    "exact E[D^2] <= E[D] + E[D]^2 for every vertex and model",
-                   checks, margins, counterexample)
+                   margins, counterexample)
 
 
-def sweep_triangle_expectation_bound(seed: int, trials: int = 100) -> PropertyResult:
+def sweep_triangle_expectation_bound(seed: int) -> PropertyResult:
     """Expected triangles <= L^2 * sum_i E[D_i]^2 when all scores stay <= 1."""
     rng = _rng(seed, 6)
     tdp = TruncatedDot()
     margins, counterexample = [], None
-    for t in range(trials):
+    for t in range(100):
         n = int(rng.integers(10, 61))
         d = int(rng.integers(1, 7))
         v = rng.normal(size=(n, d))
@@ -196,14 +193,14 @@ def sweep_triangle_expectation_bound(seed: int, trials: int = 100) -> PropertyRe
     return _finish("triangle_expectation_bound",
                    "expected triangles bounded by the largest squared norm times "
                    "the sum of squared expected degrees",
-                   trials, margins, counterexample)
+                   margins, counterexample)
 
 
-def sweep_core_certificate(seed: int, trials: int = 50) -> PropertyResult:
+def sweep_core_certificate(seed: int) -> PropertyResult:
     """Certified bound never exceeds numeric rank (nor the dimension)."""
     rng = _rng(seed, 7)
     margins, counterexample = [], None
-    for t in range(trials):
+    for t in range(50):
         n = int(rng.integers(20, 201))
         d = int(rng.integers(2, 9))
         v = rng.normal(size=(n, d))
@@ -222,7 +219,7 @@ def sweep_core_certificate(seed: int, trials: int = 50) -> PropertyResult:
             counterexample = {"trial": t, "bound": cert.bound, "rank": rank, "d": d}
     return _finish("core_rank_certificate",
                    "certificate bound below numeric rank and dimension of the core",
-                   trials, margins, counterexample)
+                   margins, counterexample)
 
 
 ALL_SWEEPS = (

@@ -23,7 +23,6 @@ from embedaudit.embedding import Embedding, spectral_embed
 from embedaudit.graph import (
     Graph,
     save_edge_list,
-    triangle_count,
     triangle_foundation_curve,
 )
 from embedaudit.models import TruncatedDot, build_softmax, fit_lrdp, fit_lrhp
@@ -62,7 +61,7 @@ def test_01_triangle_curves_match_bruteforce_oracle():
     t0 = time.perf_counter()
     for a in matrices:
         g = Graph.from_edges(40, np.argwhere(np.triu(a, 1)))
-        curve = triangle_foundation_curve(g, n_ref=40)
+        curve = triangle_foundation_curve(g)
         expected = oracles.brute_force_curve_vectorized(a, 40, triples)
         oracles.assert_curve_is(curve, expected)
     elapsed = time.perf_counter() - t0
@@ -165,8 +164,8 @@ def test_07_sampler_calibration():
         e = Embedding.plain(rng.normal(size=(30, 3)) * 0.45)
         exact = expected_triangles_exact(e, TDP)
         draws = 3000
-        counts = np.array([triangle_count(sample_graph(e, TDP, seed=718 + t,
-                                                       sample_index=s))
+        counts = np.array([triangle_foundation_curve(sample_graph(
+                               e, TDP, seed=718 + t, sample_index=s)).total_triangles()
                            for s in range(draws)], dtype=float)
         sigma_of_mean = counts.std(ddof=1) / np.sqrt(draws)
         assert abs(counts.mean() - exact) <= 3.0 * sigma_of_mean, \
@@ -247,12 +246,12 @@ def test_10_headline_low_degree_triangle_gap():
     t0 = time.perf_counter()
     g = _headline_graph(2024)
     assert g.n == 3000
-    original = triangle_foundation_curve(g, g.n)
+    original = triangle_foundation_curve(g)
     orig_delta = original.value_at(4)
     assert orig_delta >= 0.2, f"original delta(4) = {orig_delta}"
 
     e = spectral_embed(g, 100)
-    model_max = curve_over_samples(e, TDP, 2025, 100, n_ref=g.n).max_curve
+    model_max = curve_over_samples(e, TDP, 2025, 100).max_curve
     model_delta = model_max.value_at(4)
     assert model_delta <= 0.1, f"model max delta(4) = {model_delta}"
     assert orig_delta >= 10.0 * model_delta, \

@@ -92,11 +92,12 @@ def test_audit_report_contents(tmp_path):
         assert 1 <= rep["calibration_evals"] < rep["iterations"]
     assert "softmax_clamped_pairs" in doc
     assert doc["seed"] == 3
-    assert doc["config"]["dim"] == 6 and doc["config"]["negative_ratio"] == 10
-    # the pair-tile side is fixed, so the config echo has no tiling key
+    assert doc["config"]["dim"] == 6 and doc["config"]["models"] == list(cli.MODEL_NAMES)
+    # the pair-tile side and the non-edge ratio are fixed, so the config echo
+    # has no key for either
     assert set(doc["config"]) == {"graph_path", "output_dir", "dim", "models", "num_samples",
-                                  "seed", "external_embedding_path", "rank_sweep_list",
-                                  "negative_ratio"}
+                                  "seed", "external_embedding_path", "rank_sweep_list"}
+    assert doc["config"]["rank_sweep_list"] is None
     assert set(doc["sampled_edges"]) == set(cli.MODEL_NAMES)
     solve = doc["eigensolver"]
     assert solve["path"] == "dense"
@@ -118,7 +119,7 @@ def test_audit_original_curve_matches_standalone(tmp_path):
     out = tmp_path / "out"
     cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(out),
                           dim=5, models=("tdp",), num_samples=3, seed=2))
-    standalone = triangle_foundation_curve(g, g.n)
+    standalone = triangle_foundation_curve(g)
     written = _read_curve(out / "curve_original.csv")
     for c, delta in written:
         assert delta == pytest.approx(standalone.value_at(c), abs=1e-12)
@@ -188,8 +189,8 @@ def test_audit_config_validation():
     AuditConfig(graph_path="g", output_dir="o", seed=2**64 - 1)
 
 
-def unconverged_fit(e, graph, negative_ratio, seed):
-    model, _ = fit_lrdp(e, graph, negative_ratio, seed)
+def unconverged_fit(e, graph, seed):
+    model, _ = fit_lrdp(e, graph, seed)
     return model, FitReport(float(graph.m), 12.5, 130, False, 100)
 
 
@@ -297,8 +298,8 @@ def test_ranksweep_one_eigensolve_and_audit_outputs(tmp_path, monkeypatch):
     assert set(doc["max_delta_std_per_model"]) == labels
     assert doc["embedding_dim"] == 12 and "ranks" not in doc
     assert doc["config"]["rank_sweep_list"] == list(ranks)
-    # ranksweep reads neither; the rank list sets its dimensions
-    assert "dim" not in doc["config"] and "negative_ratio" not in doc["config"]
+    # the rank list sets its dimensions
+    assert "dim" not in doc["config"]
     assert "models" in doc["config"]
     assert (out / "degdist_observed.csv").exists()
     for label in labels:
@@ -336,7 +337,7 @@ def test_verify_detects_injected_rank_lemma_fault(monkeypatch):
         return float(np.sum(a * a)) / denom if denom else 0.0
 
     monkeypatch.setattr(theory, "rank_lemma_bound", swapped)
-    result = verify.sweep_rank_lemma(seed=1, trials=50)
+    result = verify.sweep_rank_lemma(seed=1)
     assert not result.passed
     assert result.counterexample is not None
     assert "matrix" in result.counterexample
@@ -375,7 +376,7 @@ def test_embed_sample_curve_round_trip(tmp_path, capsys):
     cpath = tmp_path / "curve.csv"
     assert cli.main(["curve", "--graph", str(gpath), "--out", str(cpath)]) == 0
     rows = _read_curve(cpath)
-    native = triangle_foundation_curve(g, g.n)
+    native = triangle_foundation_curve(g)
     oracles.assert_curve_is(native, rows)
     capsys.readouterr()
     assert cli.main(["curve", "--graph", str(gpath)]) == 0
@@ -386,9 +387,10 @@ def test_sample_fitted_model_requires_graph(tmp_path):
     gpath, _ = write_random_graph(tmp_path, n=15, p=0.3, seed=41)
     epath = tmp_path / "emb.txt"
     cli.main(["embed", "--graph", str(gpath), "--dim", "5", "--out", str(epath)])
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["sample", "--embedding", str(epath), "--model", "softmax",
                   "--seed", "1", "--out", str(tmp_path / "s.txt")])
+    assert exc.value.code == 2
     assert cli.main(["sample", "--embedding", str(epath), "--model", "softmax",
                      "--graph", str(gpath), "--seed", "1",
                      "--out", str(tmp_path / "s.txt")]) == 0
@@ -427,6 +429,8 @@ def test_cli_audit_argument_parsing(tmp_path):
     (["ranksweep", "--ranks", "1,x"], "argument --ranks"),
     (["ranksweep", "--ranks", "0"], "ranks must be >= 1"),
     (["ranksweep", "--ranks", "2,2"], "ranks must be distinct"),
+    (["audit", "--dim", "2", "--negative-ratio", "10"],
+     "unrecognized arguments: --negative-ratio"),
 ])
 def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, message):
     gpath = write_k4(tmp_path)
@@ -444,8 +448,8 @@ def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (["sample", "--seed", "-1"], "seed must be in"),
     (["sample", "--sample-index", "-3"], "argument --sample-index: must be >= 0"),
-    (["sample", "--model", "lrdp", "--negative-ratio", "0"],
-     "argument --negative-ratio: must be >= 1"),
+    (["sample", "--model", "lrdp", "--negative-ratio", "10"],
+     "unrecognized arguments: --negative-ratio"),
     (["embed", "--dim", "0"], "argument --dim: must be >= 1"),
     (["verify-theory", "--seed", "-1"], "seed must be in"),
 ])
@@ -464,6 +468,43 @@ def test_building_block_arguments_are_usage_errors(tmp_path, capsys, argv, messa
     last = err.strip().splitlines()[-1]
     assert last.startswith("embedaudit") and ": error: " in last
     assert not out.exists()
+
+
+def _faulty_solver(graph, d, **kwargs):
+    raise RuntimeError("faulty solver")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["embed", "--graph", "{missing}", "--dim", "2"], "No such file or directory"),
+    (["curve", "--graph", "{missing}"], "No such file or directory"),
+    (["sample", "--embedding", "{missing}"], "No such file or directory"),
+    (["audit", "--graph", "{missing}", "--dim", "2"], "stage 'load' failed"),
+    (["embed", "--graph", "{k3}", "--dim", "5"], "need 1 <= d <= n"),
+    (["audit", "--graph", "{k3}", "--dim", "5"], "need 1 <= d <= n"),
+    (["curve", "--graph", "{empty}"], "the graph is empty"),
+    # None: spectral_embed fails as a program would, and keeps its traceback
+    (["audit", "--graph", "{k3}", "--dim", "2"], None),
+])
+def test_input_errors_end_in_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    paths = {"{missing}": tmp_path / "missing.txt", "{k3}": tmp_path / "k3.txt",
+             "{empty}": tmp_path / "empty.txt"}
+    paths["{k3}"].write_text("0 1\n1 2\n0 2\n")
+    paths["{empty}"].write_text("# no edges\n")
+    out = tmp_path / "out"
+    args = [str(paths.get(a, a)) for a in argv] + ["--out", str(out)]
+    if message is None:
+        monkeypatch.setattr(cli, "spectral_embed", _faulty_solver)
+        with pytest.raises(AuditStageError) as exc:
+            cli.main(args)
+        assert isinstance(exc.value.cause, RuntimeError)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"embedaudit {argv[0]}: error: ") and message in err
+        assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_every_walk_takes_the_one_tile_side(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from embedaudit.graph import (
     load_edge_list,
     save_curve,
     save_edge_list,
-    triangle_count,
     triangle_foundation_curve,
 )
 
@@ -43,7 +42,7 @@ def test_load_triangle(tmp_path):
     assert loaded.graph.n == 3
     assert loaded.graph.m == 3
     assert loaded.dropped_self_loops + loaded.dropped_duplicates == 0
-    assert triangle_count(loaded.graph) == 1
+    assert triangle_foundation_curve(loaded.graph).total_triangles() == 1
 
 
 def test_load_drops_duplicates_and_loops(tmp_path):
@@ -63,7 +62,7 @@ def test_load_relabels_and_keeps_mapping(tmp_path):
     loaded = load_edge_list(p)
     assert loaded.graph.n == 3
     assert list(loaded.original_ids) == [10, 30, 700]
-    assert triangle_count(loaded.graph) == 1
+    assert triangle_foundation_curve(loaded.graph).total_triangles() == 1
 
 
 def test_load_reversed_duplicate_detected(tmp_path):
@@ -131,12 +130,12 @@ def test_expected_degree_distribution_bins_to_integers():
 # ----------------------------------------------------------------- curves
 
 def test_curve_k3():
-    curve = triangle_foundation_curve(k_complete(3), n_ref=3)
+    curve = triangle_foundation_curve(k_complete(3))
     oracles.assert_curve_is(curve, [(2, 1.0 / 3.0)])
 
 
 def test_curve_k4():
-    curve = triangle_foundation_curve(k_complete(4), n_ref=4)
+    curve = triangle_foundation_curve(k_complete(4))
     oracles.assert_curve_is(curve, [(3, 1.0)])
     assert curve.value_at(2) == 0.0
     assert curve.value_at(10) == 1.0
@@ -174,7 +173,7 @@ def test_curve_csv_writer_and_reader(tmp_path):
 def test_curve_uses_full_graph_degrees():
     # path 0-1-2 plus triangle pendant degrees: max endpoint degree keys the curve
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
-    curve = triangle_foundation_curve(g, n_ref=5)
+    curve = triangle_foundation_curve(g)
     # degrees: [2, 2, 3, 2, 1]; the single triangle has max degree 3
     assert curve.value_at(2) == 0.0
     assert curve.value_at(3) == pytest.approx(1 / 5)
@@ -184,7 +183,7 @@ def test_curve_matches_bruteforce_oracle():
     rng = np.random.default_rng(23)
     a = oracles.random_gnp(rng, 40, 0.3)
     g = graph_from_matrix(a)
-    curve = triangle_foundation_curve(g, n_ref=g.n)
+    curve = triangle_foundation_curve(g)
     oracles.assert_curve_is(curve, oracles.brute_force_curve(a, g.n))
 
 
@@ -198,7 +197,7 @@ def test_curve_matches_networkx_on_tdp_sample():
     n, k = 1000, 25
     vectors = 0.55 * np.eye(k)[np.arange(n) % k] + rng.normal(0.0, 0.08, size=(n, k))
     g = sample_graph(Embedding.plain(vectors), TruncatedDot(), seed=4, sample_index=0)
-    curve = triangle_foundation_curve(g, n_ref=n)
+    curve = triangle_foundation_curve(g)
     h = nx.Graph(g.edge_array().tolist())
     h.add_nodes_from(range(n))
     deg = g.degrees
@@ -207,12 +206,12 @@ def test_curve_matches_networkx_on_tdp_sample():
         sub = h.subgraph(np.flatnonzero(deg <= c).tolist())
         expected.append((int(c), sum(nx.triangles(sub).values()) // 3 / n))
     oracles.assert_curve_is(curve, expected)
-    assert triangle_count(g) == sum(nx.triangles(h).values()) // 3 > 1000
+    assert curve.total_triangles() == sum(nx.triangles(h).values()) // 3 > 1000
 
 
 def test_triangle_count_examples():
-    assert triangle_count(k_complete(4)) == 4
-    assert triangle_count(cycle(5)) == 0
+    assert triangle_foundation_curve(k_complete(4)).total_triangles() == 4
+    assert triangle_foundation_curve(cycle(5)).total_triangles() == 0
 
 
 def test_triangle_count_matches_bruteforce():
@@ -220,7 +219,7 @@ def test_triangle_count_matches_bruteforce():
     a = oracles.random_gnp(rng, 30, 0.5)
     g = graph_from_matrix(a)
     total, _ = oracles.brute_force_triangle_maxdeg(a)
-    assert triangle_count(g) == total
+    assert triangle_foundation_curve(g).total_triangles() == total
 
 
 def test_blocked_triangle_count_matches_bruteforce(monkeypatch):
@@ -233,7 +232,7 @@ def test_blocked_triangle_count_matches_bruteforce(monkeypatch):
     for n, p in ((40, 0.6), (25, 0.9), (30, 0.1)):
         a = oracles.random_gnp(rng, n, p)
         g = graph_from_matrix(a)
-        oracles.assert_curve_is(triangle_foundation_curve(g, n_ref=n),
+        oracles.assert_curve_is(triangle_foundation_curve(g),
                                 oracles.brute_force_curve(a, n))
 
 
@@ -242,10 +241,10 @@ def test_curve_consistency_invariants():
     for _ in range(10):
         a = oracles.random_gnp(rng, 30, rng.uniform(0.05, 0.5))
         g = graph_from_matrix(a)
-        curve = triangle_foundation_curve(g, n_ref=g.n)
+        curve = triangle_foundation_curve(g)
         deltas = curve.deltas
         assert np.all(np.diff(deltas) >= 0)
-        assert curve.total_triangles() == triangle_count(g)
+        assert curve.total_triangles() == oracles.brute_force_triangle_maxdeg(a)[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -257,8 +256,8 @@ def test_relabeling_leaves_curve_unchanged(n, seed):
     perm = rng.permutation(n)
     e = g.edge_array()
     g2 = Graph.from_edges(n, np.column_stack([perm[e[:, 0]], perm[e[:, 1]]]) if e.size else [])
-    c1 = triangle_foundation_curve(g, n_ref=n)
-    c2 = triangle_foundation_curve(g2, n_ref=n)
+    c1 = triangle_foundation_curve(g)
+    c2 = triangle_foundation_curve(g2)
     assert np.array_equal(c1.thresholds, c2.thresholds)
     assert np.array_equal(c1.deltas, c2.deltas)
 

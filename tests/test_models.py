@@ -78,7 +78,7 @@ def test_lrdp_constant_scores_calibrate_to_half():
     chosen = rng.choice(len(pairs), size=18, replace=False)
     g = Graph.from_edges(n, [pairs[k] for k in chosen])
     e = Embedding.plain(np.zeros((n, 2)))
-    model, report = fit_lrdp(e, g, negative_ratio=2, seed=1)
+    model, report = fit_lrdp(e, g, seed=1)
     assert model.slope == 0.0
     assert report.converged
     for i, j in pairs[:10]:
@@ -92,7 +92,7 @@ def test_lrdp_separated_scores():
     edges = [(i, j) for i in range(10) for j in range(i + 1, 10)
              if vec[i, 0] * vec[j, 0] > 0]
     g = Graph.from_edges(10, edges)
-    model, report = fit_lrdp(e, g, negative_ratio=2, seed=3)
+    model, report = fit_lrdp(e, g, seed=3)
     assert model.slope > 0
     assert report.converged
     achieved = probability_sum(e, model)
@@ -102,7 +102,7 @@ def test_lrdp_separated_scores():
 def test_lrdp_k3_full_rank_probabilities_near_one():
     g = k_complete(3)
     e = spectral_embed(g, 3)
-    model, report = fit_lrdp(e, g, negative_ratio=2, seed=2)
+    model, report = fit_lrdp(e, g, seed=2)
     assert report.converged
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         assert pair_probability(model, e, i, j) >= 0.9
@@ -213,8 +213,8 @@ def test_lrhp_d1_reduces_to_lrdp():
     rng = np.random.default_rng(21)
     g = random_graph(rng, 25, 0.25)
     e = Embedding.plain(rng.normal(size=(25, 1)))
-    m1, _ = fit_lrdp(e, g, negative_ratio=5, seed=9)
-    m2, _ = fit_lrhp(e, g, negative_ratio=5, seed=9)
+    m1, _ = fit_lrdp(e, g, seed=9)
+    m2, _ = fit_lrhp(e, g, seed=9)
     for i in range(25):
         for j in range(i + 1, 25):
             p1 = pair_probability(m1, e, i, j)
@@ -226,7 +226,7 @@ def test_lrhp_constant_features_calibrate_to_density():
     rng = np.random.default_rng(4)
     g = random_graph(rng, 20, 0.3)
     e = Embedding.plain(np.zeros((20, 3)))
-    model, report = fit_lrhp(e, g, negative_ratio=2, seed=0)
+    model, report = fit_lrhp(e, g, seed=0)
     assert report.converged
     density = g.m / (20 * 19 / 2)
     assert pair_probability(model, e, 0, 1) == pytest.approx(density, rel=2e-3)

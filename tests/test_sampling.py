@@ -10,7 +10,7 @@ import oracles
 from embedaudit import blocks
 from embedaudit.blocks import iter_pair_tiles, upper_tiles
 from embedaudit.embedding import Embedding, spectral_embed
-from embedaudit.graph import Graph, triangle_count, triangle_foundation_curve
+from embedaudit.graph import Graph, triangle_foundation_curve
 from embedaudit.models import TruncatedDot, build_softmax, fit_lrdp, fit_lrhp
 from embedaudit.sampling import (
     curve_over_samples,
@@ -213,7 +213,7 @@ def test_expected_triangles_vs_monte_carlo():
     e = plain_random(rng, 30, 3, 0.45)
     exact = expected_triangles_exact(e, TDP)
     samples = 5000
-    counts = np.array([triangle_count(sample_graph(e, TDP, seed=31, sample_index=s))
+    counts = np.array([triangle_foundation_curve(sample_graph(e, TDP, 31, s)).total_triangles()
                        for s in range(samples)], dtype=float)
     mean = counts.mean()
     sigma_of_mean = counts.std(ddof=1) / np.sqrt(samples)
@@ -225,9 +225,9 @@ def test_expected_triangles_vs_monte_carlo():
 def test_single_sample_max_curve_is_that_curve():
     rng = np.random.default_rng(25)
     e = plain_random(rng, 30, 3, 0.5)
-    curve = curve_over_samples(e, TDP, 41, 1, n_ref=30).max_curve
+    curve = curve_over_samples(e, TDP, 41, 1).max_curve
     g = sample_graph(e, TDP, seed=41, sample_index=0)
-    native = triangle_foundation_curve(g, 30)
+    native = triangle_foundation_curve(g)
     assert np.array_equal(curve.thresholds, native.thresholds)
     assert np.array_equal(curve.deltas, native.deltas)
 
@@ -235,20 +235,20 @@ def test_single_sample_max_curve_is_that_curve():
 def test_sample_curves_build_no_graph(monkeypatch):
     rng = np.random.default_rng(26)
     e = plain_random(rng, 30, 3, 0.5)
-    native = [triangle_foundation_curve(sample_graph(e, TDP, 43, s), 30) for s in range(3)]
+    native = [triangle_foundation_curve(sample_graph(e, TDP, 43, s)) for s in range(3)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Graph was built")
 
     monkeypatch.setattr(Graph, "from_edges", refuse)
-    cs = curve_over_samples(e, TDP, 43, 3, n_ref=30)
+    cs = curve_over_samples(e, TDP, 43, 3)
     for s, curve in enumerate(native):
         assert np.array_equal(cs.deltas[s], curve.value_at(cs.thresholds))
 
 
 def test_deterministic_model_makes_identical_samples():
     e = Embedding.plain(np.full((8, 1), 1.5))    # all p = 1
-    curves = curve_over_samples(e, TDP, 1, 5, n_ref=8)
+    curves = curve_over_samples(e, TDP, 1, 5)
     assert np.all(curves.deltas == curves.deltas[0])
     assert curves.variance.max() == 0.0
 
@@ -256,7 +256,7 @@ def test_deterministic_model_makes_identical_samples():
 def test_max_curve_dominates_mean():
     rng = np.random.default_rng(27)
     e = plain_random(rng, 40, 4, 0.35)
-    curves = curve_over_samples(e, TDP, 55, 20, n_ref=40)
+    curves = curve_over_samples(e, TDP, 55, 20)
     assert np.all(curves.max_curve.deltas >= curves.deltas.mean(axis=0) - 1e-12)
 
 
@@ -304,10 +304,10 @@ def test_triangle_expectation_bounded_by_degree_moments():
 def test_curve_over_samples_validation():
     e = Embedding.plain(np.zeros((4, 1)))
     with pytest.raises(ValueError, match="num_samples"):
-        curve_over_samples(e, TDP, 1, 0, n_ref=4)
+        curve_over_samples(e, TDP, 1, 0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
-            curve_over_samples(e, TDP, seed, 1, n_ref=4)
+            curve_over_samples(e, TDP, seed, 1)
 
 
 # ------------------------------------------------- one walk, same bytes
@@ -340,7 +340,7 @@ def test_fused_walk_matches_separate_passes(four_models, name, side, samples, mo
     for got, ref in zip(edges, refs):
         assert np.array_equal(got, ref)
 
-    cs = curve_over_samples(e, model, seed, samples, n_ref=e.n)
+    cs = curve_over_samples(e, model, seed, samples)
     assert np.array_equal(cs.expected_degrees, ref_ed)
     assert np.array_equal(expected_degrees(e, model), ref_ed)
     ed1, ed2 = expected_degree_second_moment(e, model)
@@ -352,7 +352,7 @@ def test_fused_walk_matches_separate_passes(four_models, name, side, samples, mo
     for s, g in enumerate(graphs):
         one = sample_graph(e, model, seed, s)
         assert np.array_equal(one.edge_array(), g.edge_array())
-        curve = triangle_foundation_curve(g, e.n)
+        curve = triangle_foundation_curve(g)
         assert cs.deltas[s].tolist() == [curve.value_at(int(c)) for c in cs.thresholds]
 
 
