@@ -19,14 +19,11 @@ from .embedding import (
     spectral_embed,
 )
 from .graph import (
-    DegreeDistribution,
     EdgeListParseError,
     Graph,
     InputError,
     LoadedEdgeList,
     TriangleFoundationCurve,
-    degree_distribution,
-    expected_degree_distribution,
     load_edge_list,
     save_edge_list,
     triangle_foundation_curve,

@@ -35,10 +35,9 @@ from .embedding import SPECTRAL, Embedding, load_embedding, save_embedding, spec
 from .graph import (
     InputError,
     TriangleFoundationCurve,
-    degree_distribution,
-    expected_degree_distribution,
     load_edge_list,
     save_curve,
+    save_degree_distribution,
     save_edge_list,
     triangle_foundation_curve,
     union_grid,
@@ -110,48 +109,10 @@ class AuditConfig:
         return doc
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    files: dict
-    fit_reports: dict
-    metadata: dict
-
-    def to_json(self) -> dict:
-        return {"files": self.files, "fit_reports": self.fit_reports,
-                **self.metadata}
-
-
 def _model_sample_seed(seed: int, model_name: str) -> int:
     """Independent 64-bit sampling seed per (run seed, model)."""
     tag = MODEL_NAMES.index(model_name)
     return int(np.random.SeedSequence((seed, 1000 + tag)).generate_state(1, np.uint64)[0])
-
-
-def _write_degdist_csv(path: Path, dist) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("degree,count\n")
-        for degree, count in dist.as_rows():
-            fh.write(f"{degree},{count}\n")
-
-
-class _OutputTracker:
-    """Records files written by a run so failures can clean them up."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.written: list[Path] = []
-
-    def path(self, name: str) -> Path:
-        p = self.out_dir / name
-        self.written.append(p)
-        return p
-
-    def cleanup(self) -> None:
-        for p in self.written:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
 
 
 def _fit_model(name, e, g, seed):
@@ -175,32 +136,20 @@ def _fit_model(name, e, g, seed):
     return model, rep
 
 
-def _fit_models(e, g, config):
-    """Build every requested model; returns (models, fit_reports, extras)."""
-    models, reports, extras = {}, {}, {}
-    for name in config.models:
-        models[name], rep = _fit_model(name, e, g, config.seed)
-        if rep is not None:
-            reports[name] = rep
-        if name == "softmax":
-            extras["softmax_clamped_pairs"] = softmax_clamp_count(models[name], e)
-    return models, reports, extras
-
-
-def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
-    """Load, sample, curves, degrees, write and report over labelled variants.
+def _run_pipeline(config: AuditConfig, embed, variants) -> dict:
+    """Load, sample, curves, write and report over labelled variants.
 
     ``embed(g, solve)`` returns the embedding that the report describes and
     fills the dict ``solve`` with how an eigensolve found it, and
     ``variants(g, e)`` returns ``(variants, fit_reports, extras)``, where
     ``variants`` yields ``(label, embedding, model)``.  Each variant's
     samples are seeded by its model variant; its outputs are
-    ``curve_<label>.csv`` and ``degdist_expected_<label>.csv``.
+    ``curve_<label>.csv`` and ``degdist_expected_<label>.csv``.  The output
+    directory is made only when the write stage starts; returns the dict
+    written as ``report.json``.
     """
     t_start = time.perf_counter()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker(out_dir)
+    written = []                         # removed again if any stage fails
     stage = "load"
     try:
         loaded = load_edge_list(config.graph_path)
@@ -230,26 +179,25 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
         delta_std = {label: float(np.sqrt(cs.variance.max())) if cs.variance.size else 0.0
                      for label, cs in curve_sets.items()}
 
-        stage = "degrees"
-        observed = degree_distribution(g)
-        expected_dists = {label: expected_degree_distribution(cs.expected_degrees)
-                          for label, cs in curve_sets.items()}
-
         stage = "write"
-        files = {}
-        for label, curve in curves.items():
-            p = tracker.path(f"curve_{label}.csv")
-            save_curve(TriangleFoundationCurve(grid, curve.value_at(grid), g.n), p)
-            files[f"curve_{label}"] = p.name
-        p = tracker.path("degdist_observed.csv")
-        _write_degdist_csv(p, observed)
-        files["degdist_observed"] = p.name
-        for label, dist in expected_dists.items():
-            p = tracker.path(f"degdist_expected_{label}.csv")
-            _write_degdist_csv(p, dist)
-            files[f"degdist_expected_{label}"] = p.name
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
-        metadata = {
+        def target(name):
+            written.append(out_dir / name)
+            return written[-1]
+
+        for label, curve in curves.items():
+            save_curve(TriangleFoundationCurve(grid, curve.value_at(grid), g.n),
+                       target(f"curve_{label}.csv"))
+        save_degree_distribution(g.degrees, target("degdist_observed.csv"))
+        for label, cs in curve_sets.items():
+            save_degree_distribution(cs.expected_degrees,
+                                     target(f"degdist_expected_{label}.csv"))
+
+        report = {
+            "files": {p.stem: p.name for p in written},
+            "fit_reports": {k: vars(r) for k, r in fit_reports.items()},
             "config": config.to_json(),
             "n": g.n,
             "m": g.m,
@@ -274,21 +222,23 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> AuditReport:
             "seed": config.seed,
             "wall_time_s": round(time.perf_counter() - t_start, 3),
         }
-        report = AuditReport(files, {k: vars(r) for k, r in fit_reports.items()},
-                             metadata)
-        p = tracker.path("report.json")
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+        with open(target("report.json"), "w", encoding="utf-8", newline="\n") as fh:
             # paths in the config echo may be os.PathLike
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True, default=os.fspath)
+            json.dump(report, fh, indent=2, sort_keys=True, default=os.fspath)
             fh.write("\n")
         return report
     except Exception as exc:
-        tracker.cleanup()
+        for p in written:
+            try:
+                p.unlink(missing_ok=True)
+            except OSError:
+                pass
         raise AuditStageError(stage, exc) from exc
 
 
-def cmd_audit(config: AuditConfig) -> AuditReport:
-    """Full audit: one embedding, sampled under each requested model."""
+def cmd_audit(config: AuditConfig) -> dict:
+    """Full audit: one embedding, sampled under each requested model.
+    Returns the dict written as ``report.json``."""
 
     def embed(g, solve):
         if not config.external_embedding_path:
@@ -299,18 +249,26 @@ def cmd_audit(config: AuditConfig) -> AuditReport:
         return e
 
     def fitted(g, e):
-        models, fit_reports, extras = _fit_models(e, g, config)
-        return [(name, e, m) for name, m in models.items()], fit_reports, extras
+        labelled, fit_reports, extras = [], {}, {}
+        for name in config.models:
+            model, rep = _fit_model(name, e, g, config.seed)
+            labelled.append((name, e, model))
+            if rep is not None:
+                fit_reports[name] = rep
+            if name == "softmax":
+                extras["softmax_clamped_pairs"] = softmax_clamp_count(model, e)
+        return labelled, fit_reports, extras
 
     return _run_pipeline(config, embed, fitted)
 
 
-def cmd_ranksweep(config: AuditConfig) -> AuditReport:
+def cmd_ranksweep(config: AuditConfig) -> dict:
     """Truncated-dot-product audit across embedding ranks.
 
     One eigensolve at the largest rank; rank d samples the first d columns
     of it, which is the rank-d spectral embedding.  Only tdp runs, so the
     report echoes ``models`` as ``["tdp"]`` whatever the config holds.
+    Returns the dict written as ``report.json``.
     """
     ranks = config.rank_sweep_list
     if not ranks:
@@ -426,9 +384,9 @@ def _run_audit(args) -> int:
         num_samples=args.samples, seed=args.seed,
         external_embedding_path=args.embedding)
     report = cmd_audit(config)
-    print(f"audit complete: n={report.metadata['n']} m={report.metadata['m']} "
-          f"triangles={report.metadata['triangles']}; wrote "
-          f"{len(report.files) + 1} files to {args.out}")
+    print(f"audit complete: n={report['n']} m={report['m']} "
+          f"triangles={report['triangles']}; wrote "
+          f"{len(report['files']) + 1} files to {args.out}")
     return 0
 
 
@@ -438,7 +396,7 @@ def _run_ranksweep(args) -> int:
         num_samples=args.samples, seed=args.seed, rank_sweep_list=args.ranks)
     report = cmd_ranksweep(config)
     print(f"ranksweep complete over ranks {list(args.ranks)}; wrote "
-          f"{len(report.files) + 1} files to {args.out}")
+          f"{len(report['files']) + 1} files to {args.out}")
     return 0
 
 

@@ -9,7 +9,8 @@ graph (n = 0) has no curve.  Triangles are counted exactly by sparse
 matrix algebra on the degree-oriented adjacency, built straight from an
 (m, 2) edge array, so a sampled edge set needs no Graph.  ``save_curve``
 and ``load_curve`` are the one writer and reader of the "c,delta" curve
-CSV.
+CSV, and ``save_degree_distribution`` is the one writer of the
+"degree,count" histogram CSV.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ def load_edge_list(path) -> LoadedEdgeList:
     Lines starting with '#' and blank lines are ignored.  Vertex labels are
     arbitrary non-negative integers and get relabeled to a contiguous
     0..n-1 space.  Duplicate edges and self-loops are dropped (counted, not
-    errors).  Malformed lines raise EdgeListParseError naming the line.
+    errors).  Malformed lines raise EdgeListParseError naming the line, and a
+    file with no edges raises InputError.
     """
     raw_edges = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -154,8 +156,7 @@ def load_edge_list(path) -> LoadedEdgeList:
             raw_edges.append((u, v))
 
     if not raw_edges:
-        empty = Graph(0, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        return LoadedEdgeList(empty, np.empty(0, dtype=np.int64), 0, 0)
+        raise InputError(f"{path}: the graph is empty (no edges)")
 
     arr = np.asarray(raw_edges, dtype=np.int64)
     labels = np.unique(arr)                     # ascending original ids
@@ -164,11 +165,9 @@ def load_edge_list(path) -> LoadedEdgeList:
 
     loops = relabeled[:, 0] == relabeled[:, 1]
     n_loops = int(loops.sum())
-    kept = np.sort(relabeled[~loops], axis=1)
-    uniq = np.unique(kept, axis=0) if kept.size else kept
-    n_dups = kept.shape[0] - uniq.shape[0]
-
-    return LoadedEdgeList(Graph.from_edges(n, uniq), labels, n_loops, n_dups)
+    kept = relabeled[~loops]
+    g = Graph.from_edges(n, kept)
+    return LoadedEdgeList(g, labels, n_loops, len(kept) - g.m)
 
 
 def save_edge_list(g: Graph, path, header_lines=()) -> None:
@@ -181,34 +180,6 @@ def save_edge_list(g: Graph, path, header_lines=()) -> None:
             fh.write(f"# {line}\n")
         for u, v in g.edge_array():
             fh.write(f"{u} {v}\n")
-
-
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Histogram degree -> number of vertices (int)."""
-
-    entries: dict
-
-    def as_rows(self):
-        """Sorted (degree, count) rows for CSV output."""
-        return sorted(self.entries.items())
-
-
-def degree_distribution(g: Graph) -> DegreeDistribution:
-    """Exact histogram of observed degrees."""
-    deg = g.degrees
-    if deg.size == 0:
-        return DegreeDistribution({})
-    counts = np.bincount(deg)
-    return DegreeDistribution({int(d): int(c) for d, c in enumerate(counts) if c > 0})
-
-
-def expected_degree_distribution(expected_degrees: np.ndarray) -> DegreeDistribution:
-    """Bin real-valued expected degrees on the same integer grid as observed
-    degrees (nearest integer)."""
-    vals = np.rint(np.asarray(expected_degrees, dtype=float)).astype(np.int64)
-    counts = np.bincount(vals)
-    return DegreeDistribution({int(d): int(c) for d, c in enumerate(counts) if c > 0})
 
 
 @dataclass(frozen=True)
@@ -275,6 +246,17 @@ def load_curve(path, n_ref: int) -> TriangleFoundationCurve:
         rows = [line.split(",") for line in fh if line.strip()]
     return TriangleFoundationCurve([int(c) for c, _ in rows],
                                    [float(d) for _, d in rows], n_ref)
+
+
+def save_degree_distribution(degrees, path) -> None:
+    """Write the histogram of ``degrees`` as CSV: a "degree,count" header,
+    then one row per degree that occurs, ascending.  Real-valued (expected)
+    degrees are binned to the nearest integer; integer degrees are exact."""
+    counts = np.bincount(np.rint(np.asarray(degrees, dtype=float)).astype(np.int64))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("degree,count\n")
+        for degree in np.flatnonzero(counts).tolist():
+            fh.write(f"{degree},{counts[degree]}\n")
 
 
 # Two-step paths one block of the triangle product may hold.  The product

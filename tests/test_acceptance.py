@@ -32,6 +32,7 @@ from embedaudit.sampling import (
     expected_triangles_exact,
     sample_graph,
 )
+from embedaudit.sampling import _pair_walk
 from embedaudit.theory import (
     ALPHA_CEILING,
     TheoremBoundParams,
@@ -151,10 +152,11 @@ def test_06_degree_second_moment_every_model():
 
 
 def test_07_sampler_calibration():
-    # one pair at p = 0.5, 10^4 draws
+    # one pair at p = 0.5, 10^4 draws; sample s of one pair walk is
+    # sample_graph(e2, TDP, 707, s)
     e2 = Embedding.plain(np.array([[1.0, 0.0], [0.5, 0.0]]))
-    hits = sum(sample_graph(e2, TDP, seed=707, sample_index=s).m
-               for s in range(10_000))
+    edges, _, _ = _pair_walk(e2, TDP, seed=707, sample_indices=range(10_000))
+    hits = sum(len(sample) for sample in edges)
     freq = hits / 10_000
     assert 0.485 <= freq <= 0.515, f"pair frequency {freq}"
 
@@ -164,9 +166,9 @@ def test_07_sampler_calibration():
         e = Embedding.plain(rng.normal(size=(30, 3)) * 0.45)
         exact = expected_triangles_exact(e, TDP)
         draws = 3000
-        counts = np.array([triangle_foundation_curve(sample_graph(
-                               e, TDP, seed=718 + t, sample_index=s)).total_triangles()
-                           for s in range(draws)], dtype=float)
+        # each sample's curve ends at its triangle count over n
+        curves = curve_over_samples(e, TDP, 718 + t, draws)
+        counts = np.rint(curves.deltas[:, -1] * e.n)
         sigma_of_mean = counts.std(ddof=1) / np.sqrt(draws)
         assert abs(counts.mean() - exact) <= 3.0 * sigma_of_mean, \
             f"instance {t}: mean {counts.mean()} vs exact {exact}"

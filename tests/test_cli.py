@@ -52,9 +52,9 @@ def test_audit_k4_full_rank_tdp(tmp_path):
     model = dict(_read_curve(out / "curve_tdp.csv"))
     assert original[3] == 1.0          # 4 triangles / 4 vertices at degree 3
     assert model[3] == 1.0             # exact reconstruction at d = n
-    assert report.metadata["triangles"] == 4
+    assert report["triangles"] == 4
     assert (out / "report.json").exists()
-    for name in report.files.values():
+    for name in report["files"].values():
         assert (out / name).exists()
 
 
@@ -134,7 +134,7 @@ def test_audit_stage_error_on_missing_graph(tmp_path):
     with pytest.raises(AuditStageError) as err:
         cmd_audit(config)
     assert err.value.stage == "load"
-    assert not list(out.glob("*"))     # no partial outputs
+    assert not out.exists()            # the directory is made at the write stage
 
 
 def test_audit_stage_error_on_bad_dim_cleans_up(tmp_path):
@@ -144,7 +144,23 @@ def test_audit_stage_error_on_bad_dim_cleans_up(tmp_path):
         cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(out),
                               dim=1000, num_samples=1))
     assert err.value.stage == "embed"
-    assert not list(out.glob("*"))
+    assert not out.exists()
+
+
+def test_audit_write_failure_removes_written_files(tmp_path, monkeypatch):
+    gpath, _ = write_random_graph(tmp_path)
+    out = tmp_path / "out"
+
+    def full_disk(degrees, path):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli, "save_degree_distribution", full_disk)
+    with pytest.raises(AuditStageError) as err:
+        cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(out),
+                              dim=3, models=("tdp",), num_samples=1))
+    assert err.value.stage == "write"
+    # the curves were written before the failure and are removed again
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_audit_with_external_embedding(tmp_path):
@@ -158,9 +174,9 @@ def test_audit_with_external_embedding(tmp_path):
                                    dim=99, models=("lrdp", "softmax"),
                                    num_samples=3, seed=5,
                                    external_embedding_path=str(epath)))
-    assert report.metadata["embedding_kind"] == "plain"
-    assert report.metadata["embedding_dim"] == 4
-    assert report.metadata["eigensolver"] is None     # nothing was solved
+    assert report["embedding_kind"] == "plain"
+    assert report["embedding_dim"] == 4
+    assert report["eigensolver"] is None     # nothing was solved
     assert (out / "curve_lrdp.csv").exists()
     assert not (out / "curve_tdp.csv").exists()
 
@@ -263,7 +279,7 @@ def test_ranksweep_echoes_only_the_model_it_runs(tmp_path):
                                        num_samples=2, seed=3, rank_sweep_list=(3,)))
     doc = json.loads((out / "report.json").read_text())
     assert doc["config"]["models"] == ["tdp"]
-    assert doc["fit_reports"] == {} and report.fit_reports == {}
+    assert doc["fit_reports"] == {} and report["fit_reports"] == {}
 
 
 def test_ranksweep_reports_the_folded_solve(tmp_path, monkeypatch):
@@ -484,6 +500,7 @@ def _faulty_solver(graph, d, **kwargs):
     (["curve", "--graph", "{empty}"], "the graph is empty"),
     # None: spectral_embed fails as a program would, and keeps its traceback
     (["audit", "--graph", "{k3}", "--dim", "2"], None),
+    (["audit", "--graph", "{empty}", "--dim", "2"], "the graph is empty"),
 ])
 def test_input_errors_end_in_one_line(tmp_path, capsys, monkeypatch, argv, message):
     paths = {"{missing}": tmp_path / "missing.txt", "{k3}": tmp_path / "k3.txt",
@@ -504,7 +521,7 @@ def test_input_errors_end_in_one_line(tmp_path, capsys, monkeypatch, argv, messa
         err = capsys.readouterr().err
         assert err.startswith(f"embedaudit {argv[0]}: error: ") and message in err
         assert err.count("\n") == 1
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_every_walk_takes_the_one_tile_side(tmp_path, monkeypatch):
@@ -533,7 +550,7 @@ def test_every_walk_takes_the_one_tile_side(tmp_path, monkeypatch):
     report = cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(tmp_path / "o"),
                                    dim=4, models=("lrdp", "softmax"), num_samples=2))
     # the lrdp calibration passes, the clamp count, and one sampling walk per model
-    assert len(walks) == report.fit_reports["lrdp"]["calibration_evals"] + 1 + 2
+    assert len(walks) == report["fit_reports"]["lrdp"]["calibration_evals"] + 1 + 2
     assert walks == [[16, 10]] * len(walks)
     assert softmax_rows == [16, 16, 16, 12]
 

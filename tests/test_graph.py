@@ -10,11 +10,10 @@ from embedaudit.graph import (
     EdgeListParseError,
     Graph,
     TriangleFoundationCurve,
-    degree_distribution,
-    expected_degree_distribution,
     load_curve,
     load_edge_list,
     save_curve,
+    save_degree_distribution,
     save_edge_list,
     triangle_foundation_curve,
 )
@@ -99,32 +98,41 @@ def test_save_load_round_trip(tmp_path):
 
 # ------------------------------------------------------- degree histogram
 
-def test_degree_distribution_k3():
-    assert degree_distribution(k_complete(3)).entries == {2: 3}
+def written_histogram(tmp_path, degrees):
+    """The degree -> count rows that save_degree_distribution writes."""
+    p = tmp_path / "degdist.csv"
+    save_degree_distribution(degrees, p)
+    header, *rows = p.read_text().splitlines()
+    assert header == "degree,count"
+    return {int(d): int(c) for d, c in (row.split(",") for row in rows)}
 
 
-def test_degree_distribution_star():
+def test_degree_distribution_k3(tmp_path):
+    assert written_histogram(tmp_path, k_complete(3).degrees) == {2: 3}
+
+
+def test_degree_distribution_star(tmp_path):
     g = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-    assert degree_distribution(g).entries == {1: 5, 5: 1}
+    assert written_histogram(tmp_path, g.degrees) == {1: 5, 5: 1}
 
 
-def test_degree_distribution_matches_recount():
+def test_degree_distribution_matches_recount(tmp_path):
     rng = np.random.default_rng(11)
     a = oracles.random_gnp(rng, 50, 0.2)
     g = graph_from_matrix(a)
-    dist = degree_distribution(g)
+    dist = written_histogram(tmp_path, g.degrees)
     recount = oracles.recount_degrees(g)
     expected = {}
     for d in recount:
         expected[int(d)] = expected.get(int(d), 0) + 1
-    assert dist.entries == expected
-    assert sum(dist.entries.values()) == 50
+    assert dist == expected
+    assert sum(dist.values()) == 50
 
 
-def test_expected_degree_distribution_bins_to_integers():
-    dist = expected_degree_distribution(np.array([0.2, 1.9, 2.1, 2.4]))
-    assert dist.entries == {0: 1, 2: 3}
-    assert all(type(count) is int for count in dist.entries.values())
+def test_expected_degree_distribution_bins_to_integers(tmp_path):
+    assert written_histogram(tmp_path, np.array([0.2, 1.9, 2.1, 2.4])) == {0: 1, 2: 3}
+    # counts are written as plain integers, rows in ascending degree
+    assert (tmp_path / "degdist.csv").read_text() == "degree,count\n0,1\n2,3\n"
 
 
 # ----------------------------------------------------------------- curves

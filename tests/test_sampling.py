@@ -162,12 +162,12 @@ def test_expected_degrees_match_monte_carlo():
     e = plain_random(rng, 200, 5, 0.15)
     exact = expected_degrees(e, TDP)
     samples = 2000
-    acc = np.zeros(200)
-    acc_sq = np.zeros(200)
-    for s in range(samples):
-        d = sample_graph(e, TDP, seed=13, sample_index=s).degrees
-        acc += d
-        acc_sq += d.astype(float) ** 2
+    # sample s of one pair walk is sample_graph(e, TDP, 13, s)
+    edges, _, _ = _pair_walk(e, TDP, seed=13, sample_indices=range(samples))
+    degrees = np.array([np.bincount(sample.ravel(), minlength=200) for sample in edges],
+                       dtype=float)
+    acc = degrees.sum(axis=0)
+    acc_sq = (degrees ** 2).sum(axis=0)
     mean = acc / samples
     std_of_mean = np.sqrt(np.maximum(acc_sq / samples - mean ** 2, 0.0) / samples)
     # 3 sigma per vertex, with a tiny floor for near-deterministic vertices
@@ -213,8 +213,8 @@ def test_expected_triangles_vs_monte_carlo():
     e = plain_random(rng, 30, 3, 0.45)
     exact = expected_triangles_exact(e, TDP)
     samples = 5000
-    counts = np.array([triangle_foundation_curve(sample_graph(e, TDP, 31, s)).total_triangles()
-                       for s in range(samples)], dtype=float)
+    # each sample's curve ends at its triangle count over n
+    counts = np.rint(curve_over_samples(e, TDP, 31, samples).deltas[:, -1] * e.n)
     mean = counts.mean()
     sigma_of_mean = counts.std(ddof=1) / np.sqrt(samples)
     assert abs(mean - exact) <= 3.0 * sigma_of_mean
