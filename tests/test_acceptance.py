@@ -43,6 +43,7 @@ from embedaudit.theory import (
     rank_lemma_bound,
     theorem_rank_lower_bound,
 )
+from perfbench import gen
 
 TDP = TruncatedDot()
 
@@ -227,18 +228,6 @@ def test_09_model_calibration_exact_sums():
     _ok(9, "LRDP/LRHP/softmax match expected edge counts within 1e-3 relative")
 
 
-def _headline_graph(seed):
-    """1000 disjoint triangles (n=3000) plus a G(n, 1/n) noise layer."""
-    rng = np.random.default_rng(seed)
-    n = 3000
-    tri = [(3 * t + a, 3 * t + b) for t in range(1000)
-           for a, b in ((0, 1), (1, 2), (0, 2))]
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < 1.0 / n
-    edges = np.concatenate([np.array(tri), np.column_stack([iu[mask], ju[mask]])])
-    return Graph.from_edges(n, edges)
-
-
 def test_10_headline_low_degree_triangle_gap():
     # Thresholds frozen from a pilot run: the construction caps the original
     # delta at 1/3 (1000 triangles over n=3000) and Poisson(1) noise degrees
@@ -246,7 +235,8 @@ def test_10_headline_low_degree_triangle_gap():
     # and the 10x gap hold with orders of magnitude to spare (pilot observed
     # ~0.00033 against 0.26).
     t0 = time.perf_counter()
-    g = _headline_graph(2024)
+    headline = gen.triangles_plus_noise(3000, 5)     # the benchmark's input
+    g = Graph.from_edges(headline.n, headline.edges)
     assert g.n == 3000
     original = triangle_foundation_curve(g)
     orig_delta = original.value_at(4)

@@ -16,6 +16,7 @@ from embedaudit.embedding import (
 from embedaudit import embedding
 from embedaudit.embedding import _BLOCK, _power, _spectrum_bounds
 from embedaudit.graph import Graph
+from perfbench import gen
 
 
 def k_complete(n):
@@ -189,6 +190,26 @@ def test_folded_solve_finds_every_copy_of_a_repeated_eigenvalue(d, monkeypatch):
     sparse = spectral_embed(g, d)
     assert np.max(np.abs(np.abs(sparse.eigenvalues) - mags[:d])) <= 1e-10
     assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the folded solve returns 8 of the 9 copies of lambda = 4, "
+                          "and nothing in its report warns of it")
+def test_folded_solve_finds_nine_copies_of_a_repeated_eigenvalue():
+    # the benchmark's graph at n = 2100 plus 9 disjoint K5: lambda = 4 nine
+    # times at the top of the spectrum, more copies than one Lanczos block
+    # holds, on the path that n = 2145 > _DENSE_CUTOFF takes by itself
+    base = gen.triangles_plus_noise(2100, 5)
+    k5 = np.array([(i, j) for i in range(5) for j in range(i + 1, 5)])
+    g = Graph.from_edges(base.n + 45, np.concatenate(
+        [base.edges] + [k5 + base.n + 5 * c for c in range(9)]))
+    mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency_matrix())))[::-1]
+    if (g.n <= embedding._DENSE_CUTOFF or np.sum(np.abs(mags - 4) <= 1e-10) != 9
+            or mags[14] - mags[15] <= 1e-3):
+        pytest.fail("the input no longer puts 9 copies of lambda = 4 in a unique "
+                    "top 15 on the folded path")
+    got = np.abs(spectral_embed(g, 15).eigenvalues)
+    assert np.max(np.abs(got - mags[:15])) <= 1e-10
 
 
 def test_folded_solve_goes_on_past_a_closed_krylov_space(monkeypatch):
