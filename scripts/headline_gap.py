@@ -44,11 +44,19 @@ def main() -> int:
     except ValueError as exc:
         ap.error(str(exc))
     out = Path(args.out)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     gen.write_edge_list(graph, out / "synthetic.txt")
-    cli.main(["audit", "--graph", str(out / "synthetic.txt"), "--dim", str(args.dim),
-              "--samples", str(args.samples), "--seed", str(args.seed),
-              "--models", args.models, "--out", str(out)])
+    try:
+        cli.main(["audit", "--graph", str(out / "synthetic.txt"), "--dim", str(args.dim),
+                  "--samples", str(args.samples), "--seed", str(args.seed),
+                  "--models", args.models, "--out", str(out)])
+    except BaseException:
+        # the CLI removes what it wrote; take back the input and the directory
+        (out / "synthetic.txt").unlink()
+        if made:
+            out.rmdir()
+        raise
 
     models = json.loads((out / "report.json").read_text())["config"]["models"]
     curves = {name: load_curve(out / f"curve_{name}.csv", graph.n)

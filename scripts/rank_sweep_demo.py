@@ -45,10 +45,18 @@ def main() -> int:
     ranks = args.ranks or ",".join(
         str(d) for d in sorted({1, 10, 50, n // 4, n // 2, n}) if 1 <= d <= n)
     out = Path(args.out)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     gen.write_edge_list(graph, out / "synthetic.txt")
-    cli.main(["ranksweep", "--graph", str(out / "synthetic.txt"), "--ranks", ranks,
-              "--samples", str(args.samples), "--seed", str(args.seed), "--out", str(out)])
+    try:
+        cli.main(["ranksweep", "--graph", str(out / "synthetic.txt"), "--ranks", ranks,
+                  "--samples", str(args.samples), "--seed", str(args.seed), "--out", str(out)])
+    except BaseException:
+        # the CLI removes what it wrote; take back the input and the directory
+        (out / "synthetic.txt").unlink()
+        if made:
+            out.rmdir()
+        raise
 
     swept = json.loads((out / "report.json").read_text())["config"]["rank_sweep_list"]
     probe = sorted({2, 4, int(np.bincount(graph.edges.ravel()).max())})

@@ -344,7 +344,7 @@ def _block_lanczos(op, n: int, d: int):
         last chunk of V."""
         for rows, filled in chunks:
             h = rows[:filled] @ w
-            w -= rows[:filled].T @ h
+            w -= (h.T @ rows[:filled]).T   # a wide GEMM, not a transposed skinny one
         return h
 
     while True:

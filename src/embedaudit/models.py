@@ -16,14 +16,17 @@ evaluate pure, symmetric probabilities in [0, 1].  Every sigmoid, in the
 logistic tiles of sampling and calibration and in the fits, goes through
 ``_sigmoid_inplace``: one exp and one reciprocal, in place in the logits.
 
-Memory of the fits: a logistic fit holds one design matrix of
-(fitted pairs) x (features + 1) float64 entries, filled in the row chunks of
-``blocks.row_chunks``, and sums its IRLS Hessian over the same chunks; the
-softmax normalizers take one ``blocks.TILE`` x n score block at a time and
-reduce it in the same row chunks.  Chunking changes no entry's arithmetic,
-only the order of the Hessian's sums.  The intercept calibration, the
-softmax clamp count and the sampler all walk the same ``blocks.TILE`` pair
-tiles.
+Memory of the fits: no fit holds a design matrix.  A logistic fit keeps
+the fitted pairs, labels and weights, O(m) each, and streams its features
+through a per-chunk filler in the row chunks of ``blocks.row_chunks``: one
+pass per Newton iterate returns the objective, gradient and Hessian.  lrdp
+holds one precomputed score column; lrhp recomputes its Hadamard features
+per chunk.  The softmax normalizers score ``blocks.TILE // 4`` rows x n at
+a time and reduce them in the same row chunks, and the softmax intensity
+is computed in place.  Chunking changes no logit or score, only the order
+of the objective's, gradient's and Hessian's sums.  The intercept
+calibration, the softmax clamp count and the sampler all walk the same
+``blocks.TILE`` pair tiles.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ class TruncatedDot:
     variant = "tdp"
 
     def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
-        return np.clip(e.score_block(rows, cols), 0.0, 1.0)
+        s = e.score_block(rows, cols)
+        return np.clip(s, 0.0, 1.0, out=s)
 
 
 @dataclass(frozen=True)
@@ -179,14 +183,24 @@ class DegreeSoftmax:
             return np.exp(self.log_scale)
 
     def _intensity(self, e: Embedding, rows, cols) -> np.ndarray:
-        """Unclamped symmetrized intensity (q_ij + q_ji) / 2."""
+        """Unclamped symmetrized intensity (q_ij + q_ji) / 2, computed in
+        place in the score tile, row chunk by row chunk."""
         s = e.score_block(rows, cols)
-        q_ij = np.exp(self.log_scale[np.asarray(rows)][:, None] + s)
-        q_ji = np.exp(self.log_scale[np.asarray(cols)][None, :] + s)
-        return 0.5 * (q_ij + q_ji)
+        ls_rows = self.log_scale[np.asarray(rows)][:, None]
+        ls_cols = self.log_scale[np.asarray(cols)][None, :]
+        for r0, r1 in row_chunks(s.shape[0], s.shape[1]):
+            q = s[r0:r1]
+            q_ij = ls_rows[r0:r1] + q
+            np.exp(q_ij, out=q_ij)
+            q += ls_cols
+            np.exp(q, out=q)               # q_ji
+            q += q_ij
+            q *= 0.5
+        return s
 
     def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
-        return np.minimum(1.0, self._intensity(e, rows, cols))
+        q = self._intensity(e, rows, cols)
+        return np.minimum(q, 1.0, out=q)
 
 
 @dataclass(frozen=True)
@@ -209,8 +223,11 @@ def build_softmax(e: Embedding, g: Graph) -> DegreeSoftmax:
     n = e.n
     deg = g.degrees.astype(np.float64)
     log_z = np.empty(n)
-    for i0 in range(0, n, blocks.TILE):
-        i1 = min(i0 + blocks.TILE, n)
+    # a quarter tile of rows per score block: at n=15000 it scores as fast
+    # as a whole tile in a quarter of the memory
+    side = max(1, blocks.TILE // 4)
+    for i0 in range(0, n, side):
+        i1 = min(i0 + side, n)
         s = e.score_block(np.arange(i0, i1), np.arange(n))
         s[np.arange(i1 - i0), np.arange(i0, i1)] = -np.inf   # exclude the self-pair
         # row sub-blocks keep the max mask and the sums small
@@ -268,51 +285,70 @@ def _sample_nonedges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarr
     return np.concatenate(chunks)
 
 
-def _weighted_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray):
+def _weighted_logistic(fill, nfeat: int, y: np.ndarray, w: np.ndarray):
     """Damped-Newton weighted logistic MLE; returns (coef, intercept, iters).
 
-    ``design`` holds the feature columns followed by a column of ones for
-    the intercept; it is overwritten.  Exactly-constant feature columns are
-    excluded (their coefficient stays 0) by moving the others left in
-    place, so degenerate inputs reduce to an intercept-only fit without a
-    second design.  The Hessian is summed over row chunks.
+    There is no design matrix: ``fill(r0, r1, out)`` writes the ``nfeat``
+    features of fitted rows r0..r1 into ``out``, and each Newton iterate
+    takes one pass over the row chunks of ``blocks.row_chunks`` that
+    returns the objective, gradient and Hessian together.  The line
+    search's pass at the accepted candidate is the next iterate's pass.
+    A chunk's rows carry the features and a one for the intercept, and the
+    Hessian sums the products of those rows scaled by the square root of
+    their curvature.  Exactly-constant feature columns, found by a column
+    min/max in the first pass, are excluded (their coefficient stays 0),
+    so degenerate inputs reduce to an intercept-only fit.
     """
-    npts, nfeat = design.shape[0], design.shape[1] - 1
-    active = np.array([np.ptp(design[:, c]) > 0 for c in range(nfeat)], dtype=bool)
+    npts = len(y)
+    keep = np.arange(nfeat + 1)        # the fitted columns, the intercept last
+
+    def newton_pass(beta, bounds=None):
+        value, grad, hess = 0.0, np.zeros(keep.size), np.zeros((keep.size, keep.size))
+        buf = None
+        for r0, r1 in row_chunks(npts, nfeat + 1):
+            if buf is None:
+                buf = np.empty((r1 - r0, nfeat + 1))
+            x = buf[:r1 - r0]
+            fill(r0, r1, x[:, :nfeat])
+            x[:, nfeat] = 1.0
+            if bounds is not None:
+                np.minimum(bounds[0], x[:, :nfeat].min(axis=0), out=bounds[0])
+                np.maximum(bounds[1], x[:, :nfeat].max(axis=0), out=bounds[1])
+            if keep.size <= nfeat:         # a constant column is left out
+                x = x[:, keep]
+            yc, wc = y[r0:r1], w[r0:r1]
+            z = x @ beta
+            value += float(np.sum(wc * (np.logaddexp(0.0, z) - yc * z)))
+            p = _sigmoid_inplace(z)
+            grad += x.T @ (wc * (p - yc))
+            curv = wc * p * (1.0 - p) + 1e-12
+            x *= np.sqrt(curv)[:, None]
+            hess += x.T @ x
+        return value, grad, hess
+
+    bounds = np.array([[np.inf], [-np.inf]]).repeat(nfeat, axis=1)   # column min, max
+    current, grad, hess = newton_pass(np.zeros(keep.size), bounds)
+    active = bounds[1] > bounds[0]
     if not active.all():
         keep = np.append(np.flatnonzero(active), nfeat)
-        for dst, src in enumerate(keep):
-            design[:, dst] = design[:, src]
-        design = design[:, :keep.size]
-    beta = np.zeros(design.shape[1])
+        grad, hess = grad[keep], hess[np.ix_(keep, keep)]
+    beta = np.zeros(keep.size)
     scale = max(1.0, float(w.sum()))
 
-    def nll(b):
-        z = design @ b
-        return float(np.sum(w * (np.logaddexp(0.0, z) - y * z)))
-
-    current = nll(beta)
     iters = 0
     for iters in range(1, _MLE_MAX_ITER + 1):
-        p = _sigmoid_inplace(design @ beta)
-        grad = design.T @ (w * (p - y))
         if np.max(np.abs(grad)) <= _MLE_GRAD_TOL * scale:
             iters -= 1
             break
-        curv = w * p * (1.0 - p) + 1e-12
-        hess = np.zeros((beta.size, beta.size))
-        for r0, r1 in row_chunks(npts, beta.size):
-            rows = design[r0:r1]
-            hess += rows.T @ (rows * curv[r0:r1, None])
         hess[np.diag_indices_from(hess)] += 1e-10 * (1.0 + np.trace(hess))
         step = np.linalg.solve(hess, grad)
         # backtrack until the objective stops increasing
         t = 1.0
         for _ in range(50):
             candidate = beta - t * step
-            value = nll(candidate)
+            value, cand_grad, cand_hess = newton_pass(candidate)
             if value <= current + 1e-12:
-                beta, current = candidate, value
+                beta, current, grad, hess = candidate, value, cand_grad, cand_hess
                 break
             t *= 0.5
         else:
@@ -379,21 +415,30 @@ def _make_pair_sums(e: Embedding, model_at):
     return pair_sums
 
 
-def _lrdp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
-    """out[k, 0] = pair score of pairs[k], computed over row chunks."""
+def _lrdp_features(e: Embedding, pairs: np.ndarray):
+    """Feature filler of the pair score: the scores of all fitted pairs are
+    computed once, over row chunks, into one column that it copies from."""
+    scaled = e.vectors * e.scale
+    scores = np.empty(len(pairs))
     for r0, r1 in row_chunks(len(pairs), e.d):
-        left = e.vectors[pairs[r0:r1, 0]]
-        left *= e.scale
-        out[r0:r1, 0] = np.einsum("ij,ij->i", left, e.vectors[pairs[r0:r1, 1]])
+        scores[r0:r1] = np.einsum("ij,ij->i", scaled[pairs[r0:r1, 0]],
+                                  e.vectors[pairs[r0:r1, 1]])
+
+    def fill(r0, r1, out):
+        out[:, 0] = scores[r0:r1]
+
+    return fill
 
 
-def _lrhp_features(e: Embedding, pairs: np.ndarray, out: np.ndarray) -> None:
-    """out[k] = v_i ⊙ v_j ⊙ e.scale for pairs[k] = (i, j), written over row
-    chunks."""
-    for r0, r1 in row_chunks(len(pairs), e.d):
-        f = np.multiply(e.vectors[pairs[r0:r1, 0]], e.vectors[pairs[r0:r1, 1]],
-                        out=out[r0:r1])
-        f *= e.scale
+def _lrhp_features(e: Embedding, pairs: np.ndarray):
+    """Feature filler of the Hadamard features: rows r0..r1 get
+    (v_i ⊙ e.scale) ⊙ v_j for pairs[k] = (i, j), from V scaled once."""
+    scaled = e.vectors * e.scale
+
+    def fill(r0, r1, out):
+        np.multiply(scaled[pairs[r0:r1, 0]], e.vectors[pairs[r0:r1, 1]], out=out)
+
+    return fill
 
 
 def _fit_logistic_model(e, g, seed, nfeat, features, build):
@@ -414,11 +459,7 @@ def _fit_logistic_model(e, g, seed, nfeat, features, build):
     w = np.concatenate([np.ones(len(pos)), np.full(len(neg), w_neg)])
 
     if len(pairs):
-        design = np.empty((len(pairs), nfeat + 1))
-        features(e, pairs, design[:, :nfeat])
-        design[:, nfeat] = 1.0
-        coef, intercept, newton_iters = _weighted_logistic(design, y, w)
-        del design                     # before the calibration walks the tiles
+        coef, intercept, newton_iters = _weighted_logistic(features(e, pairs), nfeat, y, w)
     else:
         coef, intercept, newton_iters = np.zeros(nfeat), 0.0, 0
 

@@ -228,9 +228,77 @@ def lrdp_features_reference(e, pairs):
 
 
 def lrhp_features_reference(e, pairs):
-    """Hadamard features of every fitted pair in one (pairs x d) product."""
-    f = e.vectors[pairs[:, 0]] * e.vectors[pairs[:, 1]]
-    return f * e.eigenvalues if e.kind == "spectral" else f
+    """Hadamard features of every fitted pair in one (pairs x d) product,
+    in the library's operand order (v_i * lambda) * v_j."""
+    left = e.vectors[pairs[:, 0]] * (e.eigenvalues if e.kind == "spectral" else 1.0)
+    return left * e.vectors[pairs[:, 1]]
+
+
+def fit_sample_reference(g, seed):
+    """(pairs, y, w) of a logistic fit: every edge with weight 1, then ten
+    sampled non-edges per edge, weighted (#non-edges) / (#sampled)."""
+    from embedaudit import models
+
+    pos = g.edge_array()
+    neg = models._sample_nonedges(g, 10 * g.m, np.random.default_rng(seed))
+    n_non = g.n * (g.n - 1) // 2 - g.m
+    pairs = np.concatenate([pos, neg])
+    y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+    w = np.concatenate([np.ones(len(pos)), np.full(len(neg), n_non / len(neg))])
+    return pairs, y, w
+
+
+def weighted_logistic_reference(design, y, w):
+    """Damped-Newton weighted logistic MLE on a whole (pairs x (features + 1))
+    design whose last column is ones; returns (coef, intercept, iters).
+    Constant feature columns are moved out and keep coefficient 0."""
+    from embedaudit.blocks import row_chunks
+    from embedaudit.models import _MLE_GRAD_TOL, _MLE_MAX_ITER, _sigmoid_inplace
+
+    npts, nfeat = design.shape[0], design.shape[1] - 1
+    active = np.array([np.ptp(design[:, c]) > 0 for c in range(nfeat)], dtype=bool)
+    if not active.all():
+        keep = np.append(np.flatnonzero(active), nfeat)
+        for dst, src in enumerate(keep):
+            design[:, dst] = design[:, src]
+        design = design[:, :keep.size]
+    beta = np.zeros(design.shape[1])
+    scale = max(1.0, float(w.sum()))
+
+    def nll(b):
+        z = design @ b
+        return float(np.sum(w * (np.logaddexp(0.0, z) - y * z)))
+
+    current = nll(beta)
+    iters = 0
+    for iters in range(1, _MLE_MAX_ITER + 1):
+        p = _sigmoid_inplace(design @ beta)
+        grad = design.T @ (w * (p - y))
+        if np.max(np.abs(grad)) <= _MLE_GRAD_TOL * scale:
+            iters -= 1
+            break
+        curv = w * p * (1.0 - p) + 1e-12
+        hess = np.zeros((beta.size, beta.size))
+        for r0, r1 in row_chunks(npts, beta.size):
+            rows = design[r0:r1]
+            hess += rows.T @ (rows * curv[r0:r1, None])
+        hess[np.diag_indices_from(hess)] += 1e-10 * (1.0 + np.trace(hess))
+        step = np.linalg.solve(hess, grad)
+        # backtrack until the objective stops increasing
+        t = 1.0
+        for _ in range(50):
+            candidate = beta - t * step
+            value = nll(candidate)
+            if value <= current + 1e-12:
+                beta, current = candidate, value
+                break
+            t *= 0.5
+        else:
+            break
+
+    coef = np.zeros(nfeat)
+    coef[active] = beta[:-1]
+    return coef, float(beta[-1]), iters
 
 
 def softmax_log_scale_reference(e, g):

@@ -526,7 +526,8 @@ def test_input_errors_end_in_one_line(tmp_path, capsys, monkeypatch, argv, messa
 
 def test_every_walk_takes_the_one_tile_side(tmp_path, monkeypatch):
     # calibration, sampling, the clamp count and the softmax normalizers all
-    # follow blocks.TILE; 60 vertices in 16-side tiles are 4 x 5 / 2 tiles
+    # follow blocks.TILE; 60 vertices in 16-side tiles are 4 x 5 / 2 tiles,
+    # and the normalizers score 60 / 4 blocks of a quarter tile's rows
     gpath, g = write_random_graph(tmp_path, n=60, p=0.1)
     assert g.n == 60
     monkeypatch.setattr(blocks, "TILE", 16)
@@ -552,7 +553,7 @@ def test_every_walk_takes_the_one_tile_side(tmp_path, monkeypatch):
     # the lrdp calibration passes, the clamp count, and one sampling walk per model
     assert len(walks) == report["fit_reports"]["lrdp"]["calibration_evals"] + 1 + 2
     assert walks == [[16, 10]] * len(walks)
-    assert softmax_rows == [16, 16, 16, 12]
+    assert softmax_rows == [blocks.TILE // 4] * 15      # quarter-tile row blocks
 
 
 def test_cli_import_leaves_out_scipy_linalg_and_special():

@@ -303,6 +303,22 @@ def test_softmax_clamp_count():
     assert softmax_clamp_count(boosted, e) == 3
 
 
+def test_in_place_probability_tiles_equal_whole_tile_arithmetic(monkeypatch):
+    # the softmax intensity is computed in the score tile, 3 rows at a time;
+    # every entry is the whole-tile expression's, bit for bit
+    rng = np.random.default_rng(12)
+    g = random_graph(rng, 40, 0.2)
+    e = Embedding.plain(rng.normal(size=(40, 3)))
+    model = DegreeSoftmax(build_softmax(e, g).log_scale + 0.5)
+    rows, cols = np.arange(5, 30), np.arange(40)
+    monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 3 * len(cols))
+    s, ls = e.score_block(rows, cols), model.log_scale
+    raw = 0.5 * (np.exp(ls[rows][:, None] + s) + np.exp(ls[cols][None, :] + s))
+    assert np.array_equal(model._intensity(e, rows, cols), raw)
+    assert np.array_equal(model.prob_block(e, rows, cols), np.minimum(1.0, raw))
+    assert np.array_equal(TruncatedDot().prob_block(e, rows, cols), np.clip(s, 0.0, 1.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(0, 30), d=st.integers(1, 3), side=st.integers(1, 40),
        boost=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
@@ -320,8 +336,8 @@ def test_softmax_clamp_count_matches_dense_triu(n, d, side, boost, seed):
 
 
 def test_lrhp_constant_column_gets_zero_weight():
-    # the constant column is moved out of the design in place; the other
-    # weights are those of the fit without it
+    # the constant column is left out of the fit; the other weights are
+    # those of the fit without it
     rng = np.random.default_rng(41)
     g = random_graph(rng, 30, 0.2)
     v = rng.normal(size=(30, 3)) * 0.5
@@ -353,11 +369,46 @@ def test_chunked_pair_features_equal_whole_list(kind, monkeypatch):
     monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 7 * e.d)      # 7 rows per chunk
     assert len(pairs) % 7
     out = np.full((len(pairs), e.d + 1), np.nan)
-    models._lrdp_features(e, pairs, out[:, :1])
+    lrdp, lrhp = models._lrdp_features(e, pairs), models._lrhp_features(e, pairs)
+    spans = [(r0, min(r0 + 11, len(pairs))) for r0 in range(0, len(pairs), 11)]
+    for r0, r1 in spans:                  # filled in other chunks than computed
+        lrdp(r0, r1, out[r0:r1, :1])
     assert np.array_equal(out[:, 0], oracles.lrdp_features_reference(e, pairs))
-    models._lrhp_features(e, pairs, out[:, :e.d])
+    for r0, r1 in spans:
+        lrhp(r0, r1, out[r0:r1, :e.d])
     assert np.array_equal(out[:, :e.d], oracles.lrhp_features_reference(e, pairs))
     assert np.isnan(out[:, e.d]).all()
+
+
+@pytest.mark.parametrize("case", ["lrdp", "lrhp-d1", "lrhp", "lrhp-constant", "lrhp-spectral"])
+def test_streamed_newton_matches_whole_design(case, monkeypatch):
+    # the streamed IRLS sums its objective, gradient and Hessian in row
+    # chunks of a few rows; the whole-design Newton takes the same steps
+    rng = np.random.default_rng(43)
+    n = 40
+    g = random_graph(rng, n, 0.15)
+    v = rng.normal(size=(n, 4)) * 0.5
+    e = {"lrdp": Embedding.plain(v), "lrhp-d1": Embedding.plain(v[:, :1]),
+         "lrhp": Embedding.plain(v),
+         "lrhp-constant": Embedding.plain(np.column_stack([v[:, :2], np.ones(n), v[:, 2:]])),
+         "lrhp-spectral": spectral_embed(g, 4)}[case]
+    fit, features, nfeat = ((fit_lrdp, oracles.lrdp_features_reference, 1) if case == "lrdp"
+                            else (fit_lrhp, oracles.lrhp_features_reference, e.d))
+    pairs, y, w = oracles.fit_sample_reference(g, 11)
+    design = np.column_stack([features(e, pairs).reshape(len(pairs), nfeat),
+                              np.ones(len(pairs))])
+    coef, intercept, iters = oracles.weighted_logistic_reference(design, y, w)
+
+    # no calibration: the model carries the MLE intercept
+    monkeypatch.setattr(models, "_calibrate_intercept", lambda pair_sums, m: (0.0, 0, True, m))
+    monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 3 * (nfeat + 1))   # 3 rows per chunk
+    model, report = fit(e, g, seed=11)
+    got = np.atleast_1d(model.slope if case == "lrdp" else model.weights)
+    assert report.iterations == iters > 0
+    np.testing.assert_allclose(got, coef, rtol=1e-9, atol=0.0)
+    assert model.intercept == pytest.approx(intercept, rel=1e-9)
+    if case == "lrhp-constant":
+        assert got[2] == coef[2] == 0.0
 
 
 @pytest.mark.parametrize("kind", ["plain", "spectral"])
@@ -417,18 +468,24 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_fit_stage_memory_is_chunk_bounded():
-    # whole-list gathers, extra design copies or logsumexp over a whole
-    # score block each break one of these bounds
+def test_fit_stage_memory_is_chunk_bounded(monkeypatch):
+    # a design matrix, whole-list gathers, or a score block of more than a
+    # quarter tile of rows each break one of these bounds
     rng = np.random.default_rng(3)
     n, d = 1600, 64
     g = Graph.from_edges(n, rng.integers(0, n, size=(8200, 2)))
     e = Embedding.plain(rng.normal(scale=0.15, size=(n, d)))
     fitted = 11 * g.m             # edges plus 10 sampled non-edges per edge
-    assert _traced_peak(lambda: fit_lrdp(e, g)) < 0.5 * fitted * d * 8
-    assert _traced_peak(lambda: fit_lrhp(e, g)) < 1.5 * fitted * (d + 1) * 8
+    # O(m): the pair list, y, w, lrdp's score column and the sampler's batch
+    per_fitted, chunk, tile = 64, blocks.CHUNK_ENTRIES * 8, blocks.TILE ** 2 * 8
+    for fit in (fit_lrdp, fit_lrhp):
+        # the calibration walks pair tiles; the probability tile and 1 - p
+        assert _traced_peak(lambda: fit(e, g)) < fitted * per_fitted + 2 * tile + 4 * chunk
+    monkeypatch.setattr(models, "_calibrate_intercept", lambda pair_sums, m: (0.0, 0, True, m))
+    for fit in (fit_lrdp, fit_lrhp):
+        assert _traced_peak(lambda: fit(e, g)) < fitted * per_fitted + 4 * chunk
     assert (_traced_peak(lambda: build_softmax(e, g))
-            < (blocks.TILE * n + blocks.TILE ** 2) * 8)
+            < (blocks.TILE // 4 * n) * 8 + e.vectors.nbytes + 2 * chunk)
 
 
 # ------------------------------------------------------------- dispatch
