@@ -51,8 +51,8 @@ def main() -> int:
         cli.main(["audit", "--graph", str(out / "synthetic.txt"), "--dim", str(args.dim),
                   "--samples", str(args.samples), "--seed", str(args.seed),
                   "--models", args.models, "--out", str(out)])
-    except BaseException:
-        # the CLI removes what it wrote; take back the input and the directory
+    except (SystemExit, Exception):
+        # the CLI removes what it wrote on these; take back the input and the directory
         (out / "synthetic.txt").unlink()
         if made:
             out.rmdir()

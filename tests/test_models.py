@@ -481,6 +481,8 @@ def test_fit_stage_memory_is_chunk_bounded(monkeypatch):
     for fit in (fit_lrdp, fit_lrhp):
         # the calibration walks pair tiles; the probability tile and 1 - p
         assert _traced_peak(lambda: fit(e, g)) < fitted * per_fitted + 2 * tile + 4 * chunk
+    # at this size the older bound on lrdp, calibration included, is the tighter
+    assert _traced_peak(lambda: fit_lrdp(e, g)) < 0.5 * fitted * d * 8
     monkeypatch.setattr(models, "_calibrate_intercept", lambda pair_sums, m: (0.0, 0, True, m))
     for fit in (fit_lrdp, fit_lrhp):
         assert _traced_peak(lambda: fit(e, g)) < fitted * per_fitted + 4 * chunk
