@@ -16,51 +16,24 @@ Usage:
                                    [--models tdp,lrdp,lrhp,softmax] [--out DIR]
 """
 
-import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))   # the checkout root, for perfbench/
-from embedaudit import cli
-from embedaudit.graph import load_curve
-from perfbench import gen
+import experiment
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = experiment.parser(__doc__, triangles=1000, samples=100, out="headline_out")
     ap.add_argument("--dim", type=int, default=100)
-    ap.add_argument("--samples", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--triangles", type=int, default=1000)
     ap.add_argument("--models", default="tdp,lrdp,lrhp,softmax")
-    ap.add_argument("--out", default="headline_out")
-    args = ap.parse_args()
+    args, graph = experiment.draw(ap)
+    curves = experiment.run(args, graph,
+                            ["audit", "--dim", str(args.dim), "--models", args.models])
 
-    try:
-        graph = gen.triangles_plus_noise(3 * args.triangles, args.seed)
-    except ValueError as exc:
-        ap.error(str(exc))
     out = Path(args.out)
-    made = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
-    gen.write_edge_list(graph, out / "synthetic.txt")
-    try:
-        cli.main(["audit", "--graph", str(out / "synthetic.txt"), "--dim", str(args.dim),
-                  "--samples", str(args.samples), "--seed", str(args.seed),
-                  "--models", args.models, "--out", str(out)])
-    except (SystemExit, Exception):
-        # the CLI removes what it wrote on these; take back the input and the directory
-        (out / "synthetic.txt").unlink()
-        if made:
-            out.rmdir()
-        raise
-
-    models = json.loads((out / "report.json").read_text())["config"]["models"]
-    curves = {name: load_curve(out / f"curve_{name}.csv", graph.n)
-              for name in ["original", *models]}
+    models = list(curves)[1:]
     probe = sorted({2, 3, 4, 6, 10, 20, int(np.bincount(graph.edges.ravel()).max())})
     print(f"\n{'c':>5s}" + "".join(f" {name:>12s}" for name in curves))
     for c in probe:

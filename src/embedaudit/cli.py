@@ -101,13 +101,6 @@ class AuditConfig:
         if len(set(ranks)) != len(ranks):
             raise AuditConfigError("ranks must be distinct")
 
-    def to_json(self) -> dict:
-        doc = asdict(self)
-        if self.rank_sweep_list:
-            # a rank sweep takes its dimensions from the ranks
-            del doc["dim"]
-        return doc
-
 
 def _model_sample_seed(seed: int, model_name: str) -> int:
     """Independent 64-bit sampling seed per (run seed, model)."""
@@ -136,17 +129,17 @@ def _fit_model(name, e, g, seed):
     return model, rep
 
 
-def _run_pipeline(config: AuditConfig, embed, variants) -> dict:
-    """Load, sample, curves, write and report over labelled variants.
+def _run_pipeline(config: AuditConfig, variants) -> dict:
+    """Load, embed, sample, curves, write and report over labelled variants.
 
-    ``embed(g, solve)`` returns the embedding that the report describes and
-    fills the dict ``solve`` with how an eigensolve found it, and
-    ``variants(g, e)`` returns ``(variants, fit_reports, extras)``, where
-    ``variants`` yields ``(label, embedding, model)``.  Each variant's
-    samples are seeded by its model variant; its outputs are
-    ``curve_<label>.csv`` and ``degdist_expected_<label>.csv``.  The output
-    directory is made only when the write stage starts; returns the dict
-    written as ``report.json``.
+    The embedding is the config's external file if it names one, else the
+    rank-``config.dim`` spectral embedding.  ``variants(g, e)`` returns
+    ``(variants, fit_reports, extras)``, where ``variants`` yields
+    ``(label, embedding, model)``.  Each variant's samples are seeded by its
+    model variant; its outputs are ``curve_<label>.csv`` and
+    ``degdist_expected_<label>.csv``.  The output directory is made only
+    when the write stage starts; returns the dict written as
+    ``report.json``.
     """
     t_start = time.perf_counter()
     written = []                         # removed again if any stage fails
@@ -157,7 +150,12 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> dict:
 
         stage = "embed"
         solve = {}
-        e = embed(g, solve)
+        if config.external_embedding_path:
+            e = load_embedding(config.external_embedding_path)
+            if e.n != g.n:
+                raise InputError(f"embedding has n={e.n}, graph has n={g.n}")
+        else:
+            e = spectral_embed(g, config.dim, report=solve)
 
         stage = "fit"
         labelled, fit_reports, extras = variants(g, e)
@@ -176,7 +174,7 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> dict:
         curves = {"original": original,
                   **{label: cs.max_curve for label, cs in curve_sets.items()}}
         grid = union_grid(curves.values())
-        delta_std = {label: float(np.sqrt(cs.variance.max())) if cs.variance.size else 0.0
+        delta_std = {label: float(np.sqrt(cs.variance.max()))
                      for label, cs in curve_sets.items()}
 
         stage = "write"
@@ -198,7 +196,7 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> dict:
         report = {
             "files": {p.stem: p.name for p in written},
             "fit_reports": {k: vars(r) for k, r in fit_reports.items()},
-            "config": config.to_json(),
+            "config": asdict(config),
             "n": g.n,
             "m": g.m,
             "triangles": original.total_triangles(),
@@ -223,8 +221,9 @@ def _run_pipeline(config: AuditConfig, embed, variants) -> dict:
             "wall_time_s": round(time.perf_counter() - t_start, 3),
         }
         with open(target("report.json"), "w", encoding="utf-8", newline="\n") as fh:
+            # keys in the order built above, so labels keep their run order;
             # paths in the config echo may be os.PathLike
-            json.dump(report, fh, indent=2, sort_keys=True, default=os.fspath)
+            json.dump(report, fh, indent=2, default=os.fspath)
             fh.write("\n")
         return report
     except Exception as exc:
@@ -240,14 +239,6 @@ def cmd_audit(config: AuditConfig) -> dict:
     """Full audit: one embedding, sampled under each requested model.
     Returns the dict written as ``report.json``."""
 
-    def embed(g, solve):
-        if not config.external_embedding_path:
-            return spectral_embed(g, config.dim, report=solve)
-        e = load_embedding(config.external_embedding_path)
-        if e.n != g.n:
-            raise InputError(f"embedding has n={e.n}, graph has n={g.n}")
-        return e
-
     def fitted(g, e):
         labelled, fit_reports, extras = [], {}, {}
         for name in config.models:
@@ -259,7 +250,7 @@ def cmd_audit(config: AuditConfig) -> dict:
                 extras["softmax_clamped_pairs"] = softmax_clamp_count(model, e)
         return labelled, fit_reports, extras
 
-    return _run_pipeline(config, embed, fitted)
+    return _run_pipeline(config, fitted)
 
 
 def cmd_ranksweep(config: AuditConfig) -> dict:
@@ -267,21 +258,20 @@ def cmd_ranksweep(config: AuditConfig) -> dict:
 
     One eigensolve at the largest rank; rank d samples the first d columns
     of it, which is the rank-d spectral embedding.  Only tdp runs, so the
-    report echoes ``models`` as ``["tdp"]`` whatever the config holds.
-    Returns the dict written as ``report.json``.
+    report echoes ``models`` as ``["tdp"]`` and ``dim`` as the largest rank,
+    whatever the config holds.  Returns the dict written as ``report.json``.
     """
     ranks = config.rank_sweep_list
     if not ranks:
         raise AuditConfigError("ranksweep needs a non-empty rank list")
-    config = replace(config, models=("tdp",))
+    config = replace(config, models=("tdp",), dim=max(ranks), external_embedding_path=None)
 
     def prefixes(g, e):
         # a generator: one prefix copy at a time lives beside the full embedding
         return ((f"rank{d}", Embedding(SPECTRAL, e.vectors[:, :d], e.eigenvalues[:d]),
                  TruncatedDot()) for d in ranks), {}, {}
 
-    return _run_pipeline(
-        config, lambda g, solve: spectral_embed(g, max(ranks), report=solve), prefixes)
+    return _run_pipeline(config, prefixes)
 
 
 def cmd_verify(seed: int = 0, out_path=None) -> dict:

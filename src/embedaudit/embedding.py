@@ -115,13 +115,6 @@ class Embedding:
         """Pair scores for the index block rows x cols."""
         return (self.vectors[rows] * self.scale) @ self.vectors[cols].T
 
-    def take(self, indices) -> "Embedding":
-        """Plain sub-embedding on a subset of vertices."""
-        if self.kind != PLAIN:
-            # row restriction breaks spectral column orthonormality
-            raise ValueError("take() is only supported for plain embeddings")
-        return Embedding(PLAIN, self.vectors[np.asarray(indices)])
-
 
 def _canonical_order(values: np.ndarray) -> np.ndarray:
     """Indices sorting by descending |value|, positive first on ties.

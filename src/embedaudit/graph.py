@@ -266,9 +266,10 @@ _PATH_BLOCK = 1 << 20
 
 
 def _triangle_counts_by_max_degree(n: int, edges: np.ndarray):
-    """(deg, counts) of the graph on vertices 0..n-1 whose (m, 2) array
-    ``edges`` holds each edge once with i < j: deg[v] is the degree of v and
-    counts[c] the number of triangles whose max endpoint degree equals c.
+    """(deg, counts) of the graph on vertices 0..n-1, n >= 1, whose (m, 2)
+    array ``edges`` holds each edge once with i < j: deg[v] is the degree of
+    v and counts[c] the number of triangles whose max endpoint degree equals
+    c.
 
     Vertices are relabeled by their position in the (degree, index) order and
     each edge is oriented towards the later vertex, giving a lower-triangular
@@ -282,7 +283,7 @@ def _triangle_counts_by_max_degree(n: int, edges: np.ndarray):
     """
     m = len(edges)
     deg = np.bincount(np.ravel(edges), minlength=n)
-    size = int(deg.max()) + 1 if deg.size else 1
+    size = int(deg.max()) + 1
     if m == 0:
         return deg, np.zeros(size)
     order = np.lexsort((np.arange(n), deg))

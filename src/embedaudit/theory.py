@@ -209,7 +209,7 @@ def core_rank_certificate(e: Embedding, c: float) -> RankCertificate:
     if degree_ok.size == 0:
         return empty("degree_cap", degree_ok, {}, 0.0, 0.0)
 
-    delta_est = expected_triangles_exact(e.take(degree_ok), tdp) / n
+    delta_est = expected_triangles_exact(Embedding.plain(e.vectors[degree_ok]), tdp) / n
 
     lengths = np.linalg.norm(e.vectors, axis=1)
     lo, hi = n ** -2.0, 2.0 * math.sqrt(n)

@@ -309,13 +309,15 @@ def test_ranksweep_one_eigensolve_and_audit_outputs(tmp_path, monkeypatch):
                               num_samples=3, seed=2, rank_sweep_list=ranks))
     assert dims == [12]
     doc = json.loads((out / "report.json").read_text())
-    labels = {f"rank{d}" for d in ranks}
-    assert set(doc["sampled_edges"]) == labels
-    assert set(doc["max_delta_std_per_model"]) == labels
+    # the file lists the labels in run order, not sorted (rank12 before rank3)
+    labels = [f"rank{d}" for d in ranks]
+    assert list(doc["models"]) == labels
+    assert list(doc["sampled_edges"]) == labels
+    assert list(doc["max_delta_std_per_model"]) == labels
     assert doc["embedding_dim"] == 12 and "ranks" not in doc
     assert doc["config"]["rank_sweep_list"] == list(ranks)
-    # the rank list sets its dimensions
-    assert "dim" not in doc["config"]
+    # the rank list sets its dimension: the echo holds the rank that was solved
+    assert doc["config"]["dim"] == doc["embedding_dim"] == 12
     assert "models" in doc["config"]
     assert (out / "degdist_observed.csv").exists()
     for label in labels:
