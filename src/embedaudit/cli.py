@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .embedding import SPECTRAL, Embedding, load_embedding, save_embedding, spectral_embed
@@ -215,8 +214,7 @@ def _run_pipeline(config: AuditConfig, variants) -> dict:
                                       "draw_candidates": cs.draw_candidates}
                               for label, cs in curve_sets.items()},
             **extras,
-            "versions": {"embedaudit": __version__,
-                         "numpy": np.__version__, "scipy": scipy.__version__},
+            "versions": {"embedaudit": __version__, "numpy": np.__version__},
             "seed": config.seed,
             "wall_time_s": round(time.perf_counter() - t_start, 3),
         }

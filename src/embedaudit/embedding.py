@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .blocks import row_chunks
 from .graph import Graph, InputError
@@ -178,8 +177,7 @@ def spectral_embed(g: Graph, d: int, *, report: dict | None = None) -> Embedding
         next_magnitude = float(abs(w[order[d]])) if d < n else None
         path, power, block, applications = "dense", None, None, None
     else:
-        a = scipy.sparse.csr_matrix(
-            (np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+        a = _Adjacency(g)
         vals, vecs, power, applications, next_magnitude = _folded_eigsh(a, d)
         path, block = "folded", min(_BLOCK, n)
 
@@ -205,22 +203,59 @@ def spectral_embed(g: Graph, d: int, *, report: dict | None = None) -> Embedding
     return Embedding(SPECTRAL, _fix_signs(vecs), vals)
 
 
-def _spectrum_bounds(a, d: int) -> tuple:
+class _Adjacency:
+    """The adjacency matrix A of a Graph as an operator: ``a @ x`` for x of
+    shape (n,) or (n, k).
+
+    Row i of A x sums x over the neighbours of i, left to right in CSR
+    order, with ``np.bincount``: one per column, or for a Lanczos block of
+    _BLOCK columns one over the (row, column) bins of all its entries.
+    That is the order of a CSR sparse matrix-vector product, so the result
+    matches one bit for bit.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self._rows = np.repeat(np.arange(g.n), g.degrees)
+        self._block_bins = (self._rows[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+
+    def __matmul__(self, x):
+        n, indices = self.graph.n, self.graph.indices
+        if x.ndim == 1:
+            return np.bincount(self._rows, weights=x[indices], minlength=n)
+        if x.shape[1] == _BLOCK:
+            entries = np.take(x, indices, axis=0).ravel()
+            return np.bincount(self._block_bins, weights=entries,
+                               minlength=n * _BLOCK).reshape(n, _BLOCK)
+        out = np.empty((n, x.shape[1]))
+        for c, column in enumerate(np.ascontiguousarray(x.T)):
+            out[:, c] = np.bincount(self._rows, weights=column[indices], minlength=n)
+        return out
+
+
+def _spectrum_bounds(a: _Adjacency, d: int) -> tuple:
     """(U, L) with U >= mu_1 and L <= mu_d, mu the eigenvalues of A^2.
 
     U is the Collatz-Wielandt bound of the nonnegative B = A^2 + I:
     rho(B) <= max_i (Bx)_i / x_i for every positive x, here x = B^t 1, which
     stays positive because B >= I.  L is the smallest eigenvalue of the
     principal submatrix A^2[S, S] on the d highest-degree vertices S, which
-    Cauchy interlacing puts at or below mu_d.
+    Cauchy interlacing puts at or below mu_d.  A^2[S, S] holds the common
+    neighbour counts of S, formed exactly from the 0/1 rows of S over the
+    union of their neighbours.
     """
-    x = np.ones(a.shape[0])
+    g = a.graph
+    x = np.ones(g.n)
     for _ in range(_BOUND_STEPS):
         x = a @ (a @ x) + x
         x /= x.max()
     upper = float(np.max((a @ (a @ x) + x) / x)) - 1.0
-    top = a[np.argsort(-np.diff(a.indptr), kind="stable")[:d]]
-    lower = float(np.linalg.eigvalsh((top @ top.T).toarray())[0])
+    top = [g.neighbors(v) for v in np.argsort(-g.degrees, kind="stable")[:d]]
+    union = np.unique(np.concatenate(top))
+    rows = np.zeros((d, union.size))
+    for r, nbrs in enumerate(top):
+        rows[r, np.searchsorted(union, nbrs)] = 1.0
+    lower = float(np.linalg.eigvalsh(rows @ rows.T)[0])
     return upper, lower
 
 
@@ -263,7 +298,7 @@ def _folded_eigsh(a, d: int):
     quotients of A^2, so that case is seen at no cost and U is then
     augmented with the range of R.
     """
-    n = a.shape[0]
+    n = a.graph.n
     power = _power(*_spectrum_bounds(a, d))
     applications = 0
 

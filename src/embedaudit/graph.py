@@ -5,9 +5,9 @@ triangles whose three endpoints all have degree at most c, divided by n,
 the vertex count of the graph that holds them.  A sampled graph keeps every
 vertex of its embedding, isolated ones too, so its curve divides by the
 same n as the original's and the two are directly comparable.  An empty
-graph (n = 0) has no curve.  Triangles are counted exactly by sparse
-matrix algebra on the degree-oriented adjacency, built straight from an
-(m, 2) edge array, so a sampled edge set needs no Graph.  ``save_curve``
+graph (n = 0) has no curve.  Triangles are counted exactly by closing the
+wedges of the degree-oriented edge set, built straight from an (m, 2) edge
+array, so a sampled edge set needs no Graph.  ``save_curve``
 and ``load_curve`` are the one writer and reader of the "c,delta" curve
 CSV, and ``save_degree_distribution`` is the one writer of the
 "degree,count" histogram CSV.
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 
 class InputError(ValueError):
@@ -259,9 +258,8 @@ def save_degree_distribution(degrees, path) -> None:
             fh.write(f"{degree},{counts[degree]}\n")
 
 
-# Two-step paths one block of the triangle product may hold.  The product
-# (L @ L) of a whole graph can hold O(m^1.5) entries; blocks of rows keep
-# the working set near O(m) entries instead.
+# Wedges one block of the triangle count may hold.  A graph can hold
+# O(m^1.5) wedges; blocks of edges keep the working set near O(m) entries.
 _PATH_BLOCK = 1 << 20
 
 
@@ -272,35 +270,43 @@ def _triangle_counts_by_max_degree(n: int, edges: np.ndarray):
     c.
 
     Vertices are relabeled by their position in the (degree, index) order and
-    each edge is oriented towards the later vertex, giving a lower-triangular
-    adjacency L whose row z lists the earlier neighbours of z.  A triangle
-    x < y < z is then counted once, at its top vertex z, in row z of
-    (L @ L) * L, and z has the largest endpoint degree (Azad, Buluc &
-    Gilbert, IPDPSW 2015).  Rows are taken in contiguous blocks of at most
-    max(m, _PATH_BLOCK) two-step paths x -> y -> z, which bound the entries
-    of each block's product; the counts are integers, so any blocking gives
-    the same result.
+    each edge x - y, x < y, is kept once as the key x * n + y; the sorted
+    keys list each vertex's later neighbours in order.  A triangle x < y < z
+    is then the wedge y - x - z at its first vertex x, closed by the key
+    y * n + z, which ``searchsorted`` finds; it is counted once, at its last
+    vertex z, which has the largest endpoint degree (Latapy, TCS 407, 2008).
+    Edge x - y opens one wedge with each later neighbour of x listed after
+    y, and the edges are taken in contiguous blocks of at most
+    max(m, _PATH_BLOCK) wedges, plus those of the edge that crosses the
+    limit; the counts are integers, so any blocking gives the same result.
     """
     m = len(edges)
     deg = np.bincount(np.ravel(edges), minlength=n)
     size = int(deg.max()) + 1
+    counts = np.zeros(size)
     if m == 0:
-        return deg, np.zeros(size)
+        return deg, counts
     order = np.lexsort((np.arange(n), deg))
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     u, v = pos[edges[:, 0]], pos[edges[:, 1]]
-    low = sparse.csr_matrix((np.ones(m, dtype=np.int64),
-                             (np.maximum(u, v), np.minimum(u, v))), shape=(n, n))
-    paths = np.cumsum(low @ np.diff(low.indptr))
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    first, last = np.divmod(keys, n)
+    later = np.bincount(first, minlength=n)
+    opens = np.cumsum(later)[first] - np.arange(1, m + 1)
+    wedges = np.cumsum(opens)
     budget = max(m, _PATH_BLOCK)
-    cuts = np.searchsorted(paths, np.arange(budget, paths[-1], budget), side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [n])))
-    per_top = np.empty(n, dtype=np.int64)
+    cuts = np.searchsorted(wedges, np.arange(budget, wedges[-1], budget), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [m])))
+    degree_at = deg[order]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        rows = low[a:b]
-        per_top[a:b] = np.asarray((rows @ low).multiply(rows).sum(axis=1)).ravel()
-    return deg, np.bincount(deg[order], weights=per_top, minlength=size)
+        k = opens[a:b]
+        near = np.repeat(np.arange(a, b), k)
+        far = near + 1 + np.arange(near.size) - np.repeat(np.cumsum(k) - k, k)
+        wedge = last[near] * n + last[far]
+        hit = keys[np.minimum(np.searchsorted(keys, wedge), m - 1)] == wedge
+        counts += np.bincount(degree_at[last[far[hit]]], minlength=size)
+    return deg, counts
 
 
 def edge_curve(n: int, edges: np.ndarray) -> TriangleFoundationCurve:

@@ -558,14 +558,39 @@ def test_every_walk_takes_the_one_tile_side(tmp_path, monkeypatch):
     assert softmax_rows == [blocks.TILE // 4] * 15      # quarter-tile row blocks
 
 
-def test_cli_import_leaves_out_scipy_linalg_and_special():
-    # scipy.sparse.linalg (which loads scipy.linalg) and scipy.special cost
-    # about 0.2 s of every run's start-up; the audit needs neither
+def _with_src_on_path():
     src = str(Path(embedaudit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = ("import sys, embedaudit.cli; print(' '.join(sorted(m for m in sys.modules "
-             "if m.startswith(('scipy.sparse.linalg', 'scipy.linalg', 'scipy.special')))))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+
+
+def test_cli_import_loads_no_scipy_module():
+    # the runtime needs numpy alone; importing scipy.sparse would cost every
+    # run about 0.25 s and 17 MiB before any work starts
+    probe = ("import sys, embedaudit.cli; "
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_with_src_on_path(), check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.split() == []
+
+
+def test_audit_without_scipy_writes_the_same_csvs(tmp_path, monkeypatch):
+    # every model and the folded eigensolve, in a process where any import
+    # of scipy fails, against the same audit in this process
+    gpath, _ = write_random_graph(tmp_path)
+    args = ["audit", "--graph", str(gpath), "--dim", "4", "--samples", "2", "--seed", "3"]
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
+    assert cli.main([*args, "--out", str(tmp_path / "with")]) == 0
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from embedaudit import cli, embedding; embedding._DENSE_CUTOFF = 1; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    subprocess.run([sys.executable, "-c", script, *args, "--out", str(tmp_path / "without")],
+                   env=_with_src_on_path(), check=True, capture_output=True, timeout=120)
+    names = sorted(p.name for p in (tmp_path / "with").glob("*.csv"))
+    assert len(names) > 4
+    assert names == sorted(p.name for p in (tmp_path / "without").glob("*.csv"))
+    for name in names:
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+    report = json.loads((tmp_path / "without" / "report.json").read_text())
+    assert report["eigensolver"]["path"] == "folded"
+    assert report["versions"].keys() == {"embedaudit", "numpy"}

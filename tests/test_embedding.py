@@ -14,7 +14,7 @@ from embedaudit.embedding import (
     spectral_embed,
 )
 from embedaudit import embedding
-from embedaudit.embedding import _BLOCK, _power, _spectrum_bounds
+from embedaudit.embedding import _BLOCK, _Adjacency, _power, _spectrum_bounds
 from embedaudit.graph import Graph
 from perfbench import gen
 
@@ -253,7 +253,7 @@ def test_folded_eigengap_is_accurate_when_the_next_eigenvalue_is_zero(monkeypatc
 ], ids=["gnp", "bipartite", "triangles_plus_noise", "hub", "isolated", "twins"])
 def test_spectrum_bounds_bracket_the_folded_spectrum(g, d):
     mu = np.sort(np.linalg.eigvalsh(g.adjacency_matrix()) ** 2)[::-1]
-    upper, lower = _spectrum_bounds(scipy.sparse.csr_matrix(g.adjacency_matrix()), d)
+    upper, lower = _spectrum_bounds(_Adjacency(g), d)
     # Collatz-Wielandt and Cauchy interlacing are exact; allow the rounding
     assert upper >= mu[0] * (1 - 1e-12)
     assert lower <= mu[d - 1] * (1 + 1e-12)
@@ -261,9 +261,53 @@ def test_spectrum_bounds_bracket_the_folded_spectrum(g, d):
 
 def test_twin_hubs_force_power_one():
     g = twins_graph()
-    upper, lower = _spectrum_bounds(scipy.sparse.csr_matrix(g.adjacency_matrix()), 10)
+    upper, lower = _spectrum_bounds(_Adjacency(g), 10)
     assert abs(lower) <= 1e-12 * upper
     assert _power(upper, lower) == 1
+
+
+def csr(g):
+    return scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                                   shape=(g.n, g.n))
+
+
+ADJACENCY_GRAPHS = {
+    "isolated": lambda: with_edges(random_graph(np.random.default_rng(5), 150, 0.05),
+                                   np.empty((0, 2), int), n=200),
+    "hub": hub_graph,
+    "no_edges": lambda: Graph.from_edges(30, np.empty((0, 2), int)),
+}
+
+
+@pytest.mark.parametrize("graph", ADJACENCY_GRAPHS.values(), ids=ADJACENCY_GRAPHS.keys())
+@pytest.mark.parametrize("shape", [(), (_BLOCK,), (100,)], ids=["1d", "n_by_block", "n_by_d"])
+def test_adjacency_product_equals_the_csr_product_bit_for_bit(graph, shape):
+    # the folded solve must not move when the product leaves scipy.sparse:
+    # each row sums its neighbours left to right, as CSR matvecs do
+    g = graph()
+    x = np.random.default_rng(1).standard_normal((g.n, *shape))
+    a, reference = _Adjacency(g), csr(g)
+    assert np.array_equal(a @ x, reference @ x)
+    if shape:
+        wide = np.random.default_rng(2).standard_normal((g.n, shape[0] + 3))
+        for view in (wide[:, :shape[0]], np.asfortranarray(x)):   # strided, Fortran order
+            assert np.array_equal(a @ view, reference @ view)
+
+
+@pytest.mark.parametrize("graph", [*ADJACENCY_GRAPHS.values(), twins_graph],
+                         ids=[*ADJACENCY_GRAPHS.keys(), "twins"])
+def test_spectrum_bounds_equal_the_csr_bounds(graph):
+    # the top-row Gram holds integer counts, so it equals the CSR product's
+    g, d = graph(), 10
+    a = csr(g)
+    x = np.ones(g.n)
+    for _ in range(embedding._BOUND_STEPS):
+        x = a @ (a @ x) + x
+        x /= x.max()
+    top = a[np.argsort(-np.diff(a.indptr), kind="stable")[:d]]
+    expected = (float(np.max((a @ (a @ x) + x) / x)) - 1.0,
+                float(np.linalg.eigvalsh((top @ top.T).toarray())[0]))
+    assert _spectrum_bounds(_Adjacency(g), d) == expected
 
 
 @pytest.mark.parametrize("upper, lower, power", [
