@@ -8,8 +8,9 @@ per-tile randomness and every tile-order reduction depend only on n and
 the tile side, which is fixed here and nowhere else; the softmax
 normalizers score ``TILE // 4`` rows at a time.  Work arrays that are not
 pair tiles (fit feature chunks, softmax score blocks, the eigensolver's
-basis rotation) are taken in row chunks by ``row_chunks``.  Both sizes are
-read at call time, so a test can patch them on this module.
+Ritz vectors and basis rotation) are taken in row chunks by
+``row_chunks``.  Both sizes are read at call time, so a test can patch
+them on this module.
 """
 
 from __future__ import annotations

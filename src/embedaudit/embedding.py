@@ -354,8 +354,10 @@ def _block_lanczos(op, n: int, d: int):
     (theta_i, V s_i) of T has the residual ||B s_i[last block]||, which must
     be at most _LANCZOS_TOL * |theta_i| for each of the top d.  At k = n
     the projection is exact.  V is kept as row chunks of V^T, one chunk per
-    test, so it grows without a copy; the Ritz vectors are one GEMM per
-    chunk, and Ritz vector d + 1 one GEMV per chunk.
+    test, so it grows without a copy.  The Ritz vectors, and Ritz vector
+    d + 1, are filled in the vertex ranges of ``blocks.row_chunks`` with k
+    entries a row: one GEMM per chunk of V^T and range, so beside V and the
+    result there is one range's product.
     """
     rng = np.random.default_rng(_LANCZOS_SEED)
     b = min(_BLOCK, n)
@@ -422,12 +424,20 @@ def _block_lanczos(op, n: int, d: int):
                 break
         betas.append(beta)
 
+    # at most CHUNK_ENTRIES entries of V^T per GEMM: a product over all n
+    # rows is an (n, d) temporary, and a threaded BLAS packs all of its rows
     def ritz(cols):
-        at = len(chunks[0][0])
-        out = chunks[0][0].T @ s[:at, cols]
-        for rows, _ in chunks[1:]:
-            out += rows.T @ s[at:at + len(rows), cols]
-            at += len(rows)
+        coef = np.ascontiguousarray(s[:, cols])
+        out = np.empty((n, *coef.shape[1:]))
+        for r0, r1 in row_chunks(n, k):
+            at = 0
+            for rows, _ in chunks:
+                part = rows[:, r0:r1].T @ coef[at:at + len(rows)]
+                if at:
+                    out[r0:r1] += part
+                else:
+                    out[r0:r1] = part
+                at += len(rows)
         return out
 
     return ritz(top), ritz(k - d - 1)

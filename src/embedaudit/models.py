@@ -26,7 +26,8 @@ a time and reduce them in the same row chunks, and the softmax intensity
 is computed in place.  Chunking changes no logit or score, only the order
 of the objective's, gradient's and Hessian's sums.  The intercept
 calibration, the softmax clamp count and the sampler all walk the same
-``blocks.TILE`` pair tiles.
+``blocks.TILE`` pair tiles; the calibration forms 1 - p in row chunks,
+so it holds one tile and its mask at a time.
 """
 
 from __future__ import annotations
@@ -409,7 +410,11 @@ def _make_pair_sums(e: Embedding, model_at):
         for *_, p in upper_tiles(e.n, lambda r, c: model.prob_block(e, r, c)):
             p = p.ravel()              # entries outside i < j are 0 and add nothing
             s += p.sum()
-            ds += p @ (1.0 - p)
+            # 1 - p in chunks, not as a second tile; sum p - p.p would cancel
+            # to nothing where p is near 1
+            for a, b in row_chunks(p.size, 1):
+                ds += p[a:b] @ (1.0 - p[a:b])
+            del p                      # before the next tile is built
         return float(s), float(ds)
 
     return pair_sums

@@ -13,7 +13,10 @@ once, draws the edges of every requested sample from it, and adds the
 tile's row and column sums of p (and of p^2) to the per-vertex totals with
 a Kahan update in tile order.  A whole set of samples plus the expected
 degrees therefore costs one walk, and the draws and the summation order are
-those of separate passes.
+those of separate passes.  The walk keeps each sample's edges as int32
+offsets within their tile, 4 bytes an edge; ``_store_edges`` makes one
+sample's (m, 2) edge array from them, and ``curve_over_samples`` holds one
+such array at a time.
 
 A sample's draw costs O(L tau + sum p) per tile of L entries, not O(L)
 (skip and bucket sampling, Batagelj & Brandes 2005; Bringmann, Keusch &
@@ -117,27 +120,31 @@ def _draw_tile(rng, flat, plan):
 
 
 def _pair_walk(e, model, *, seed: int = 0, sample_indices=(), moments: int = 0):
-    """One pass over the pair tiles; returns (edges, sums, examined).
+    """One pass over the pair tiles; returns (stores, sums, examined).
 
-    ``edges[k]`` is the (m, 2) edge array (i < j, in tile order) of sample
-    ``sample_indices[k]``.  ``sums[q]`` is the per-vertex sum of p**(q+1)
-    over all pairs, for q < moments (at most 2).  ``examined`` counts the
-    pair positions that the draws of all samples looked at.
+    ``stores[k]`` holds the edges of sample ``sample_indices[k]`` compactly:
+    for each tile where it has any, the tile's origin (i0, j0) and width and
+    the ascending int32 flat offsets of its edges in the tile.
+    ``_store_edges`` turns a store into the sample's edge array.
+    ``sums[q]`` is the per-vertex sum of p**(q+1) over all pairs, for
+    q < moments (at most 2).  ``examined`` counts the pair positions that
+    the draws of all samples looked at.
     """
     n = e.n
-    drawn = [[] for _ in sample_indices]
+    stores = [[] for _ in sample_indices]
     examined = 0
     sums = [np.zeros(n) for _ in range(moments)]
     comps = [np.zeros(n) for _ in range(moments)]
     for t, rows, cols, p in upper_tiles(n, lambda r, c: model.prob_block(e, r, c)):
         flat = p.ravel()
-        plan = _draw_plan(flat) if drawn else None
+        plan = _draw_plan(flat) if stores else None
         if plan is not None:
-            for parts, s in zip(drawn, sample_indices):
+            origin = (int(rows[0]), int(cols[0]), p.shape[1])
+            for store, s in zip(stores, sample_indices):
                 hits, looked = _draw_tile(_tile_rng(seed, s, t), flat, plan)
                 examined += looked
-                ii, jj = np.divmod(hits, p.shape[1])
-                parts.append(np.column_stack([ii + rows[0], jj + cols[0]]))
+                if hits.size:
+                    store.append((*origin, hits.astype(np.int32)))
         q = p
         for k, (total, comp) in enumerate(zip(sums, comps)):
             if k:
@@ -147,15 +154,26 @@ def _pair_walk(e, model, *, seed: int = 0, sample_indices=(), moments: int = 0):
             upd[cols] += q.sum(axis=0)
             _kahan_accumulate(total, comp, upd)
         del p, q, flat, plan           # before the next tile is built
-    edges = [np.concatenate(parts) if parts else np.empty((0, 2), np.int64)
-             for parts in drawn]
-    return edges, sums, examined
+    return stores, sums, examined
+
+
+def _store_edges(store) -> np.ndarray:
+    """The (m, 2) edge array (i < j, in tile order) of one sample's store
+    from ``_pair_walk``."""
+    edges = np.empty((sum(hits.size for *_, hits in store), 2), dtype=np.int64)
+    at = 0
+    for i0, j0, width, hits in store:
+        ii, jj = np.divmod(hits, width)
+        edges[at:at + hits.size, 0] = ii + i0
+        edges[at:at + hits.size, 1] = jj + j0
+        at += hits.size
+    return edges
 
 
 def sample_graph(e, model, seed: int, sample_index: int) -> Graph:
     """One Bernoulli draw over all pairs; deterministic in (seed, sample_index)."""
-    (edges,), _, _ = _pair_walk(e, model, seed=seed, sample_indices=(sample_index,))
-    return Graph.from_edges(e.n, edges)
+    (store,), _, _ = _pair_walk(e, model, seed=seed, sample_indices=(sample_index,))
+    return Graph.from_edges(e.n, _store_edges(store))
 
 
 def expected_degrees(e, model) -> np.ndarray:
@@ -227,10 +245,11 @@ def curve_over_samples(e, model, seed: int, num_samples: int) -> SampleCurveSet:
         raise ValueError("num_samples must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
-    edges, (degrees,), examined = _pair_walk(
+    stores, (degrees,), examined = _pair_walk(
         e, model, seed=seed, sample_indices=range(num_samples), moments=1)
-    curves = [edge_curve(e.n, sample_edges) for sample_edges in edges]
+    # one sample's edge array at a time, dropped once its curve is counted
+    curves = [edge_curve(e.n, _store_edges(store)) for store in stores]
+    counts = [sum(hits.size for *_, hits in store) for store in stores]
     grid = union_grid(curves)
     return SampleCurveSet(grid, np.array([curve.value_at(grid) for curve in curves]),
-                          e.n, degrees, np.array([len(sample) for sample in edges], dtype=np.int64),
-                          examined)
+                          e.n, degrees, np.array(counts, dtype=np.int64), examined)

@@ -2,9 +2,11 @@
 
 Everything here works from dense adjacency matrices and explicit triple/pair
 enumeration, deliberately avoiding the library's own enumeration code paths.
+``traced_peak`` measures the memory bounds of the test suite.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -349,3 +351,13 @@ def sample_nonedges_reference(g, count, rng, batch_sizes=None):
         chunks.append(np.column_stack([u[:take], v[:take]]))
         need -= take
     return np.concatenate(chunks)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

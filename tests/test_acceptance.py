@@ -32,7 +32,7 @@ from embedaudit.sampling import (
     expected_triangles_exact,
     sample_graph,
 )
-from embedaudit.sampling import _pair_walk
+from embedaudit.sampling import _pair_walk, _store_edges
 from embedaudit.theory import (
     ALPHA_CEILING,
     TheoremBoundParams,
@@ -156,8 +156,8 @@ def test_07_sampler_calibration():
     # one pair at p = 0.5, 10^4 draws; sample s of one pair walk is
     # sample_graph(e2, TDP, 707, s)
     e2 = Embedding.plain(np.array([[1.0, 0.0], [0.5, 0.0]]))
-    edges, _, _ = _pair_walk(e2, TDP, seed=707, sample_indices=range(10_000))
-    hits = sum(len(sample) for sample in edges)
+    stores, _, _ = _pair_walk(e2, TDP, seed=707, sample_indices=range(10_000))
+    hits = sum(len(_store_edges(store)) for store in stores)
     freq = hits / 10_000
     assert 0.485 <= freq <= 0.515, f"pair frequency {freq}"
 

@@ -13,7 +13,7 @@ from embedaudit.embedding import (
     save_embedding,
     spectral_embed,
 )
-from embedaudit import embedding
+from embedaudit import blocks, embedding
 from embedaudit.embedding import _BLOCK, _Adjacency, _power, _spectrum_bounds
 from embedaudit.graph import Graph
 from perfbench import gen
@@ -240,6 +240,19 @@ def test_folded_eigengap_is_accurate_when_the_next_eigenvalue_is_zero(monkeypatc
     spectral_embed(g, 250, report=report)
     assert report["path"] == "folded"
     assert abs(report["eigengap"]) <= 1e-12
+
+
+def test_folded_solve_holds_the_krylov_basis_and_two_results(monkeypatch):
+    # the Ritz vectors are filled in row chunks: an (n, d) product of each
+    # basis chunk beside the (n, d) result breaks the bound
+    monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 1 << 12)
+    base = gen.triangles_plus_noise(6600, 5)
+    g = Graph.from_edges(base.n, base.edges)
+    d, report = 100, {}
+    peak = oracles.traced_peak(lambda: spectral_embed(g, d, report=report))
+    assert report["path"] == "folded"
+    basis = report["operator_applications"] * report["block_size"] * g.n * 8
+    assert peak < basis + 2 * g.n * d * 8
 
 
 @pytest.mark.parametrize("g, d", [

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -452,20 +451,11 @@ def test_nonedge_sampler_on_a_dense_graph_stays_small():
     g = Graph.from_edges(40, [(i, j) for i in range(40) for j in range(i + 1, 40)
                               if (i, j) != (3, 17)])
     rng = _SizeRecorder(np.random.default_rng(5))
-    peak = _traced_peak(lambda: models._sample_nonedges(g, 10 * g.m, rng))
+    peak = oracles.traced_peak(lambda: models._sample_nonedges(g, 10 * g.m, rng))
     assert max(rng.sizes) == models._MAX_DRAWS
     assert peak < 8 * models._MAX_DRAWS * 8     # a few int64 arrays of one batch
     got = models._sample_nonedges(g, 10 * g.m, np.random.default_rng(5))
     assert got.shape == (10 * g.m, 2) and np.all(got == [3, 17])
-
-
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_fit_stage_memory_is_chunk_bounded(monkeypatch):
@@ -479,14 +469,16 @@ def test_fit_stage_memory_is_chunk_bounded(monkeypatch):
     # O(m): the pair list, y, w, lrdp's score column and the sampler's batch
     per_fitted, chunk, tile = 64, blocks.CHUNK_ENTRIES * 8, blocks.TILE ** 2 * 8
     for fit in (fit_lrdp, fit_lrhp):
-        # the calibration walks pair tiles; the probability tile and 1 - p
-        assert _traced_peak(lambda: fit(e, g)) < fitted * per_fitted + 2 * tile + 4 * chunk
+        # the calibration walks pair tiles: one probability tile and its mask,
+        # and 1 - p in row chunks, not as a second tile
+        assert (oracles.traced_peak(lambda: fit(e, g))
+                < fitted * per_fitted + tile + tile // 8 + 4 * chunk)
     # at this size the older bound on lrdp, calibration included, is the tighter
-    assert _traced_peak(lambda: fit_lrdp(e, g)) < 0.5 * fitted * d * 8
+    assert oracles.traced_peak(lambda: fit_lrdp(e, g)) < 0.5 * fitted * d * 8
     monkeypatch.setattr(models, "_calibrate_intercept", lambda pair_sums, m: (0.0, 0, True, m))
     for fit in (fit_lrdp, fit_lrhp):
-        assert _traced_peak(lambda: fit(e, g)) < fitted * per_fitted + 4 * chunk
-    assert (_traced_peak(lambda: build_softmax(e, g))
+        assert oracles.traced_peak(lambda: fit(e, g)) < fitted * per_fitted + 4 * chunk
+    assert (oracles.traced_peak(lambda: build_softmax(e, g))
             < (blocks.TILE // 4 * n) * 8 + e.vectors.nbytes + 2 * chunk)
 
 

@@ -19,7 +19,7 @@ from embedaudit.sampling import (
     expected_triangles_exact,
     sample_graph,
 )
-from embedaudit.sampling import _draw_plan, _pair_walk
+from embedaudit.sampling import _draw_plan, _pair_walk, _store_edges
 
 TDP = TruncatedDot()
 
@@ -105,7 +105,8 @@ def test_sparse_draw_is_exact_bernoulli(monkeypatch):
         power_above += np.count_nonzero((flat > tau) & (np.frexp(flat)[0] == 0.5))
     assert at_floor and power_above
 
-    edges, _, _ = _pair_walk(e, model, seed=5, sample_indices=range(samples))
+    stores, _, _ = _pair_walk(e, model, seed=5, sample_indices=range(samples))
+    edges = [_store_edges(store) for store in stores]
     iu, ju = np.triu_indices(n, 1)
     column = np.full(n * n, -1)
     column[iu * n + ju] = np.arange(iu.size)
@@ -135,11 +136,27 @@ def test_sparse_draw_of_constant_tiles(value, monkeypatch):
     n = 40
     model = FixedProbabilities(np.full((n, n), value))
     monkeypatch.setattr(blocks, "TILE", 16)
-    edges, _, examined = _pair_walk(Embedding.plain(np.zeros((n, 1))), model,
-                                    seed=5, sample_indices=range(3))
-    for ed in edges:
+    stores, _, examined = _pair_walk(Embedding.plain(np.zeros((n, 1))), model,
+                                     seed=5, sample_indices=range(3))
+    for ed in map(_store_edges, stores):
         assert Graph.from_edges(n, ed).m == len(ed) == value * n * (n - 1) // 2
     assert (examined == 0) == (value == 0.0)
+
+
+def test_many_samples_hold_compact_offsets_and_one_edge_array():
+    # 400 samples of about 1800 edges each on one 600 x 600 tile: the (m, 2)
+    # int64 edge arrays of all samples at once, 16 bytes an edge, break the
+    # bound; their int32 tile offsets take 4
+    n, samples = 600, 400
+    model = FixedProbabilities(np.full((n, n), 0.01))
+    e = Embedding.plain(np.zeros((n, 1)))
+    got = []
+    peak = oracles.traced_peak(lambda: got.append(curve_over_samples(e, model, 5, samples)))
+    counts = got[0].edge_counts
+    # the offsets, and per sample its store entry and its curve
+    store = 4 * counts.sum() + 1024 * samples
+    walk = 2 * n * n * 8          # the p-tile, its mask and the draws' work arrays
+    assert peak < store + 16 * counts.max() + walk
 
 
 # ---------------------------------------------------------- expectations
@@ -163,8 +180,9 @@ def test_expected_degrees_match_monte_carlo():
     exact = expected_degrees(e, TDP)
     samples = 2000
     # sample s of one pair walk is sample_graph(e, TDP, 13, s)
-    edges, _, _ = _pair_walk(e, TDP, seed=13, sample_indices=range(samples))
-    degrees = np.array([np.bincount(sample.ravel(), minlength=200) for sample in edges],
+    stores, _, _ = _pair_walk(e, TDP, seed=13, sample_indices=range(samples))
+    degrees = np.array([np.bincount(_store_edges(store).ravel(), minlength=200)
+                        for store in stores],
                        dtype=float)
     acc = degrees.sum(axis=0)
     acc_sq = (degrees ** 2).sum(axis=0)
@@ -329,8 +347,9 @@ def test_fused_walk_matches_separate_passes(four_models, name, side, samples, mo
     model = models[name]
     seed = 2024
     monkeypatch.setattr(blocks, "TILE", side)
-    edges, (ed, sum_sq), examined = _pair_walk(
+    stores, (ed, sum_sq), examined = _pair_walk(
         e, model, seed=seed, sample_indices=range(samples), moments=2)
+    edges = [_store_edges(store) for store in stores]
     ref_ed, ref_sq = oracles.kahan_moment_reference(e, model)
     assert np.array_equal(ed, ref_ed)
     assert np.array_equal(sum_sq, ref_sq)
