@@ -10,8 +10,8 @@ a sample depends on.
 One private walk over ``blocks.upper_tiles``, ``_pair_walk``, serves every
 O(n^2) pass in this module: per tile it takes the masked probability tile
 once, draws the edges of every requested sample from it, and adds the
-tile's row and column sums of p (and of p^2) to the per-vertex totals with
-a Kahan update in tile order.  A whole set of samples plus the expected
+tile's row and column sums of p to the per-vertex totals with a Kahan
+update in tile order.  A whole set of samples plus the expected
 degrees therefore costs one walk, and the draws and the summation order are
 those of separate passes.  The walk keeps each sample's edges as int32
 offsets within their tile, 4 bytes an edge; ``_store_edges`` makes one
@@ -119,22 +119,20 @@ def _draw_tile(rng, flat, plan):
     return np.sort(np.concatenate(hits)), examined
 
 
-def _pair_walk(e, model, *, seed: int = 0, sample_indices=(), moments: int = 0):
-    """One pass over the pair tiles; returns (stores, sums, examined).
+def _pair_walk(e, model, *, seed: int = 0, sample_indices=()):
+    """One pass over the pair tiles; returns (stores, degrees, examined).
 
     ``stores[k]`` holds the edges of sample ``sample_indices[k]`` compactly:
     for each tile where it has any, the tile's origin (i0, j0) and width and
     the ascending int32 flat offsets of its edges in the tile.
     ``_store_edges`` turns a store into the sample's edge array.
-    ``sums[q]`` is the per-vertex sum of p**(q+1) over all pairs, for
-    q < moments (at most 2).  ``examined`` counts the pair positions that
-    the draws of all samples looked at.
+    ``degrees`` is the per-vertex sum of p over all pairs.  ``examined``
+    counts the pair positions that the draws of all samples looked at.
     """
     n = e.n
     stores = [[] for _ in sample_indices]
     examined = 0
-    sums = [np.zeros(n) for _ in range(moments)]
-    comps = [np.zeros(n) for _ in range(moments)]
+    degrees, comp = np.zeros(n), np.zeros(n)
     for t, rows, cols, p in upper_tiles(n, lambda r, c: model.prob_block(e, r, c)):
         flat = p.ravel()
         plan = _draw_plan(flat) if stores else None
@@ -145,16 +143,12 @@ def _pair_walk(e, model, *, seed: int = 0, sample_indices=(), moments: int = 0):
                 examined += looked
                 if hits.size:
                     store.append((*origin, hits.astype(np.int32)))
-        q = p
-        for k, (total, comp) in enumerate(zip(sums, comps)):
-            if k:
-                q = q * p
-            upd = np.zeros(n)
-            upd[rows] += q.sum(axis=1)
-            upd[cols] += q.sum(axis=0)
-            _kahan_accumulate(total, comp, upd)
-        del p, q, flat, plan           # before the next tile is built
-    return stores, sums, examined
+        upd = np.zeros(n)
+        upd[rows] += p.sum(axis=1)
+        upd[cols] += p.sum(axis=0)
+        _kahan_accumulate(degrees, comp, upd)
+        del p, flat, plan              # before the next tile is built
+    return stores, degrees, examined
 
 
 def _store_edges(store) -> np.ndarray:
@@ -178,17 +172,31 @@ def sample_graph(e, model, seed: int, sample_index: int) -> Graph:
 
 def expected_degrees(e, model) -> np.ndarray:
     """Exact E[D_i] = sum_{j != i} p_ij for every vertex (O(n^2) pass)."""
-    _, (sums,), _ = _pair_walk(e, model, moments=1)
-    return sums
+    _, degrees, _ = _pair_walk(e, model)
+    return degrees
+
+
+@dataclass(frozen=True)
+class _Squared:
+    """``model`` with every probability tile squared in place: a walk over
+    it sums p^2 per vertex."""
+
+    model: object
+
+    def prob_block(self, e, rows, cols) -> np.ndarray:
+        p = self.model.prob_block(e, rows, cols)
+        return np.multiply(p, p, out=p)
 
 
 def expected_degree_second_moment(e, model):
     """Exact (E[D_i], E[D_i^2]) per vertex.
 
     For a sum of independent Bernoulli(p_ij) indicators,
-    E[D^2] = Var + E[D]^2 = sum p(1-p) + (sum p)^2.
+    E[D^2] = Var + E[D]^2 = sum p(1-p) + (sum p)^2.  Sum p^2 comes from a
+    second walk, so one tile is held at a time.
     """
-    _, (ed, sum_sq), _ = _pair_walk(e, model, moments=2)
+    _, ed, _ = _pair_walk(e, model)
+    _, sum_sq, _ = _pair_walk(e, _Squared(model))
     return ed, ed - sum_sq + ed * ed
 
 
@@ -205,8 +213,7 @@ def expected_triangles_exact(e, model) -> float:
             f"{_EXACT_TRIANGLE_GUARD} (sample instead)")
     if n < 3:
         return 0.0
-    p = model.prob_block(e, np.arange(n), np.arange(n))
-    p = np.asarray(p, dtype=np.float64).copy()
+    p = model.prob_block(e, np.arange(n), np.arange(n))   # fresh float64
     np.fill_diagonal(p, 0.0)
     # symmetric with zero diagonal: trace(P^3) counts each triangle 6 times
     return float(np.trace(p @ p @ p) / 6.0)
@@ -245,8 +252,8 @@ def curve_over_samples(e, model, seed: int, num_samples: int) -> SampleCurveSet:
         raise ValueError("num_samples must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
-    stores, (degrees,), examined = _pair_walk(
-        e, model, seed=seed, sample_indices=range(num_samples), moments=1)
+    stores, degrees, examined = _pair_walk(
+        e, model, seed=seed, sample_indices=range(num_samples))
     # one sample's edge array at a time, dropped once its curve is counted
     curves = [edge_curve(e.n, _store_edges(store)) for store in stores]
     counts = [sum(hits.size for *_, hits in store) for store in stores]

@@ -5,10 +5,17 @@ the worst margin observed (amount by which the inequality held; negative
 means a violation).  A violating instance is serialized as a counterexample
 so failures are reproducible.  The sweeps drive the `verify-theory` CLI
 subcommand and the acceptance suite.
+
+A sweep is a generator over its own instances that yields one
+``(margin, witness)`` per check; ``_sweep`` turns it into a function of
+the seed.  ``witness()`` builds the counterexample and is called only for
+the first negative margin, before the generator resumes, so a passing
+check never serializes its instance.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,12 +36,24 @@ class PropertyResult:
     worst_margin: float
     counterexample: dict | None = None
 
-    def to_json(self) -> dict:
-        return asdict(self)
 
-
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, tag)))
+def _sweep(tag: int, name: str, description: str):
+    """Make ``checks(rng)`` a sweep ``(seed) -> PropertyResult`` whose rng is
+    seeded from (seed, tag); trials counts the checks."""
+    def wrap(checks):
+        @functools.wraps(checks)
+        def sweep(seed: int) -> PropertyResult:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, tag)))
+            margins, counterexample = [], None
+            for margin, witness in checks(rng):
+                margins.append(margin)
+                if margin < 0 and counterexample is None:
+                    counterexample = witness()
+            worst = float(min(margins)) if margins else float("inf")
+            return PropertyResult(name, description, len(margins), counterexample is None,
+                                  worst, counterexample)
+        return sweep
+    return wrap
 
 
 def _random_gnp(rng, n, p) -> Graph:
@@ -42,17 +61,9 @@ def _random_gnp(rng, n, p) -> Graph:
     return Graph.from_edges(n, np.argwhere(upper))
 
 
-def _finish(name, description, margins, counterexample) -> PropertyResult:
-    """The result of one margin per check; trials counts the checks."""
-    worst = float(min(margins)) if margins else float("inf")
-    return PropertyResult(name, description, len(margins), counterexample is None,
-                          worst, counterexample)
-
-
-def sweep_rank_lemma(seed: int) -> PropertyResult:
+@_sweep(1, "rank_lemma_bound", "trace^2/sum-of-squares never exceeds numeric rank")
+def sweep_rank_lemma(rng):
     """Trace-squared bound never exceeds the numeric rank (1e-6 relative)."""
-    rng = _rng(seed, 1)
-    margins, counterexample = [], None
     for t in range(1000):
         n = int(rng.integers(1, 21))
         kind = t % 4
@@ -73,38 +84,25 @@ def sweep_rank_lemma(seed: int) -> PropertyResult:
             m = np.eye(n)
         bound = theory.rank_lemma_bound(m)
         rank = theory.numeric_rank(m)
-        margin = rank * (1 + 1e-6) - bound
-        margins.append(margin)
-        if margin < 0 and counterexample is None:
-            counterexample = {"matrix": m.tolist(), "bound": bound, "numeric_rank": rank}
-    return _finish("rank_lemma_bound",
-                   "trace^2/sum-of-squares never exceeds numeric rank",
-                   margins, counterexample)
+        yield rank * (1 + 1e-6) - bound, lambda: {
+            "matrix": m.tolist(), "bound": bound, "numeric_rank": rank}
 
 
-def sweep_packing(seed: int) -> PropertyResult:
+@_sweep(2, "packing_max_dot", "4d unit vectors always contain a pair with dot >= 1/(4d)")
+def sweep_packing(rng):
     """Any 4d unit vectors in R^d contain a pair with dot >= 1/(4d)."""
-    rng = _rng(seed, 2)
-    margins, counterexample = [], None
     for d in range(1, 7):
         floor = 1.0 / (4 * d) - 1e-12
         for _ in range(100):
             u = rng.normal(size=(4 * d, d))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             got = theory.packing_max_dot(u)
-            margin = got - floor
-            margins.append(margin)
-            if margin < 0 and counterexample is None:
-                counterexample = {"d": d, "vectors": u.tolist(), "max_dot": got}
-    return _finish("packing_max_dot",
-                   "4d unit vectors always contain a pair with dot >= 1/(4d)",
-                   margins, counterexample)
+            yield got - floor, lambda: {"d": d, "vectors": u.tolist(), "max_dot": got}
 
 
-def sweep_independent_set(seed: int) -> PropertyResult:
+@_sweep(3, "greedy_independent_set", "greedy set independent and of size >= ceil(h/(b+1))")
+def sweep_independent_set(rng):
     """Greedy set is independent and meets the h/(max degree + 1) floor."""
-    rng = _rng(seed, 3)
-    margins, counterexample = [], None
     for _ in range(100):
         g = _random_gnp(rng, 50, float(rng.uniform(0.01, 0.5)))
         s = theory.greedy_independent_set(g)
@@ -113,38 +111,26 @@ def sweep_independent_set(seed: int) -> PropertyResult:
                           for v in members for w in g.neighbors(v))
         b = int(g.degrees.max()) if g.n else 0
         floor = theory.independent_set_floor(g.n, b)
-        margin = (len(s) - floor) if independent else -1.0
-        margins.append(margin)
-        if margin < 0 and counterexample is None:
-            counterexample = {"edges": g.edge_array().tolist(), "set": s.tolist(),
-                              "floor": floor, "independent": independent}
-    return _finish("greedy_independent_set",
-                   "greedy set independent and of size >= ceil(h/(b+1))",
-                   margins, counterexample)
+        yield (len(s) - floor) if independent else -1.0, lambda: {
+            "edges": g.edge_array().tolist(), "set": s.tolist(),
+            "floor": floor, "independent": independent}
 
 
-def sweep_negative_dot_mass(seed: int) -> PropertyResult:
+@_sweep(4, "negative_dot_mass", "negative pairwise dot mass bounded by positive mass")
+def sweep_negative_dot_mass(rng):
     """Ordered-pair negative dot mass never exceeds the positive mass."""
-    rng = _rng(seed, 4)
-    margins, counterexample = [], None
     for _ in range(1000):
         s = int(rng.integers(2, 30))
         d = int(rng.integers(1, 9))
         w = rng.normal(size=(s, d)) * float(rng.uniform(0.1, 10.0))
         neg, pos = theory.negative_dot_mass(w)
-        margin = pos * (1 + 1e-12) + 1e-12 - neg
-        margins.append(margin)
-        if margin < 0 and counterexample is None:
-            counterexample = {"vectors": w.tolist(), "neg": neg, "pos": pos}
-    return _finish("negative_dot_mass",
-                   "negative pairwise dot mass bounded by positive mass",
-                   margins, counterexample)
+        yield pos * (1 + 1e-12) + 1e-12 - neg, lambda: {
+            "vectors": w.tolist(), "neg": neg, "pos": pos}
 
 
-def sweep_degree_second_moment(seed: int) -> PropertyResult:
+@_sweep(5, "degree_second_moment", "exact E[D^2] <= E[D] + E[D]^2 for every vertex and model")
+def sweep_degree_second_moment(rng):
     """E[D^2] <= E[D] + E[D]^2 per vertex, for every model variant."""
-    rng = _rng(seed, 5)
-    margins, counterexample = [], None
     for t in range(50):
         n = int(rng.integers(10, 101))
         d = int(rng.integers(1, 7))
@@ -158,22 +144,18 @@ def sweep_degree_second_moment(seed: int) -> PropertyResult:
         for name, model in models.items():
             ed, ed2 = expected_degree_second_moment(e, model)
             slack = ed + ed * ed - ed2
-            margin = float(slack.min() + 1e-9 * (1.0 + np.abs(ed2).max()))
-            margins.append(margin)
-            if margin < 0 and counterexample is None:
-                worst = int(np.argmin(slack))
-                counterexample = {"trial": t, "model": name, "vertex": worst,
-                                  "ed": float(ed[worst]), "ed2": float(ed2[worst])}
-    return _finish("degree_second_moment",
-                   "exact E[D^2] <= E[D] + E[D]^2 for every vertex and model",
-                   margins, counterexample)
+            worst = int(np.argmin(slack))
+            yield float(slack.min() + 1e-9 * (1.0 + np.abs(ed2).max())), lambda: {
+                "trial": t, "model": name, "vertex": worst,
+                "ed": float(ed[worst]), "ed2": float(ed2[worst])}
 
 
-def sweep_triangle_expectation_bound(seed: int) -> PropertyResult:
+@_sweep(6, "triangle_expectation_bound",
+        "expected triangles bounded by the largest squared norm times "
+        "the sum of squared expected degrees")
+def sweep_triangle_expectation_bound(rng):
     """Expected triangles <= L^2 * sum_i E[D_i]^2 when all scores stay <= 1."""
-    rng = _rng(seed, 6)
     tdp = TruncatedDot()
-    margins, counterexample = [], None
     for t in range(100):
         n = int(rng.integers(10, 61))
         d = int(rng.integers(1, 7))
@@ -185,21 +167,13 @@ def sweep_triangle_expectation_bound(seed: int) -> PropertyResult:
         ed = expected_degrees(e, tdp)
         tri = expected_triangles_exact(e, tdp)
         rhs = l_sq * float(np.sum(ed * ed))
-        margin = rhs - tri + 1e-9 * (1.0 + rhs)
-        margins.append(margin)
-        if margin < 0 and counterexample is None:
-            counterexample = {"trial": t, "vectors": v.tolist(),
-                              "triangles": tri, "rhs": rhs}
-    return _finish("triangle_expectation_bound",
-                   "expected triangles bounded by the largest squared norm times "
-                   "the sum of squared expected degrees",
-                   margins, counterexample)
+        yield rhs - tri + 1e-9 * (1.0 + rhs), lambda: {
+            "trial": t, "vectors": v.tolist(), "triangles": tri, "rhs": rhs}
 
 
-def sweep_core_certificate(seed: int) -> PropertyResult:
+@_sweep(7, "core_rank_certificate", "certificate bound below numeric rank and dimension of the core")
+def sweep_core_certificate(rng):
     """Certified bound never exceeds numeric rank (nor the dimension)."""
-    rng = _rng(seed, 7)
-    margins, counterexample = [], None
     for t in range(50):
         n = int(rng.integers(20, 201))
         d = int(rng.integers(2, 9))
@@ -209,17 +183,12 @@ def sweep_core_certificate(seed: int) -> PropertyResult:
         e = Embedding.plain(v)
         cert = theory.core_rank_certificate(e, c=float(n))
         if cert.emptied_at is not None:
-            margins.append(float("inf"))
+            yield float("inf"), None
             continue
         gram = v[cert.core_indices] @ v[cert.core_indices].T
         rank = theory.numeric_rank(gram)
-        margin = min(rank * (1 + 1e-6) - cert.bound, d + 1e-9 - cert.bound)
-        margins.append(margin)
-        if margin < 0 and counterexample is None:
-            counterexample = {"trial": t, "bound": cert.bound, "rank": rank, "d": d}
-    return _finish("core_rank_certificate",
-                   "certificate bound below numeric rank and dimension of the core",
-                   margins, counterexample)
+        yield min(rank * (1 + 1e-6) - cert.bound, d + 1e-9 - cert.bound), lambda: {
+            "trial": t, "bound": cert.bound, "rank": rank, "d": d}
 
 
 ALL_SWEEPS = (
@@ -233,13 +202,11 @@ ALL_SWEEPS = (
 )
 
 
-def run_all_sweeps(seed: int = 0) -> list[PropertyResult]:
-    return [sweep(seed) for sweep in ALL_SWEEPS]
-
-
-def sweep_report(results, seed: int) -> dict:
+def sweep_report(seed: int = 0) -> dict:
+    """Run every sweep at ``seed``; the report that ``verify-theory`` writes."""
+    results = [sweep(seed) for sweep in ALL_SWEEPS]
     return {
         "seed": seed,
         "all_passed": all(r.passed for r in results),
-        "properties": [r.to_json() for r in results],
+        "properties": [asdict(r) for r in results],
     }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import oracles
 import embedaudit
-from embedaudit import blocks, cli, embedding
+from embedaudit import blocks, cli, embedding, theory, verify
 from embedaudit.cli import AuditConfig, AuditStageError, cmd_audit, cmd_ranksweep, cmd_verify
 from embedaudit.embedding import Embedding, load_embedding, save_embedding, spectral_embed
 from embedaudit.graph import Graph, load_edge_list, save_edge_list, triangle_foundation_curve
@@ -346,19 +347,50 @@ def test_verify_all_properties_pass(tmp_path):
         assert prop["counterexample"] is None
 
 
-def test_verify_detects_injected_rank_lemma_fault(monkeypatch):
-    from embedaudit import theory, verify
+def _swapped_rank_lemma(m):
+    a = np.asarray(m, dtype=float)
+    denom = float(np.trace(a)) ** 2
+    return float(np.sum(a * a)) / denom if denom else 0.0
 
-    def swapped(m):
-        a = np.asarray(m, dtype=float)
-        denom = float(np.trace(a)) ** 2
-        return float(np.sum(a * a)) / denom if denom else 0.0
 
-    monkeypatch.setattr(theory, "rank_lemma_bound", swapped)
-    result = verify.sweep_rank_lemma(seed=1)
-    assert not result.passed
-    assert result.counterexample is not None
-    assert "matrix" in result.counterexample
+def _inflated_certificate(e, c, _real=theory.core_rank_certificate):
+    return dataclasses.replace(_real(e, c), bound=1e9)
+
+
+# (sweep, module holding the faulty name, name, fault, counterexample keys)
+INJECTED_FAULTS = [
+    ("sweep_rank_lemma", theory, "rank_lemma_bound", _swapped_rank_lemma,
+     {"matrix", "bound", "numeric_rank"}),
+    ("sweep_packing", theory, "packing_max_dot", lambda u: -1.0,
+     {"d", "vectors", "max_dot"}),
+    ("sweep_independent_set", theory, "greedy_independent_set",
+     lambda g: np.arange(g.n), {"edges", "set", "floor", "independent"}),
+    ("sweep_negative_dot_mass", theory, "negative_dot_mass", lambda w: (1.0, 0.0),
+     {"vectors", "neg", "pos"}),
+    ("sweep_degree_second_moment", verify, "expected_degree_second_moment",
+     lambda e, model: (np.zeros(e.n), np.ones(e.n)), {"trial", "model", "vertex", "ed", "ed2"}),
+    ("sweep_triangle_expectation_bound", verify, "expected_triangles_exact",
+     lambda e, model: 1e9, {"trial", "vectors", "triangles", "rhs"}),
+    ("sweep_core_certificate", theory, "core_rank_certificate", _inflated_certificate,
+     {"trial", "bound", "rank", "d"}),
+]
+
+
+@pytest.mark.parametrize("sweep, module, name, fault, keys", INJECTED_FAULTS,
+                         ids=[fault[0].removeprefix("sweep_") for fault in INJECTED_FAULTS])
+def test_verify_detects_injected_fault(monkeypatch, sweep, module, name, fault, keys):
+    # every sweep's counterexample path: the witness of the first failing check
+    monkeypatch.setattr(module, name, fault)
+    result = getattr(verify, sweep)(seed=1)
+    assert result.passed is False
+    assert set(result.counterexample) == keys
+    assert result.worst_margin < 0
+    json.dumps(dataclasses.asdict(result))
+
+    monkeypatch.setattr(verify, "ALL_SWEEPS", (getattr(verify, sweep),))
+    report = verify.sweep_report(seed=1)
+    assert report["all_passed"] is False
+    assert json.loads(json.dumps(report))["properties"][0]["counterexample"].keys() == keys
 
 
 def test_verify_cli_exit_codes(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from embedaudit import blocks
+from embedaudit import blocks, sampling
 from embedaudit.blocks import iter_pair_tiles, upper_tiles
 from embedaudit.embedding import Embedding, spectral_embed
 from embedaudit.graph import Graph, triangle_foundation_curve
@@ -347,8 +347,8 @@ def test_fused_walk_matches_separate_passes(four_models, name, side, samples, mo
     model = models[name]
     seed = 2024
     monkeypatch.setattr(blocks, "TILE", side)
-    stores, (ed, sum_sq), examined = _pair_walk(
-        e, model, seed=seed, sample_indices=range(samples), moments=2)
+    stores, ed, examined = _pair_walk(e, model, seed=seed, sample_indices=range(samples))
+    _, sum_sq, _ = _pair_walk(e, sampling._Squared(model))
     edges = [_store_edges(store) for store in stores]
     ref_ed, ref_sq = oracles.kahan_moment_reference(e, model)
     assert np.array_equal(ed, ref_ed)
@@ -417,3 +417,11 @@ def test_upper_tiles_frees_each_tile_before_the_next(monkeypatch):
         refs.append(weakref.ref(tile))
         del tile
     assert len(refs) == 10
+
+
+def test_second_moment_holds_one_tile(monkeypatch):
+    # the two moment sums come from two walks, each holding one tile
+    monkeypatch.setattr(blocks, "TILE", 512)
+    e = plain_random(np.random.default_rng(43), 2048, 4, 0.3)
+    peak = oracles.traced_peak(lambda: expected_degree_second_moment(e, TDP))
+    assert peak < 1.5 * blocks.TILE ** 2 * 8
