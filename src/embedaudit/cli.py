@@ -97,8 +97,9 @@ class AuditConfig:
         ranks = self.rank_sweep_list or ()
         if any(d < 1 for d in ranks):
             raise AuditConfigError("ranks must be >= 1")
-        if len(set(ranks)) != len(ranks):
-            raise AuditConfigError("ranks must be distinct")
+        for name, values in (("models", self.models), ("ranks", ranks)):
+            if len(set(values)) != len(values):
+                raise AuditConfigError(f"{name} must be distinct")
 
 
 def _model_sample_seed(seed: int, model_name: str) -> int:

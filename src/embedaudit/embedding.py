@@ -525,5 +525,7 @@ def load_embedding(path) -> Embedding:
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise EmbeddingFormatError(f"{path}: missing vertex id {missing}")
-
-    return Embedding(kind, vectors, eigenvalues)
+    try:
+        return Embedding(kind, vectors, eigenvalues)
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"{path}: {exc}") from exc

@@ -82,9 +82,8 @@ class Graph:
         """Dense symmetric 0/1 adjacency matrix (float64)."""
         a = np.zeros((self.n, self.n))
         e = self.edge_array()
-        if e.size:
-            a[e[:, 0], e[:, 1]] = 1.0
-            a[e[:, 1], e[:, 0]] = 1.0
+        a[e[:, 0], e[:, 1]] = 1.0
+        a[e[:, 1], e[:, 0]] = 1.0
         return a
 
     @classmethod

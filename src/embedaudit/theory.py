@@ -2,17 +2,15 @@
 
 These are the executable counterparts of the bound's building blocks: the
 trace-squared rank bound, the unit-vector packing bound, the greedy
-independent-set floor, signed dot-product mass balance, the closed-form
-rank bound itself, and the core-pruning procedure that replays the bound's
-construction on a concrete vector set and certifies a rank lower bound for
-the surviving core.
+independent-set floor, signed dot-product mass balance, and the
+core-pruning procedure that replays the bound's construction on a concrete
+vector set and certifies a rank lower bound for the surviving core.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,9 +18,6 @@ from .embedding import Embedding
 from .graph import Graph
 from .models import TruncatedDot
 from .sampling import expected_degrees, expected_triangles_exact
-
-# largest admissible value of the bound's leading constant; also its default
-ALPHA_CEILING = 1.0 / (128 * 3600 * 4 ** 4)
 
 _NUMERIC_RANK_RTOL = 1e-9
 # largest | |u| - 1 | that packing_max_dot accepts as a unit vector
@@ -98,52 +93,6 @@ def greedy_independent_set(g: Graph) -> np.ndarray:
         if any(int(w) in members for w in g.neighbors(v)):
             raise RuntimeError("greedy set is not independent; graph corrupt?")
     return out
-
-
-class LengthBounds(NamedTuple):
-    """Vector-length floors implied by a (c, delta) triangle foundation."""
-
-    equal_length: float        # sqrt(delta)/c, when all lengths are equal
-    core: float                # sqrt(delta)/(4c), for the longest core bucket
-
-
-def length_lower_bound(c: float, delta: float) -> LengthBounds:
-    """Minimum vector length forced by delta*n triangles at degree cap c."""
-    if c <= 0 or delta <= 0:
-        raise ValueError("need c > 0 and delta > 0")
-    root = math.sqrt(delta)
-    return LengthBounds(root / c, root / (4.0 * c))
-
-
-@dataclass(frozen=True)
-class TheoremBoundParams:
-    """Inputs to the closed-form rank lower bound.
-
-    alpha defaults to its largest admissible value; the bound is asymptotic,
-    so alpha is exposed rather than baked in.
-    """
-
-    n: int
-    c: float
-    delta: float
-    alpha: float = ALPHA_CEILING
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.c <= 4:
-            raise ValueError("degree cap c must exceed 4")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if not 0 < self.alpha <= ALPHA_CEILING:
-            raise ValueError(f"alpha must lie in (0, {ALPHA_CEILING}]")
-
-
-def theorem_rank_lower_bound(p: TheoremBoundParams) -> float:
-    """min(n, alpha * delta^4 / c^9 * n / lg^2 n)."""
-    lg = math.log2(p.n)
-    value = p.alpha * p.delta ** 4 / p.c ** 9 * p.n / (lg * lg)
-    return min(float(p.n), value)
 
 
 def negative_dot_mass(vectors) -> tuple[float, float]:

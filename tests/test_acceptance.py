@@ -34,14 +34,11 @@ from embedaudit.sampling import (
 )
 from embedaudit.sampling import _pair_walk, _store_edges
 from embedaudit.theory import (
-    ALPHA_CEILING,
-    TheoremBoundParams,
     greedy_independent_set,
     independent_set_floor,
     negative_dot_mass,
     packing_max_dot,
     rank_lemma_bound,
-    theorem_rank_lower_bound,
 )
 from perfbench import gen
 
@@ -253,25 +250,6 @@ def test_10_headline_low_degree_triangle_gap():
     gap = float("inf") if model_delta == 0 else orig_delta / model_delta
     _ok(10, f"low-degree delta gap {gap:.0f}x (original {orig_delta:.3f}, "
             f"model max {model_delta:.5f}) in {elapsed:.0f}s")
-
-
-def test_11_theorem_bound_matches_high_precision():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 60
-    rng = np.random.default_rng(1111)
-    for t in range(20):
-        n = int(rng.integers(8, 10 ** 8))
-        c = float(rng.uniform(4.001, 100.0))
-        delta = float(rng.uniform(1e-4, 50.0))
-        alpha = ALPHA_CEILING * float(rng.uniform(1e-4, 1.0))
-        got = theorem_rank_lower_bound(TheoremBoundParams(n, c, delta, alpha))
-        lg = mp.log(n, 2)
-        exact = min(mp.mpf(n),
-                    mp.mpf(alpha) * mp.mpf(delta) ** 4 / mp.mpf(c) ** 9 * n / lg ** 2)
-        rel = abs(got - float(exact)) / float(exact)
-        assert rel <= 1e-12, f"point {t}: relative error {rel}"
-    _ok(11, "closed-form bound matches 60-digit evaluation to 12 significant "
-            "digits on 20 points")
 
 
 def _report_without_run_facts(out):

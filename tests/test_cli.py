@@ -198,6 +198,8 @@ def test_audit_config_validation():
         AuditConfig(graph_path="g", output_dir="o", models=())
     with pytest.raises(ValueError):
         AuditConfig(graph_path="g", output_dir="o", models=("euclid",))
+    with pytest.raises(ValueError, match="models must be distinct"):
+        AuditConfig(graph_path="g", output_dir="o", models=("lrhp", "lrhp"))
     with pytest.raises(ValueError):
         AuditConfig(graph_path="g", output_dir="o", num_samples=0)
     for seed in (-1, 2**64):
@@ -481,6 +483,7 @@ def test_cli_audit_argument_parsing(tmp_path):
     (["ranksweep", "--ranks", "2,2"], "ranks must be distinct"),
     (["audit", "--dim", "2", "--negative-ratio", "10"],
      "unrecognized arguments: --negative-ratio"),
+    (["audit", "--dim", "2", "--models", "tdp,lrhp,tdp"], "models must be distinct"),
 ])
 def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, message):
     gpath = write_k4(tmp_path)
@@ -535,12 +538,20 @@ def _faulty_solver(graph, d, **kwargs):
     # None: spectral_embed fails as a program would, and keeps its traceback
     (["audit", "--graph", "{k3}", "--dim", "2"], None),
     (["audit", "--graph", "{empty}", "--dim", "2"], "the graph is empty"),
+    # embedding files that parse but that Embedding rejects
+    (["audit", "--graph", "{k3}", "--embedding", "{unsorted}"], "eigenvalues must be sorted"),
+    (["audit", "--graph", "{k3}", "--embedding", "{skewed}"], "columns must be orthonormal"),
+    (["sample", "--embedding", "{unsorted}"], "eigenvalues must be sorted"),
+    (["sample", "--embedding", "{skewed}"], "columns must be orthonormal"),
 ])
 def test_input_errors_end_in_one_line(tmp_path, capsys, monkeypatch, argv, message):
     paths = {"{missing}": tmp_path / "missing.txt", "{k3}": tmp_path / "k3.txt",
-             "{empty}": tmp_path / "empty.txt"}
+             "{empty}": tmp_path / "empty.txt", "{unsorted}": tmp_path / "unsorted.emb",
+             "{skewed}": tmp_path / "skewed.emb"}
     paths["{k3}"].write_text("0 1\n1 2\n0 2\n")
     paths["{empty}"].write_text("# no edges\n")
+    paths["{unsorted}"].write_text("3 2 spectral\nlambda: 1.0 2.0\n0 1 0\n1 0 1\n2 0 0\n")
+    paths["{skewed}"].write_text("3 2 spectral\nlambda: 2.0 1.0\n0 1 1\n1 0 0\n2 0 0\n")
     out = tmp_path / "out"
     args = [str(paths.get(a, a)) for a in argv] + ["--out", str(out)]
     if message is None:

@@ -7,17 +7,13 @@ import oracles
 from embedaudit.embedding import Embedding
 from embedaudit.graph import Graph
 from embedaudit.theory import (
-    ALPHA_CEILING,
-    TheoremBoundParams,
     core_rank_certificate,
     greedy_independent_set,
     independent_set_floor,
-    length_lower_bound,
     negative_dot_mass,
     numeric_rank,
     packing_max_dot,
     rank_lemma_bound,
-    theorem_rank_lower_bound,
 )
 
 
@@ -127,68 +123,6 @@ def test_independent_set_random_sweep():
             assert not any(int(w) in members for w in g.neighbors(v))
         b = int(g.degrees.max()) if g.n else 0
         assert len(s) >= independent_set_floor(g.n, b)
-
-
-# ----------------------------------------------------------- length bound
-
-def test_length_bounds_closed_form():
-    assert length_lower_bound(1, 1).equal_length == pytest.approx(1.0)
-    assert length_lower_bound(2, 4).equal_length == pytest.approx(1.0)
-    lb = length_lower_bound(10, 1)
-    assert lb.equal_length == pytest.approx(0.1)
-    assert lb.core == pytest.approx(0.025)
-
-
-def test_length_bounds_reject_bad_inputs():
-    with pytest.raises(ValueError):
-        length_lower_bound(0, 1)
-    with pytest.raises(ValueError):
-        length_lower_bound(1, 0)
-
-
-# ---------------------------------------------------------- closed form
-
-def test_theorem_bound_high_precision_grid():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(10, 10 ** 7))
-        c = float(rng.uniform(4.001, 50.0))
-        delta = float(rng.uniform(1e-3, 20.0))
-        alpha = ALPHA_CEILING * float(rng.uniform(1e-3, 1.0))
-        got = theorem_rank_lower_bound(TheoremBoundParams(n, c, delta, alpha))
-        lg = mp.log(n, 2)
-        exact = min(mp.mpf(n),
-                    mp.mpf(alpha) * mp.mpf(delta) ** 4 / mp.mpf(c) ** 9 * n / lg ** 2)
-        assert abs(got - float(exact)) <= 1e-12 * float(exact)
-
-
-def test_theorem_bound_quartic_in_delta():
-    a = theorem_rank_lower_bound(TheoremBoundParams(10 ** 6, 10.0, 1.0))
-    b = theorem_rank_lower_bound(TheoremBoundParams(10 ** 6, 10.0, 2.0))
-    assert b == pytest.approx(16 * a)
-
-
-def test_theorem_bound_vanishes_with_delta():
-    vals = [theorem_rank_lower_bound(TheoremBoundParams(10 ** 5, 8.0, d))
-            for d in (1.0, 1e-3, 1e-6)]
-    assert vals[0] > vals[1] > vals[2]
-    assert vals[2] < 1e-20
-
-
-def test_theorem_bound_parameter_validation():
-    with pytest.raises(ValueError):
-        TheoremBoundParams(100, 4.0, 1.0)       # c must exceed 4
-    with pytest.raises(ValueError):
-        TheoremBoundParams(100, 5.0, 0.0)
-    with pytest.raises(ValueError):
-        TheoremBoundParams(100, 5.0, 1.0, alpha=ALPHA_CEILING * 2)
-
-
-def test_theorem_bound_capped_at_n():
-    # huge delta pushes the formula above n; the bound saturates
-    assert theorem_rank_lower_bound(TheoremBoundParams(100, 4.5, 1e9)) == 100.0
 
 
 # -------------------------------------------------------- signed dot mass
