@@ -132,8 +132,9 @@ def _fit_model(name, e, g, seed):
 def _run_pipeline(config: AuditConfig, variants) -> dict:
     """Load, embed, sample, curves, write and report over labelled variants.
 
-    The embedding is the config's external file if it names one, else the
-    rank-``config.dim`` spectral embedding.  ``variants(g, e)`` returns
+    The embedding is the config's external file if it names one (the
+    report then echoes its d as ``dim``), else the rank-``config.dim``
+    spectral embedding.  ``variants(g, e)`` returns
     ``(variants, fit_reports, extras)``, where ``variants`` yields
     ``(label, embedding, model)``.  Each variant's samples are seeded by its
     model variant; its outputs are ``curve_<label>.csv`` and
@@ -154,6 +155,7 @@ def _run_pipeline(config: AuditConfig, variants) -> dict:
             e = load_embedding(config.external_embedding_path)
             if e.n != g.n:
                 raise InputError(f"embedding has n={e.n}, graph has n={g.n}")
+            config = replace(config, dim=e.d)    # the report echoes the d it used
         else:
             e = spectral_embed(g, config.dim, report=solve)
 

@@ -9,7 +9,8 @@ Four variants map the score of a vertex pair to an edge probability:
   vertex's expected degree matches its observed degree, then symmetrized.
 
 The logistic models are fitted by weighted maximum likelihood on all edges
-plus importance-weighted subsampled non-edges, then their intercept is
+plus importance-weighted non-edges, each kept independently with the
+same probability by ``sampling.bernoulli_pairs``, then their intercept is
 recalibrated by a safeguarded Newton solve so the exact sum of pair
 probabilities matches the observed edge count.  All models are immutable and
 evaluate pure, symmetric probabilities in [0, 1].  Every sigmoid, in the
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,7 @@ from . import blocks
 from .blocks import row_chunks, upper_tiles
 from .embedding import Embedding
 from .graph import Graph, InputError
+from .sampling import bernoulli_pairs
 
 # longest Newton step of the intercept calibration: when most pairs sit at
 # p = 1, sum p(1-p) is nearly 0 and the raw step overshoots by orders of
@@ -50,12 +51,7 @@ from .graph import Graph, InputError
 # beyond z = 37
 _MAX_NEWTON_STEP = 40.0
 
-# most ordered pairs in one batch of the non-edge rejection sampler: on a
-# dense graph, where few draws land on a non-edge, it takes more batches
-# instead of more memory
-_MAX_DRAWS = 1 << 20
-
-# sampled non-edges per edge in a logistic fit
+# expected sampled non-edges per edge in a logistic fit
 _NEGATIVE_RATIO = 10
 
 # damped-Newton logistic MLE: iteration cap, and the gradient's largest
@@ -177,26 +173,23 @@ class DegreeSoftmax:
         ls.flags.writeable = False
         object.__setattr__(self, "log_scale", ls)
 
-    @property
-    def scale(self) -> np.ndarray:
-        """Per-vertex proportionality constants s_i >= 0."""
-        with np.errstate(over="raise"):
-            return np.exp(self.log_scale)
-
     def _intensity(self, e: Embedding, rows, cols) -> np.ndarray:
         """Unclamped symmetrized intensity (q_ij + q_ji) / 2, computed in
-        place in the score tile, row chunk by row chunk."""
+        place in the score tile, row chunk by row chunk.  An intensity that
+        overflows is inf, which clamps to p = 1; that overflow is expected,
+        also at a self-pair, whose entry the tile walk masks."""
         s = e.score_block(rows, cols)
         ls_rows = self.log_scale[np.asarray(rows)][:, None]
         ls_cols = self.log_scale[np.asarray(cols)][None, :]
-        for r0, r1 in row_chunks(s.shape[0], s.shape[1]):
-            q = s[r0:r1]
-            q_ij = ls_rows[r0:r1] + q
-            np.exp(q_ij, out=q_ij)
-            q += ls_cols
-            np.exp(q, out=q)               # q_ji
-            q += q_ij
-            q *= 0.5
+        with np.errstate(over="ignore"):
+            for r0, r1 in row_chunks(s.shape[0], s.shape[1]):
+                q = s[r0:r1]
+                q_ij = ls_rows[r0:r1] + q
+                np.exp(q_ij, out=q_ij)
+                q += ls_cols
+                np.exp(q, out=q)           # q_ji
+                q += q_ij
+                q *= 0.5
         return s
 
     def prob_block(self, e: Embedding, rows, cols) -> np.ndarray:
@@ -252,38 +245,20 @@ def softmax_clamp_count(model: DegreeSoftmax, e: Embedding) -> int:
 # ------------------------------------------------------------------ fitting
 
 def _sample_nonedges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample (with replacement) of `count` non-edge pairs i < j."""
+    """Ascending non-edge pairs i < j, each kept independently with
+    probability min(1, count / #non-edges): one ``bernoulli_pairs`` draw
+    over all pairs, less the edges it hits."""
     n = g.n
-    n_pairs = n * (n - 1) // 2
-    n_non = n_pairs - g.m
+    n_non = n * (n - 1) // 2 - g.m
     if count == 0 or n_non == 0:
         return np.empty((0, 2), dtype=np.int64)
-
+    i, j = bernoulli_pairs(rng, n, min(1.0, count / n_non))
     e = g.edge_array()
-    edge_keys = np.sort(e[:, 0] * n + e[:, 1]) if e.size else np.empty(0, np.int64)
-    # share of ordered draws (i, j) that land on a non-edge
-    accept = (n - 1) / n * n_non / n_pairs
-    chunks, need = [], count
-    for _ in range(1000):
-        if need <= 0:
-            break
-        # enough draws to fill the quota unless the accepted count falls
-        # about three standard deviations short; a short batch is topped up
-        b = min(_MAX_DRAWS, math.ceil((need + 3.0 * math.sqrt(need) + 16.0) / accept))
-        i = rng.integers(0, n, size=b)
-        j = rng.integers(0, n, size=b)
-        ok = i != j
-        keys = np.minimum(i, j)[ok] * n + np.maximum(i, j)[ok]
-        del i, j                       # before the kept keys are stacked
-        if edge_keys.size:
-            pos = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
-            keys = keys[edge_keys[pos] != keys]
-        keys = keys[:need]
-        chunks.append(np.column_stack([keys // n, keys % n]))
-        need -= keys.size
-    if need > 0:
-        raise RuntimeError("non-edge rejection sampling failed to fill the quota")
-    return np.concatenate(chunks)
+    keep = np.isin(i * n + j, e[:, 0] * n + e[:, 1], assume_unique=True, invert=True)
+    out = np.empty((np.count_nonzero(keep), 2), dtype=np.int64)
+    out[:, 0] = i[keep]
+    out[:, 1] = j[keep]
+    return out
 
 
 def _weighted_logistic(fill, nfeat: int, y: np.ndarray, w: np.ndarray):
@@ -477,8 +452,9 @@ def _fit_logistic_model(e, g, seed, nfeat, features, build):
 def fit_lrdp(e: Embedding, g: Graph, seed: int = 0) -> tuple[LogisticDot, FitReport]:
     """Logistic regression on the pair score, edge-count calibrated.
 
-    Positives are all m edges; negatives are _NEGATIVE_RATIO * m uniformly
-    sampled non-edges carrying importance weight (#non-edges)/(#sampled).
+    Positives are all m edges; negatives are a Bernoulli sample of the
+    non-edges, _NEGATIVE_RATIO * m of them in expectation (all of them when
+    there are fewer), carrying importance weight (#non-edges)/(#sampled).
     After the MLE fit the intercept is shifted by a safeguarded Newton solve
     until the exact sum of all pair probabilities matches m within relative
     1e-3; each Newton step costs one pass over the pairs.
@@ -513,7 +489,10 @@ def model_to_json(model) -> dict:
         return {"variant": "lrhp", "weights": model.weights.tolist(),
                 "intercept": model.intercept}
     if isinstance(model, DegreeSoftmax):
-        return {"variant": "softmax", "scale": model.scale.tolist()}
+        # log s_i, not s_i, which overflows for valid embeddings; null
+        # (-inf) for isolated vertices keeps the document strict JSON
+        return {"variant": "softmax",
+                "log_scale": [x if x > -np.inf else None for x in model.log_scale.tolist()]}
     raise TypeError(f"not an edge model: {model!r}")
 
 

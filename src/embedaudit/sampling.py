@@ -104,6 +104,24 @@ def _bernoulli_positions(rng, n: int, rate: float) -> np.ndarray:
     return pos[:np.searchsorted(pos, n)].astype(np.intp)
 
 
+def bernoulli_pairs(rng, n: int, rate: float):
+    """(i, j): the ascending pairs i < j of a Bernoulli(rate) subset of all
+    n(n-1)/2 pairs, 0 < rate <= 1.
+
+    One ``_bernoulli_positions`` stream runs over the row-major pair index;
+    each drawn index is unranked exactly in int64, into j in place.
+    """
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2        # the index of pair (i, i + 1)
+    j = _bernoulli_positions(rng, n * (n - 1) // 2, rate).astype(np.int64, copy=False)
+    i = np.searchsorted(starts, j, side="right")
+    i -= 1
+    j -= starts[i]
+    j += i
+    j += 1
+    return i, j
+
+
 def _draw_tile(rng, flat, plan):
     """(hits, examined): ascending flat indices of one sample's edges in the
     tile, and the number of positions the draw looked at."""

@@ -24,7 +24,8 @@ from . import theory
 from .embedding import Embedding
 from .graph import Graph
 from .models import TruncatedDot, build_softmax, fit_lrdp, fit_lrhp
-from .sampling import expected_degree_second_moment, expected_degrees, expected_triangles_exact
+from .sampling import (bernoulli_pairs, expected_degree_second_moment, expected_degrees,
+                       expected_triangles_exact)
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,7 @@ def _sweep(tag: int, name: str, description: str):
 
 
 def _random_gnp(rng, n, p) -> Graph:
-    upper = np.triu(rng.random((n, n)) < p, k=1)
-    return Graph.from_edges(n, np.argwhere(upper))
+    return Graph.from_edges(n, np.column_stack(bernoulli_pairs(rng, n, p)))
 
 
 @_sweep(1, "rank_lemma_bound", "trace^2/sum-of-squares never exceeds numeric rank")

@@ -322,37 +322,6 @@ def softmax_log_scale_reference(e, g):
         return np.where(deg > 0, np.log(np.maximum(deg, 1e-300)) - log_z, -np.inf)
 
 
-def sample_nonedges_reference(g, count, rng, batch_sizes=None):
-    """Rejection sampler of non-edge pairs i < j, with the same batch sizes
-    and draws as the library: each batch is the quota plus three times its
-    square root plus 16, over the share of ordered draws that land on a
-    non-edge, and at most 2^20.  Each batch's (quota, size) is appended to
-    ``batch_sizes`` when given."""
-    n = g.n
-    e = g.edge_array()
-    edge_keys = np.sort(e[:, 0] * n + e[:, 1])
-    n_pairs = n * (n - 1) // 2
-    accept = (n - 1) / n * (n_pairs - g.m) / n_pairs
-    chunks, need = [], count
-    while need > 0:
-        b = min(1 << 20, math.ceil((need + 3.0 * math.sqrt(need) + 16.0) / accept))
-        if batch_sizes is not None:
-            batch_sizes.append((need, b))
-        i = rng.integers(0, n, size=b)
-        j = rng.integers(0, n, size=b)
-        ok = i != j
-        u, v = np.minimum(i, j)[ok], np.maximum(i, j)[ok]
-        keys = u * n + v
-        pos = np.searchsorted(edge_keys, keys)
-        pos_c = np.minimum(pos, max(edge_keys.size - 1, 0))
-        is_edge = (pos < edge_keys.size) & (edge_keys[pos_c] == keys)
-        u, v = u[~is_edge], v[~is_edge]
-        take = min(need, u.size)
-        chunks.append(np.column_stack([u[:take], v[:take]]))
-        need -= take
-    return np.concatenate(chunks)
-
-
 def traced_peak(fn) -> int:
     """Peak bytes that tracemalloc sees while fn() runs."""
     tracemalloc.start()

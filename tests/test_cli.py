@@ -176,10 +176,31 @@ def test_audit_with_external_embedding(tmp_path):
                                    num_samples=3, seed=5,
                                    external_embedding_path=str(epath)))
     assert report["embedding_kind"] == "plain"
-    assert report["embedding_dim"] == 4
+    # the report echoes the d of the file, not the --dim it never used
+    assert report["config"]["dim"] == report["embedding_dim"] == 4
     assert report["eigensolver"] is None     # nothing was solved
     assert (out / "curve_lrdp.csv").exists()
     assert not (out / "curve_tdp.csv").exists()
+
+
+def test_audit_softmax_report_on_a_large_log_scale(tmp_path):
+    # vertex 0 scores -1000 against every other vertex, so its log s_0 is
+    # about 996.6 and s_0 itself overflows; the report digests log s_i
+    gpath = tmp_path / "path.txt"
+    gpath.write_text("".join(f"{i} {i + 1}\n" for i in range(29)))
+    epath = tmp_path / "ext.txt"
+    save_embedding(Embedding.plain(np.where(np.arange(30) == 0, -100.0, 10.0)[:, None]), epath)
+    out = tmp_path / "out"
+    assert cli.main(["audit", "--graph", str(gpath), "--embedding", str(epath),
+                     "--models", "softmax", "--samples", "2", "--out", str(out)]) == 0
+
+    def strict(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=strict)
+    assert report["models"]["softmax"]["variant"] == "softmax"
+    assert len(report["models"]["softmax"]["digest"]) == 64
+    assert report["config"]["dim"] == 1 and (out / "curve_softmax.csv").exists()
 
 
 def test_audit_rejects_mismatched_external_embedding(tmp_path):

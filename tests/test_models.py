@@ -259,7 +259,7 @@ def test_softmax_uniform_scores_on_k3():
     e = Embedding.plain(np.zeros((3, 2)))
     model = build_softmax(e, g)
     # each vertex has degree 2 spread uniformly over 2 partners: q = 1
-    assert np.allclose(model.scale, [1.0, 1.0, 1.0])
+    assert np.allclose(np.exp(model.log_scale), [1.0, 1.0, 1.0])
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         assert pair_probability(model, e, i, j) == pytest.approx(1.0, abs=1e-12)
 
@@ -269,9 +269,9 @@ def test_softmax_isolated_vertex_row_is_zero():
     rng = np.random.default_rng(6)
     e = Embedding.plain(rng.normal(size=(4, 2)))
     model = build_softmax(e, g)
-    q = model.scale[[3], None] * np.exp(e.score_block(np.array([3]), np.arange(4)))
+    q = np.exp(model.log_scale[[3], None] + e.score_block(np.array([3]), np.arange(4)))
     assert np.all(q == 0.0)
-    assert model.scale[3] == 0.0
+    assert model.log_scale[3] == -np.inf
 
 
 def test_softmax_row_sums_match_degrees():
@@ -279,7 +279,7 @@ def test_softmax_row_sums_match_degrees():
     g = random_graph(rng, 20, 0.3)
     e = Embedding.plain(rng.normal(size=(20, 3)))
     model = build_softmax(e, g)
-    q = model.scale[:, None] * np.exp(e.score_block(np.arange(20), np.arange(20)))
+    q = np.exp(model.log_scale)[:, None] * np.exp(e.score_block(np.arange(20), np.arange(20)))
     np.fill_diagonal(q, 0.0)
     assert np.allclose(q.sum(axis=1), g.degrees, rtol=1e-9, atol=1e-12)
 
@@ -420,42 +420,40 @@ def test_chunked_softmax_normalizers_equal_one_shot(kind, side, monkeypatch):
     assert np.array_equal(model.log_scale, oracles.softmax_log_scale_reference(e, g))
 
 
-class _SizeRecorder:
-    """Generator proxy that records the size of every integers() draw."""
-
-    def __init__(self, rng):
-        self.rng, self.sizes = rng, []
-
-    def integers(self, low, high, size):
-        self.sizes.append(size)
-        return self.rng.integers(low, high, size=size)
-
-
-def test_nonedge_sampler_matches_reference():
-    g, _ = _fit_instance("plain")
-    for seed, count in [(0, 9000), (1, 9000), (2, 37)]:
-        rng = _SizeRecorder(np.random.default_rng(seed))
-        got = models._sample_nonedges(g, count, rng)
-        batches = []
-        want = oracles.sample_nonedges_reference(g, count, np.random.default_rng(seed),
-                                                 batches)
-        assert np.array_equal(got, want)
-        assert rng.sizes == [b for _, b in batches for _ in range(2)]
-        # batches are sized from the acceptance rate, not a multiple of the quota
-        assert all(b <= 1.1 * need + 64 for need, b in batches)
+def test_nonedge_sampler_is_bernoulli_over_the_nonedges():
+    # 12 vertices, 15 edges: each of the 51 non-edges is kept with
+    # probability 20/51, independently of the seed's other draws
+    g = Graph.from_edges(12, np.random.default_rng(4).permutation(
+        np.column_stack(np.triu_indices(12, 1)))[:15])
+    assert g.m == 15
+    n_non, count, seeds = 51, 20, 3000
+    hits = np.zeros((12, 12), dtype=np.int64)
+    for seed in range(seeds):
+        got = models._sample_nonedges(g, count, np.random.default_rng(seed))
+        keys = got[:, 0] * 12 + got[:, 1]
+        assert np.all(got[:, 0] < got[:, 1]) and np.all(np.diff(keys) > 0)
+        hits[got[:, 0], got[:, 1]] += 1
+    adj = g.adjacency_matrix()
+    iu, ju = np.triu_indices(12, 1)
+    assert np.all(hits[iu, ju][adj[iu, ju] == 1] == 0)
+    counts = hits[iu, ju][adj[iu, ju] == 0]
+    rate = count / n_non
+    sd = np.sqrt(seeds * rate * (1 - rate))
+    assert counts.size == n_non
+    assert np.all(np.abs(counts - seeds * rate) <= 4.5 * sd)
 
 
-def test_nonedge_sampler_on_a_dense_graph_stays_small():
-    # K_40 less one edge: 1 in 780 pairs is a non-edge, so the 7790 draws of
-    # a fit would ask for about 6.3M ordered pairs in one batch
-    g = Graph.from_edges(40, [(i, j) for i in range(40) for j in range(i + 1, 40)
-                              if (i, j) != (3, 17)])
-    rng = _SizeRecorder(np.random.default_rng(5))
-    peak = oracles.traced_peak(lambda: models._sample_nonedges(g, 10 * g.m, rng))
-    assert max(rng.sizes) == models._MAX_DRAWS
-    assert peak < 8 * models._MAX_DRAWS * 8     # a few int64 arrays of one batch
+def test_nonedge_sampler_and_fit_on_a_dense_graph():
+    # K_150 less one edge: the one non-edge is drawn once, and the fit is
+    # the full-pair MLE
+    g = Graph.from_edges(150, [(i, j) for i in range(150) for j in range(i + 1, 150)
+                               if (i, j) != (3, 17)])
     got = models._sample_nonedges(g, 10 * g.m, np.random.default_rng(5))
-    assert got.shape == (10 * g.m, 2) and np.all(got == [3, 17])
+    assert got.tolist() == [[3, 17]]
+    e = Embedding.plain(np.random.default_rng(5).normal(scale=0.3, size=(150, 4)))
+    _, report = fit_lrdp(e, g, seed=5)
+    assert report.converged
+    assert abs(report.achieved_expected_edges - g.m) <= 1e-3 * g.m
 
 
 def test_fit_stage_memory_is_chunk_bounded(monkeypatch):
@@ -465,8 +463,8 @@ def test_fit_stage_memory_is_chunk_bounded(monkeypatch):
     n, d = 1600, 64
     g = Graph.from_edges(n, rng.integers(0, n, size=(8200, 2)))
     e = Embedding.plain(rng.normal(scale=0.15, size=(n, d)))
-    fitted = 11 * g.m             # edges plus 10 sampled non-edges per edge
-    # O(m): the pair list, y, w, lrdp's score column and the sampler's batch
+    fitted = 11 * g.m             # edges plus about 10 sampled non-edges per edge
+    # O(m): the pair list, y, w, lrdp's score column and the sampler's draw
     per_fitted, chunk, tile = 64, blocks.CHUNK_ENTRIES * 8, blocks.TILE ** 2 * 8
     for fit in (fit_lrdp, fit_lrhp):
         # the calibration walks pair tiles: one probability tile and its mask,
@@ -565,9 +563,12 @@ def test_model_json_round_trip():
     assert docs[:3] == [{"variant": "tdp"},
                         {"variant": "lrdp", "slope": 1.5, "intercept": -0.25},
                         {"variant": "lrhp", "weights": [0.5, -1.0, 2.0], "intercept": 0.1}]
-    assert docs[3] == {"variant": "softmax", "scale": models[3].scale.tolist()}
+    assert docs[3] == {"variant": "softmax", "log_scale": models[3].log_scale.tolist()}
+    # an isolated vertex's log s_i = -inf is written as null
+    docs.append(model_to_json(DegreeSoftmax(np.array([0.5, -np.inf, 996.6]))))
+    assert docs[4] == {"variant": "softmax", "log_scale": [0.5, None, 996.6]}
     for doc in docs:
-        assert json.loads(json.dumps(doc)) == doc
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
     # equal parameters give equal digests, and every model its own
     again = [TruncatedDot(), LogisticDot(1.5, -0.25),
              LogisticHadamard(np.array([0.5, -1.0, 2.0]), 0.1),

@@ -13,13 +13,14 @@ from embedaudit.embedding import Embedding, spectral_embed
 from embedaudit.graph import Graph, triangle_foundation_curve
 from embedaudit.models import TruncatedDot, build_softmax, fit_lrdp, fit_lrhp
 from embedaudit.sampling import (
+    bernoulli_pairs,
     curve_over_samples,
     expected_degree_second_moment,
     expected_degrees,
     expected_triangles_exact,
     sample_graph,
 )
-from embedaudit.sampling import _draw_plan, _pair_walk, _store_edges
+from embedaudit.sampling import _bernoulli_positions, _draw_plan, _pair_walk, _store_edges
 
 TDP = TruncatedDot()
 
@@ -129,6 +130,24 @@ def test_sparse_draw_is_exact_bernoulli(monkeypatch):
     np.fill_diagonal(cov, 0.0)
     v = q[mid] * (1 - q[mid])
     assert np.all(np.abs(cov) <= 6 * np.sqrt(np.outer(v, v) / samples))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1030])
+def test_bernoulli_pairs_at_rate_one_are_all_pairs(n):
+    i, j = bernoulli_pairs(np.random.default_rng(0), n, 1.0)
+    iu, ju = np.triu_indices(n, 1)
+    assert i.dtype == j.dtype == np.int64
+    assert np.array_equal(i, iu) and np.array_equal(j, ju)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 1030])
+@pytest.mark.parametrize("rate", [1e-4, 0.05, 0.5, 0.97])
+def test_bernoulli_pairs_unrank_the_skip_stream(n, rate):
+    # the pairs are the row-major pairs i < j at the drawn positions
+    i, j = bernoulli_pairs(np.random.default_rng(9), n, rate)
+    at = _bernoulli_positions(np.random.default_rng(9), n * (n - 1) // 2, rate)
+    iu, ju = np.triu_indices(n, 1)
+    assert np.array_equal(i, iu[at]) and np.array_equal(j, ju[at])
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0])
