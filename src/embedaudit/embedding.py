@@ -228,7 +228,8 @@ class _Adjacency:
             return np.bincount(self._block_bins, weights=entries,
                                minlength=n * _BLOCK).reshape(n, _BLOCK)
         out = np.empty((n, x.shape[1]))
-        for c, column in enumerate(np.ascontiguousarray(x.T)):
+        for c in range(x.shape[1]):
+            column = np.ascontiguousarray(x[:, c])    # one column, not a copy of x
             out[:, c] = np.bincount(self._rows, weights=column[indices], minlength=n)
         return out
 
@@ -354,10 +355,14 @@ def _block_lanczos(op, n: int, d: int):
     (theta_i, V s_i) of T has the residual ||B s_i[last block]||, which must
     be at most _LANCZOS_TOL * |theta_i| for each of the top d.  At k = n
     the projection is exact.  V is kept as row chunks of V^T, one chunk per
-    test, so it grows without a copy.  The Ritz vectors, and Ritz vector
-    d + 1, are filled in the vertex ranges of ``blocks.row_chunks`` with k
-    entries a row: one GEMM per chunk of V^T and range, so beside V and the
-    result there is one range's product.
+    test, so it grows without a copy, and a failed test's T, eigenvectors
+    and Ritz values go before the next T is built.  Ritz vector d + 1, then
+    the top d, are formed in the vertex ranges of ``blocks.row_chunks``
+    with k entries a row: one GEMM per chunk of V^T and range.  The top d
+    are written, transposed, over the first chunk of V^T, and the result
+    is a C-ordered view of that chunk, so beside V there is one range's
+    product and no (n, d) array (unless d > n / 2, where the chunk holds
+    fewer than 2d rows).
     """
     rng = np.random.default_rng(_LANCZOS_SEED)
     b = min(_BLOCK, n)
@@ -418,29 +423,48 @@ def _block_lanczos(op, n: int, d: int):
                 t[at:below, below:below + len(coupling)] = coupling.T
                 at = below
             theta, s = np.linalg.eigh(t)
+            del t
             top = slice(k - 1, k - d - 1, -1)
             residual = np.linalg.norm(beta @ s[k - beta.shape[1]:, top], axis=0)
             if k == n or np.all(residual <= _LANCZOS_TOL * np.abs(theta[top])):
                 break
+            del theta, s                # one test's k x k arrays at a time
         betas.append(beta)
+
+    coef, y_coef = np.ascontiguousarray(s[:, top]), s[:, k - d - 1].copy()
+    del theta, s
 
     # at most CHUNK_ENTRIES entries of V^T per GEMM: a product over all n
     # rows is an (n, d) temporary, and a threaded BLAS packs all of its rows
-    def ritz(cols):
-        coef = np.ascontiguousarray(s[:, cols])
-        out = np.empty((n, *coef.shape[1:]))
+    def ritz(c):
+        """Yield (r0, r1, rows r0..r1 of V c) over the vertex ranges."""
         for r0, r1 in row_chunks(n, k):
             at = 0
             for rows, _ in chunks:
-                part = rows[:, r0:r1].T @ coef[at:at + len(rows)]
+                part = rows[:, r0:r1].T @ c[at:at + len(rows)]
                 if at:
-                    out[r0:r1] += part
+                    out += part
                 else:
-                    out[r0:r1] = part
+                    out = part
                 at += len(rows)
-        return out
+            yield r0, r1, out
 
-    return ritz(top), ritz(k - d - 1)
+    y = np.empty(n)
+    for r0, r1, out in ritz(y_coef):
+        y[r0:r1] = out
+    # the top d go over the first chunk's leading rows, of which it has
+    # 2d + b (at most n) >= d, once y has read them: range r0..r1 reads
+    # only columns r0..r1
+    first = chunks[0][0]
+    for r0, r1, out in ritz(coef):
+        first[:d, r0:r1] = out.T
+    # then they move to the next d rows as a C-ordered (n, d): the products
+    # after the solve see the layout, and so the bits, of a fresh array
+    if len(first) < 2 * d:
+        return np.ascontiguousarray(first[:d].T), y
+    u = first[d:2 * d].reshape(n, d)
+    u[...] = first[:d].T
+    return u, y
 
 
 # ------------------------------------------------------------------ files

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -253,6 +255,73 @@ def test_folded_solve_holds_the_krylov_basis_and_two_results(monkeypatch):
     assert report["path"] == "folded"
     basis = report["operator_applications"] * report["block_size"] * g.n * 8
     assert peak < basis + 2 * g.n * d * 8
+
+
+def test_folded_solve_writes_its_ritz_vectors_over_the_basis(monkeypatch):
+    # the top d Ritz vectors go over the first chunk of the basis, so the
+    # solve and the checks after it hold about one (n, d) array beside it;
+    # a separate (n, d) result next to the basis takes it to 1.67 n d
+    monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 1 << 12)
+    base = gen.triangles_plus_noise(6600, 5)
+    g = Graph.from_edges(base.n, base.edges)
+    d, report = 100, {}
+    peak = oracles.traced_peak(lambda: spectral_embed(g, d, report=report))
+    assert report["path"] == "folded"
+    basis = report["operator_applications"] * report["block_size"] * g.n * 8
+    assert peak < basis + 1.25 * g.n * d * 8
+
+
+def test_block_lanczos_holds_one_convergence_test_beside_its_basis(monkeypatch):
+    # at (3000, 300) the k x k arrays of a test and the (n, d) Ritz vectors
+    # are of one size: beside the basis the solve holds one test's T and
+    # eigenvectors, where two tests and a separate result took 4.8 k^2
+    solve, peaks = embedding._block_lanczos, []
+
+    def traced_solve(op, n, d):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = solve(op, n, d)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(embedding, "_block_lanczos", traced_solve)
+    base = gen.triangles_plus_noise(3000, 5)
+    g = Graph.from_edges(base.n, base.edges)
+    report = {}
+    oracles.traced_peak(lambda: spectral_embed(g, 300, report=report))
+    assert report["path"] == "folded"
+    k = report["operator_applications"] * report["block_size"]
+    assert peaks[0] < k * g.n * 8 + 3 * k * k * 8
+
+
+def test_folded_solve_gives_the_bits_of_a_fresh_result(monkeypatch):
+    # the Ritz vectors come back as a view of the basis; the products after
+    # the solve must see a fresh C-ordered array's layout, or a BLAS can
+    # sum them in another order (OpenBLAS did at n = 2100, d = 20)
+    base = gen.triangles_plus_noise(2100, 5)
+    g = Graph.from_edges(base.n, base.edges)
+    e = spectral_embed(g, 20)
+    solve = embedding._block_lanczos
+    monkeypatch.setattr(embedding, "_block_lanczos", lambda op, n, d: tuple(
+        np.ascontiguousarray(x) for x in solve(op, n, d)))
+    fresh = spectral_embed(g, 20)
+    assert np.array_equal(e.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(e.vectors, fresh.vectors)
+
+
+def test_folded_solve_at_d_equal_n_minus_2(monkeypatch):
+    # the largest d the folded path takes: its first chunk of V^T holds n
+    # rows, fewer than 2d + b, and the Krylov space fills at the first test
+    g = random_graph(np.random.default_rng(0), 30, 0.3)
+    d = g.n - 2
+    dense = spectral_embed(g, d)
+    report = {}
+    monkeypatch.setattr(embedding, "_DENSE_CUTOFF", 1)
+    sparse = spectral_embed(g, d, report=report)
+    assert report["path"] == "folded"
+    assert report["operator_applications"] == -(-g.n // report["block_size"])
+    assert np.max(np.abs(dense.eigenvalues - sparse.eigenvalues)) <= 1e-10
+    assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
 
 
 @pytest.mark.parametrize("g, d", [
