@@ -358,11 +358,11 @@ def _block_lanczos(op, n: int, d: int):
     test, so it grows without a copy, and a failed test's T, eigenvectors
     and Ritz values go before the next T is built.  Ritz vector d + 1, then
     the top d, are formed in the vertex ranges of ``blocks.row_chunks``
-    with k entries a row: one GEMM per chunk of V^T and range.  The top d
-    are written, transposed, over the first chunk of V^T, and the result
-    is a C-ordered view of that chunk, so beside V there is one range's
-    product and no (n, d) array (unless d > n / 2, where the chunk holds
-    fewer than 2d rows).
+    with k entries a row: one GEMM per chunk of V^T and range, so beside V
+    there is one range's product.  The top d are written, transposed, over
+    the first chunk of V^T; the other chunks are then dropped, and the
+    result is a fresh C-ordered copy, so the (n, d) array exists only
+    beside the first chunk (2d + b rows, at most n), never beside all of V.
     """
     rng = np.random.default_rng(_LANCZOS_SEED)
     b = min(_BLOCK, n)
@@ -458,13 +458,10 @@ def _block_lanczos(op, n: int, d: int):
     first = chunks[0][0]
     for r0, r1, out in ritz(coef):
         first[:d, r0:r1] = out.T
-    # then they move to the next d rows as a C-ordered (n, d): the products
-    # after the solve see the layout, and so the bits, of a fresh array
-    if len(first) < 2 * d:
-        return np.ascontiguousarray(first[:d].T), y
-    u = first[d:2 * d].reshape(n, d)
-    u[...] = first[:d].T
-    return u, y
+    # the rest of V goes before the (n, d) copy is made, and the first
+    # chunk when the solve returns
+    del chunks, chunk
+    return np.ascontiguousarray(first[:d].T), y
 
 
 # ------------------------------------------------------------------ files

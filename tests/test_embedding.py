@@ -258,9 +258,10 @@ def test_folded_solve_holds_the_krylov_basis_and_two_results(monkeypatch):
 
 
 def test_folded_solve_writes_its_ritz_vectors_over_the_basis(monkeypatch):
-    # the top d Ritz vectors go over the first chunk of the basis, so the
-    # solve and the checks after it hold about one (n, d) array beside it;
-    # a separate (n, d) result next to the basis takes it to 1.67 n d
+    # the top d Ritz vectors go over the first chunk of the basis, whose
+    # other chunks are dropped before the (n, d) result is copied out, so
+    # nothing n x d sits beside the whole basis (0.63 n d above it); a
+    # separate result next to the basis takes it to 1.67 n d
     monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 1 << 12)
     base = gen.triangles_plus_noise(6600, 5)
     g = Graph.from_edges(base.n, base.edges)
@@ -268,7 +269,7 @@ def test_folded_solve_writes_its_ritz_vectors_over_the_basis(monkeypatch):
     peak = oracles.traced_peak(lambda: spectral_embed(g, d, report=report))
     assert report["path"] == "folded"
     basis = report["operator_applications"] * report["block_size"] * g.n * 8
-    assert peak < basis + 1.25 * g.n * d * 8
+    assert peak < basis + 0.8 * g.n * d * 8
 
 
 def test_block_lanczos_holds_one_convergence_test_beside_its_basis(monkeypatch):
@@ -292,21 +293,6 @@ def test_block_lanczos_holds_one_convergence_test_beside_its_basis(monkeypatch):
     assert report["path"] == "folded"
     k = report["operator_applications"] * report["block_size"]
     assert peaks[0] < k * g.n * 8 + 3 * k * k * 8
-
-
-def test_folded_solve_gives_the_bits_of_a_fresh_result(monkeypatch):
-    # the Ritz vectors come back as a view of the basis; the products after
-    # the solve must see a fresh C-ordered array's layout, or a BLAS can
-    # sum them in another order (OpenBLAS did at n = 2100, d = 20)
-    base = gen.triangles_plus_noise(2100, 5)
-    g = Graph.from_edges(base.n, base.edges)
-    e = spectral_embed(g, 20)
-    solve = embedding._block_lanczos
-    monkeypatch.setattr(embedding, "_block_lanczos", lambda op, n, d: tuple(
-        np.ascontiguousarray(x) for x in solve(op, n, d)))
-    fresh = spectral_embed(g, 20)
-    assert np.array_equal(e.eigenvalues, fresh.eigenvalues)
-    assert np.array_equal(e.vectors, fresh.vectors)
 
 
 def test_folded_solve_at_d_equal_n_minus_2(monkeypatch):
