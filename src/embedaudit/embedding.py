@@ -525,8 +525,8 @@ def load_embedding(path) -> Embedding:
         eigenvalues = _parse_floats(lines[k].split()[1:], d, f"{path}: lambda line")
         k += 1
 
-    vectors = np.full((n, d), np.nan)
-    seen = np.zeros(n, dtype=bool)
+    # rows first: the header's n x d is allocated only once rows back it
+    rows = {}
     for lineno in range(k, len(lines)):
         line = lines[lineno].strip()
         if not line:
@@ -539,13 +539,15 @@ def load_embedding(path) -> Embedding:
             raise EmbeddingFormatError(f"{where}: non-integer vertex id") from None
         if not 0 <= vid < n:
             raise EmbeddingFormatError(f"{where}: vertex id {vid} out of range")
-        if seen[vid]:
+        if vid in rows:
             raise EmbeddingFormatError(f"{where}: duplicate vertex id {vid}")
-        vectors[vid] = _parse_floats(tokens[1:], d, where)
-        seen[vid] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
+        rows[vid] = _parse_floats(tokens[1:], d, where)
+    if len(rows) < n:
+        missing = next(vid for vid in range(n) if vid not in rows)
         raise EmbeddingFormatError(f"{path}: missing vertex id {missing}")
+    vectors = np.empty((n, d))
+    for vid, vals in rows.items():
+        vectors[vid] = vals
     try:
         return Embedding(kind, vectors, eigenvalues)
     except ValueError as exc:

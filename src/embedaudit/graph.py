@@ -128,7 +128,7 @@ def load_edge_list(path) -> LoadedEdgeList:
     """Parse a whitespace-separated "u v" edge list into a Graph.
 
     Lines starting with '#' and blank lines are ignored.  Vertex labels are
-    arbitrary non-negative integers and get relabeled to a contiguous
+    arbitrary integers in [0, 2^63) and get relabeled to a contiguous
     0..n-1 space.  Duplicate edges and self-loops are dropped (counted, not
     errors).  Malformed lines raise EdgeListParseError naming the line, and a
     file with no edges raises InputError.
@@ -151,6 +151,9 @@ def load_edge_list(path) -> LoadedEdgeList:
             if u < 0 or v < 0:
                 raise EdgeListParseError(
                     f"{path}: line {lineno}: negative vertex id in {line!r}")
+            if max(u, v) >= 2 ** 63:
+                raise EdgeListParseError(
+                    f"{path}: line {lineno}: vertex id above 2^63 - 1 in {line!r}")
             raw_edges.append((u, v))
 
     if not raw_edges:

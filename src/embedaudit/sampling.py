@@ -10,25 +10,24 @@ a sample depends on.
 One private walk over ``blocks.upper_tiles``, ``_pair_walk``, serves every
 O(n^2) pass in this module: per tile it takes the masked probability tile
 once, draws the edges of every requested sample from it, and adds the
-tile's row and column sums of p to the per-vertex totals with a Kahan
-update in tile order.  A whole set of samples plus the expected
-degrees therefore costs one walk, and the draws and the summation order are
-those of separate passes.  The walk keeps each sample's edges as int32
-offsets within their tile, 4 bytes an edge; ``_store_edges`` makes one
-sample's (m, 2) edge array from them, and ``curve_over_samples`` holds one
-such array at a time.
+tile's row and column sums of p to the per-vertex totals in tile order.  A
+whole set of samples plus the expected degrees therefore costs one walk,
+and the draws and the summation order are those of separate passes.  The
+walk keeps each sample's edges as int32 offsets within their tile, 4 bytes
+an edge; ``_store_edges`` makes one sample's (m, 2) edge array from them,
+and ``curve_over_samples`` holds one such array at a time.
 
-A sample's draw costs O(L tau + sum p) per tile of L entries, not O(L)
-(skip and bucket sampling, Batagelj & Brandes 2005; Bringmann, Keusch &
-Lengler 2019).  From the tile alone, ``_draw_plan`` sets a floor rate tau,
-a power of two near sqrt(mean p), and groups the entries with p > tau into
-buckets by the smallest power of two 2^-k above p (1 for p = 1).  Per
-sample, ``_draw_tile`` walks one geometric-skip stream at rate tau over the
-whole tile and keeps a position iff p <= tau and u tau < p, then one stream
-at rate 2^-k over each bucket's members, keeping a member iff u 2^-k < p.
-Each pair is thus kept with probability exactly p, independently of every
-other pair.  The plan depends on the tile only, never on which samples are
-drawn, so sample s is the same alone or drawn together with others.
+A sample's draw costs O(L tau + N_above) per tile of L entries, not O(L),
+where N_above <= sum p / tau (Markov) counts the entries with p > tau (skip
+sampling, Batagelj & Brandes 2005).  From the tile alone, ``_draw_plan``
+sets a floor rate tau, a power of two near sqrt(mean p), and lists the
+entries above it.  Per sample, ``_draw_tile`` walks one geometric-skip
+stream at rate tau over the whole tile and keeps a position iff p <= tau
+and u tau < p, then draws one uniform u per entry above tau, in ascending
+order, and keeps it iff u < p.  Each pair is thus kept with probability
+exactly p, independently of every other pair.  The plan depends on the
+tile only, never on which samples are drawn, so sample s is the same alone
+or drawn together with others.
 """
 
 from __future__ import annotations
@@ -48,34 +47,18 @@ def _tile_rng(seed: int, sample_index: int, tile_index: int) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence((seed, sample_index, tile_index)))
 
 
-def _kahan_accumulate(total, comp, update):
-    y = update - comp
-    t = total + y
-    comp[:] = (t - total) - y
-    total[:] = t
-
-
 def _draw_plan(flat):
-    """(tau, buckets) of a raveled p-tile, or None when its mass is 0.
+    """(tau, above) of a raveled p-tile, or None when its mass is 0.
 
     tau = 2^min(0, floor(log2(mass / L) / 2)), so at most mass / tau entries
-    lie above it (Markov).  ``buckets`` lists (bound, members) by ascending
-    bound: the ascending flat indices of the entries above tau whose
-    smallest power of two strictly above p is ``bound`` (1 for p = 1).
+    lie above it (Markov); ``above`` lists their ascending flat indices.
     """
     mass = flat.sum()
     if not mass > 0:
         return None
     k = math.floor(0.5 * (math.log2(mass) - math.log2(flat.size)))
     tau = math.ldexp(1.0, min(0, k))
-    above = np.flatnonzero(flat > tau)
-    exps = np.minimum(np.frexp(flat[above])[1], 0).astype(np.int16)
-    order = np.argsort(exps, kind="stable")
-    exps, above = exps[order], above[order]
-    cuts = [0, *(np.flatnonzero(exps[1:] != exps[:-1]) + 1).tolist(), exps.size]
-    buckets = [(math.ldexp(1.0, int(exps[a])), above[a:b])
-               for a, b in zip(cuts, cuts[1:]) if b > a]
-    return tau, buckets
+    return tau, np.flatnonzero(flat > tau)
 
 
 def _bernoulli_positions(rng, n: int, rate: float) -> np.ndarray:
@@ -125,16 +108,12 @@ def bernoulli_pairs(rng, n: int, rate: float):
 def _draw_tile(rng, flat, plan):
     """(hits, examined): ascending flat indices of one sample's edges in the
     tile, and the number of positions the draw looked at."""
-    tau, buckets = plan
+    tau, above = plan
     cand = _bernoulli_positions(rng, flat.size, tau)
     p = flat[cand]
-    hits = [cand[(p <= tau) & (rng.random(cand.size) * tau < p)]]
-    examined = cand.size
-    for bound, members in buckets:
-        cand = members[_bernoulli_positions(rng, members.size, bound)]
-        hits.append(cand[rng.random(cand.size) * bound < flat[cand]])
-        examined += cand.size
-    return np.sort(np.concatenate(hits)), examined
+    low = cand[(p <= tau) & (rng.random(cand.size) * tau < p)]
+    high = above[rng.random(above.size) < flat[above]]
+    return np.sort(np.concatenate((low, high))), cand.size + above.size
 
 
 def _pair_walk(e, model, *, seed: int = 0, sample_indices=()):
@@ -150,7 +129,7 @@ def _pair_walk(e, model, *, seed: int = 0, sample_indices=()):
     n = e.n
     stores = [[] for _ in sample_indices]
     examined = 0
-    degrees, comp = np.zeros(n), np.zeros(n)
+    degrees = np.zeros(n)
     for t, rows, cols, p in upper_tiles(n, lambda r, c: model.prob_block(e, r, c)):
         flat = p.ravel()
         plan = _draw_plan(flat) if stores else None
@@ -161,10 +140,8 @@ def _pair_walk(e, model, *, seed: int = 0, sample_indices=()):
                 examined += looked
                 if hits.size:
                     store.append((*origin, hits.astype(np.int32)))
-        upd = np.zeros(n)
-        upd[rows] += p.sum(axis=1)
-        upd[cols] += p.sum(axis=0)
-        _kahan_accumulate(degrees, comp, upd)
+        degrees[rows] += p.sum(axis=1)
+        degrees[cols] += p.sum(axis=0)
         del p, flat, plan              # before the next tile is built
     return stores, degrees, examined
 

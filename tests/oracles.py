@@ -160,9 +160,9 @@ def per_sample_edges_reference(e, model, seed, sample_index):
     same (seed, sample_index, tile_index) generators as the library.
 
     Per tile: a floor rate tau from the tile's mass, one skip stream at rate
-    tau over every position, then one stream per bound 2^-k (ascending) over
-    the positions with tau < p whose smallest power of two above p is 2^-k
-    (1 for p = 1); each candidate is kept iff u * rate < p.
+    tau over every position, keeping a candidate with p <= tau iff
+    u * tau < p; then one uniform u per position with tau < p, in ascending
+    order, keeping it iff u < p.
     """
     parts = []
     for t, rows, cols, p in _masked_prob_tiles(e, model):
@@ -177,37 +177,24 @@ def per_sample_edges_reference(e, model, seed, sample_index):
         for pos, u in zip(cand, rng.random(len(cand))):
             if flat[pos] <= tau and u * tau < flat[pos]:
                 hits.append(pos)
-        bound_exp = np.minimum(np.frexp(flat)[1], 0)
-        above = flat > tau
-        for k in sorted(set(bound_exp[above].tolist())):
-            members = np.flatnonzero(above & (bound_exp == k))
-            bound = 2.0 ** k
-            cand = members[_skip_stream_reference(rng, members.size, bound)]
-            for pos, u in zip(cand, rng.random(cand.size)):
-                if u * bound < flat[pos]:
-                    hits.append(pos)
+        above = [pos for pos in range(flat.size) if flat[pos] > tau]
+        for pos, u in zip(above, rng.random(len(above))):
+            if u < flat[pos]:
+                hits.append(pos)
         for pos in sorted(hits):
             parts.append((rows[0] + pos // p.shape[1], cols[0] + pos % p.shape[1]))
     return np.array(parts, dtype=np.int64).reshape(-1, 2)
 
 
-def kahan_moment_reference(e, model):
-    """(sum_j p_ij, sum_j p_ij^2) per vertex by a separate tile pass with a
-    Kahan update per tile, in tile order."""
+def tile_order_moment_reference(e, model):
+    """(sum_j p_ij, sum_j p_ij^2) per vertex by a separate tile pass that
+    adds each tile's row sums, then its column sums, in tile order."""
     n = e.n
     totals = [np.zeros(n), np.zeros(n)]
-    comps = [np.zeros(n), np.zeros(n)]
     for _, rows, cols, p in _masked_prob_tiles(e, model):
-        p2 = p * p
-        moments = (p.sum(axis=1), p.sum(axis=0)), (p2.sum(axis=1), p2.sum(axis=0))
-        for total, comp, (row_sum, col_sum) in zip(totals, comps, moments):
-            upd = np.zeros(n)
-            upd[np.arange(*rows)] += row_sum
-            upd[np.arange(*cols)] += col_sum
-            y = upd - comp
-            t = total + y
-            comp[:] = (t - total) - y
-            total[:] = t
+        for total, q in zip(totals, (p, p * p)):
+            total[rows[0]:rows[1]] += q.sum(axis=1)
+            total[cols[0]:cols[1]] += q.sum(axis=0)
     return totals[0], totals[1]
 
 

@@ -564,15 +564,24 @@ def _faulty_solver(graph, d, **kwargs):
     (["audit", "--graph", "{k3}", "--embedding", "{skewed}"], "columns must be orthonormal"),
     (["sample", "--embedding", "{unsorted}"], "eigenvalues must be sorted"),
     (["sample", "--embedding", "{skewed}"], "columns must be orthonormal"),
+    # a vertex id that int64 cannot hold
+    (["curve", "--graph", "{huge_id}"], "line 2: vertex id above 2^63 - 1"),
+    # headers of sizes no machine can allocate, which one row does not back
+    (["sample", "--embedding", "{tall}"], "missing vertex id 1"),
+    (["sample", "--embedding", "{wide}"], "line 2: expected 1000000000000 values, got 3"),
 ])
 def test_input_errors_end_in_one_line(tmp_path, capsys, monkeypatch, argv, message):
     paths = {"{missing}": tmp_path / "missing.txt", "{k3}": tmp_path / "k3.txt",
              "{empty}": tmp_path / "empty.txt", "{unsorted}": tmp_path / "unsorted.emb",
-             "{skewed}": tmp_path / "skewed.emb"}
+             "{skewed}": tmp_path / "skewed.emb", "{huge_id}": tmp_path / "huge_id.txt",
+             "{tall}": tmp_path / "tall.emb", "{wide}": tmp_path / "wide.emb"}
     paths["{k3}"].write_text("0 1\n1 2\n0 2\n")
     paths["{empty}"].write_text("# no edges\n")
     paths["{unsorted}"].write_text("3 2 spectral\nlambda: 1.0 2.0\n0 1 0\n1 0 1\n2 0 0\n")
     paths["{skewed}"].write_text("3 2 spectral\nlambda: 2.0 1.0\n0 1 1\n1 0 0\n2 0 0\n")
+    paths["{huge_id}"].write_text("0 1\n1 99999999999999999999\n")
+    paths["{tall}"].write_text("100000000000 100 plain\n0" + " 0.5" * 100 + "\n")
+    paths["{wide}"].write_text("3 1000000000000 plain\n0 0.5 0.5 0.5\n")
     out = tmp_path / "out"
     args = [str(paths.get(a, a)) for a in argv] + ["--out", str(out)]
     if message is None:

@@ -98,15 +98,20 @@ def test_sparse_draw_is_exact_bernoulli(monkeypatch):
     # every tile has p on both sides of its floor rate; some p equal a floor
     # rate, and some powers of two 2^-k lie above it
     at_floor = power_above = 0
+    looked_mean = looked_var = 0.0
     for *_, tile in upper_tiles(n, lambda r, c: p[np.ix_(r, c)]):
         flat = tile.ravel()
         tau, _ = _draw_plan(flat)
         assert np.any((flat > 0) & (flat < tau)) and np.any(flat > tau)
         at_floor += np.count_nonzero(flat == tau)
         power_above += np.count_nonzero((flat > tau) & (np.frexp(flat)[0] == 0.5))
+        # a floor stream at rate tau over the tile, one look per entry above tau
+        looked_mean += flat.size * tau + np.count_nonzero(flat > tau)
+        looked_var += flat.size * tau * (1 - tau)
     assert at_floor and power_above
 
-    stores, _, _ = _pair_walk(e, model, seed=5, sample_indices=range(samples))
+    stores, _, examined = _pair_walk(e, model, seed=5, sample_indices=range(samples))
+    assert abs(examined - samples * looked_mean) <= 5 * np.sqrt(samples * looked_var)
     edges = [_store_edges(store) for store in stores]
     iu, ju = np.triu_indices(n, 1)
     column = np.full(n * n, -1)
@@ -369,7 +374,7 @@ def test_fused_walk_matches_separate_passes(four_models, name, side, samples, mo
     stores, ed, examined = _pair_walk(e, model, seed=seed, sample_indices=range(samples))
     _, sum_sq, _ = _pair_walk(e, sampling._Squared(model))
     edges = [_store_edges(store) for store in stores]
-    ref_ed, ref_sq = oracles.kahan_moment_reference(e, model)
+    ref_ed, ref_sq = oracles.tile_order_moment_reference(e, model)
     assert np.array_equal(ed, ref_ed)
     assert np.array_equal(sum_sq, ref_sq)
     refs = [oracles.per_sample_edges_reference(e, model, seed, s)
