@@ -160,8 +160,10 @@ def spectral_embed(g: Graph, d: int, *, report: dict | None = None) -> Embedding
 
     A ``report`` dict, when given, is filled with how the pairs were found:
     ``path`` ("dense" or "folded"); the ``power`` p, the Lanczos
-    ``block_size`` and the ``operator_applications`` to a block (each None
-    on the dense path); the ``max_relative_residual``
+    ``block_size``, the ``operator_applications`` to a block, the
+    ``krylov_dimension`` k at which the solve stopped and the
+    ``convergence_tests`` it ran (each None on the dense path); the
+    ``max_relative_residual``
     max ||A psi - lambda psi|| / ||A||; and the ``eigengap``, exact on the
     dense path and an upper bound on the folded one (None when d = n).
     """
@@ -175,10 +177,10 @@ def spectral_embed(g: Graph, d: int, *, report: dict | None = None) -> Embedding
         order = _canonical_order(w)
         vals, vecs = w[order[:d]], u[:, order[:d]]
         next_magnitude = float(abs(w[order[d]])) if d < n else None
-        path, power, block, applications = "dense", None, None, None
+        path, power, block, applications, krylov, tests = "dense", None, None, None, None, None
     else:
         a = _Adjacency(g)
-        vals, vecs, power, applications, next_magnitude = _folded_eigsh(a, d)
+        vals, vecs, power, applications, krylov, tests, next_magnitude = _folded_eigsh(a, d)
         path, block = "folded", min(_BLOCK, n)
 
     # vals[0] has the largest magnitude of all eigenvalues, which is ||A||_2
@@ -196,6 +198,7 @@ def spectral_embed(g: Graph, d: int, *, report: dict | None = None) -> Embedding
     if report is not None:
         report.update(path=path, power=power, block_size=block,
                       operator_applications=applications,
+                      krylov_dimension=krylov, convergence_tests=tests,
                       max_relative_residual=float(residuals.max() / norm_a)
                       if norm_a > 0 else 0.0,
                       eigengap=gap)
@@ -239,11 +242,15 @@ def _spectrum_bounds(a: _Adjacency, d: int) -> tuple:
 
     U is the Collatz-Wielandt bound of the nonnegative B = A^2 + I:
     rho(B) <= max_i (Bx)_i / x_i for every positive x, here x = B^t 1, which
-    stays positive because B >= I.  L is the smallest eigenvalue of the
-    principal submatrix A^2[S, S] on the d highest-degree vertices S, which
-    Cauchy interlacing puts at or below mu_d.  A^2[S, S] holds the common
-    neighbour counts of S, formed exactly from the 0/1 rows of S over the
-    union of their neighbours.
+    stays positive because B >= I.  L is the d-th largest eigenvalue of the
+    principal submatrix A^2[S, S] on the min(2d, n) highest-degree vertices
+    S, which Cauchy interlacing puts at or below mu_d: the d-th largest
+    eigenvalue of a principal submatrix is at most the d-th largest of the
+    whole.  Over d vertices L would be the smallest eigenvalue, which two
+    vertices with one neighbourhood already make 0; over 2d it sits well
+    inside the spectrum of S, so p rises at high d.  A^2[S, S] holds the
+    common neighbour counts of S, formed exactly from the 0/1 rows of S
+    over the union of their neighbours.
     """
     g = a.graph
     x = np.ones(g.n)
@@ -251,12 +258,12 @@ def _spectrum_bounds(a: _Adjacency, d: int) -> tuple:
         x = a @ (a @ x) + x
         x /= x.max()
     upper = float(np.max((a @ (a @ x) + x) / x)) - 1.0
-    top = [g.neighbors(v) for v in np.argsort(-g.degrees, kind="stable")[:d]]
+    top = [g.neighbors(v) for v in np.argsort(-g.degrees, kind="stable")[:2 * d]]
     union = np.unique(np.concatenate(top))
-    rows = np.zeros((d, union.size))
+    rows = np.zeros((len(top), union.size))
     for r, nbrs in enumerate(top):
         rows[r, np.searchsorted(union, nbrs)] = 1.0
-    lower = float(np.linalg.eigvalsh(rows @ rows.T)[0])
+    lower = float(np.linalg.eigvalsh(rows @ rows.T)[-d])
     return upper, lower
 
 
@@ -273,8 +280,9 @@ def _power(upper: float, lower: float) -> int:
 
 def _folded_eigsh(a, d: int):
     """The d largest-|lambda| eigenpairs of the sparse symmetric A, in
-    canonical order; the power p and the block applications of (A^2)^p; and
-    the estimate ||A y|| of |lambda_{d+1}|, with y the unit Ritz vector
+    canonical order; the power p, the block applications of (A^2)^p, the
+    Krylov dimension and the number of convergence tests; and the estimate
+    ||A y|| of |lambda_{d+1}|, with y the unit Ritz vector
     d + 1 of (A^2)^p.  With theta its Ritz value, the power mean inequality
     and Cauchy interlacing give ||A y||^2 = y^T A^2 y <= (y^T (A^2)^p y)^(1/p)
     = theta^(1/p) <= lambda_{d+1}^2, so the estimate is at or below the true
@@ -287,9 +295,9 @@ def _folded_eigsh(a, d: int):
     takes about twice the Krylov work.  mu -> mu^p is increasing on mu >= 0,
     so (A^2)^p has the same top-d eigenvectors as A^2, and its relative gaps
     are wider: fewer Krylov steps, each paying 2p cheap sparse products.  p
-    comes from the bounds U >= mu_1 and L <= mu_d of ``_spectrum_bounds``:
-    the largest p <= 8 with (U / L)^p <= 1e4, and 1 when L <= 0.  p = 1 is
-    the plain folded solve.
+    comes from the bounds U >= mu_1 and L <= mu_d of ``_spectrum_bounds``,
+    L taken over the 2d highest-degree vertices: the largest p <= 8 with
+    (U / L)^p <= 1e4, and 1 when L <= 0.  p = 1 is the plain folded solve.
 
     Rayleigh-Ritz on A over span(U) then splits +lambda from -lambda.
     span(U) is A^2-invariant, so span(U, AU) is A-invariant; U alone is
@@ -310,7 +318,7 @@ def _folded_eigsh(a, d: int):
             x = a @ x
         return x
 
-    u, y = _block_lanczos(powered, n, d)
+    u, y, krylov, tests = _block_lanczos(powered, n, d)
     next_magnitude = float(np.linalg.norm(a @ y))
     au = a @ u
     mu = np.einsum("ij,ij->j", au, au)
@@ -330,12 +338,14 @@ def _folded_eigsh(a, d: int):
     # the heap glibc keeps and raises the audit's peak RSS
     for r0, r1 in row_chunks(n, u.shape[1]):
         u[r0:r1, :d] = u[r0:r1] @ v
-    return theta[order], u[:, :d], power, applications, next_magnitude
+    return theta[order], u[:, :d], power, applications, krylov, tests, next_magnitude
 
 
 def _block_lanczos(op, n: int, d: int):
     """Top-d eigenvectors (n, d) of the positive semidefinite operator
-    ``op`` on (n, b) blocks, and its Ritz vector d + 1 (n,), for d <= n - 2.
+    ``op`` on (n, b) blocks, its Ritz vector d + 1 (n,), the Krylov
+    dimension k at which they converged and the number of convergence
+    tests run, for d <= n - 2.
 
     Block Lanczos with full reorthogonalisation (Golub & Underwood 1977).
     The Krylov basis V grows by one block of b = _BLOCK vectors per
@@ -350,19 +360,27 @@ def _block_lanczos(op, n: int, d: int):
     random direction orthogonal to V, with zero coupling.  V^T op V is then
     the block-tridiagonal T of those quotients and couplings.
 
-    The test runs at Krylov dimension k = 2d + b and after every further
-    max(b, d / 4) vectors, both rounded up to whole blocks.  The Ritz pair
-    (theta_i, V s_i) of T has the residual ||B s_i[last block]||, which must
-    be at most _LANCZOS_TOL * |theta_i| for each of the top d.  At k = n
-    the projection is exact.  V is kept as row chunks of V^T, one chunk per
-    test, so it grows without a copy, and a failed test's T, eigenvectors
-    and Ritz values go before the next T is built.  Ritz vector d + 1, then
-    the top d, are formed in the vertex ranges of ``blocks.row_chunks``
-    with k entries a row: one GEMM per chunk of V^T and range, so beside V
-    there is one range's product.  The top d are written, transposed, over
-    the first chunk of V^T; the other chunks are then dropped, and the
-    result is a fresh C-ordered copy, so the (n, d) array exists only
-    beside the first chunk (2d + b rows, at most n), never beside all of V.
+    The Ritz pair (theta_i, V s_i) of T has the residual
+    ||B s_i[last block]||, which must be at most _LANCZOS_TOL * |theta_i|
+    for each of the top d.  The first test runs at Krylov dimension
+    k = 1.5d + b, rounded up to whole blocks.  A failed test misses by
+    m = max_i log(||B s_i[last block]|| / (_LANCZOS_TOL |theta_i|)) > 0,
+    and the next runs where the line through the last two (k, m) reaches
+    m = 0: that step is clamped to [b, max(b, d / 2)], is max(b, d / 4)
+    when there is no falling line (after the first test, or when m did not
+    fall), and is rounded up to whole blocks.  At k = n the projection is
+    exact.  V is kept as row chunks of V^T, so it grows without a copy:
+    the first holds 2d + b rows and each later one max(b, d / 4), rounded
+    up to whole blocks and at most n in all, whatever the tests do.  A
+    failed test's T, eigenvectors and Ritz values go before the next T is
+    built.  Ritz vector d + 1, then the top d, are formed from the filled
+    rows of each chunk in the vertex ranges of ``blocks.row_chunks`` with
+    k entries a row: one GEMM per chunk of V^T and range, so beside V there
+    is one range's product.  The top d are written, transposed, over the
+    first chunk of V^T; the other chunks and the iteration's blocks are
+    then dropped, and the result is a fresh C-ordered copy, so the (n, d)
+    array exists only beside the first chunk (2d + b rows, at most n),
+    never beside all of V.
     """
     rng = np.random.default_rng(_LANCZOS_SEED)
     b = min(_BLOCK, n)
@@ -373,6 +391,7 @@ def _block_lanczos(op, n: int, d: int):
     chunks = []                 # [rows of V^T, rows filled]
     alphas, betas = [], []
     k, scale, span = 0, 0.0, 2 * d + b
+    tests, last, test_at = 0, None, b * math.ceil((1.5 * d + b) / b)
 
     def orthogonalise(w):
         """One CGS pass of w against V, in place; the coefficients on the
@@ -413,7 +432,8 @@ def _block_lanczos(op, n: int, d: int):
                     fresh -= q[:, ~lost] @ (q[:, ~lost].T @ fresh)
                 q[:, lost] = np.linalg.qr(fresh)[0]
                 beta[lost] = 0.0
-        if chunk[1] == len(chunk[0]):
+        if k >= test_at or k == n:
+            tests += 1
             t = np.zeros((k, k))
             at = 0
             for alpha, coupling in zip(alphas, betas + [beta[:0]]):
@@ -426,9 +446,19 @@ def _block_lanczos(op, n: int, d: int):
             del t
             top = slice(k - 1, k - d - 1, -1)
             residual = np.linalg.norm(beta @ s[k - beta.shape[1]:, top], axis=0)
-            if k == n or np.all(residual <= _LANCZOS_TOL * np.abs(theta[top])):
+            target = _LANCZOS_TOL * np.abs(theta[top])
+            if k == n or np.all(residual <= target):
                 break
             del theta, s                # one test's k x k arrays at a time
+            # the log of the worst residual over its target; a residual
+            # above a zero target, or a NaN, misses it by infinitely much
+            miss = max((math.log(r / t) if t > 0 else math.inf
+                        for r, t in zip(residual, target) if r > t), default=math.inf)
+            step = max(b, d // 4)
+            if last is not None and math.isfinite(last[1]) and last[1] > miss:
+                step = min(max(miss * (k - last[0]) / (last[1] - miss), b), max(b, d // 2))
+            last = (k, miss)
+            test_at = k + b * math.ceil(step / b)
         betas.append(beta)
 
     coef, y_coef = np.ascontiguousarray(s[:, top]), s[:, k - d - 1].copy()
@@ -440,13 +470,13 @@ def _block_lanczos(op, n: int, d: int):
         """Yield (r0, r1, rows r0..r1 of V c) over the vertex ranges."""
         for r0, r1 in row_chunks(n, k):
             at = 0
-            for rows, _ in chunks:
-                part = rows[:, r0:r1].T @ c[at:at + len(rows)]
+            for rows, filled in chunks:
+                part = rows[:filled, r0:r1].T @ c[at:at + filled]
                 if at:
                     out += part
                 else:
                     out = part
-                at += len(rows)
+                at += filled
             yield r0, r1, out
 
     y = np.empty(n)
@@ -458,10 +488,11 @@ def _block_lanczos(op, n: int, d: int):
     first = chunks[0][0]
     for r0, r1, out in ritz(coef):
         first[:d, r0:r1] = out.T
-    # the rest of V goes before the (n, d) copy is made, and the first
-    # chunk when the solve returns
-    del chunks, chunk
-    return np.ascontiguousarray(first[:d].T), y
+    # the rest of V, the top d's coefficients and the iteration's blocks go
+    # before the (n, d) copy is made, and the first chunk when the solve
+    # returns
+    del chunks, chunk, coef, out, start, w, q, q_prev
+    return np.ascontiguousarray(first[:d].T), y, k, tests
 
 
 # ------------------------------------------------------------------ files

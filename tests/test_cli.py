@@ -104,6 +104,7 @@ def test_audit_report_contents(tmp_path):
     assert solve["path"] == "dense"
     assert solve["power"] is None and solve["operator_applications"] is None
     assert solve["block_size"] is None
+    assert solve["krylov_dimension"] is None and solve["convergence_tests"] is None
     assert 0 <= solve["max_relative_residual"] <= 1e-10
     mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency_matrix())))[::-1]
     assert solve["eigengap"] == pytest.approx(mags[5] - mags[6], abs=1e-12)
@@ -314,10 +315,15 @@ def test_ranksweep_reports_the_folded_solve(tmp_path, monkeypatch):
                               num_samples=1, seed=2, rank_sweep_list=(3, 5)))
     solve = json.loads((out / "report.json").read_text())["eigensolver"]
     assert set(solve) == {"path", "power", "block_size", "operator_applications",
+                          "krylov_dimension", "convergence_tests",
                           "max_relative_residual", "eigengap"}
     assert solve["path"] == "folded" and solve["block_size"] == 4
-    # block applications: the first test comes at Krylov dimension 2 * 5 + 4
-    assert 1 <= solve["power"] <= 8 and solve["operator_applications"] >= 4
+    # the first test comes at Krylov dimension 1.5 * 5 + 4, rounded up to 12:
+    # three blocks; every block but one that fills the space has 4 vectors
+    assert 1 <= solve["power"] <= 8 and solve["operator_applications"] >= 3
+    assert 12 <= solve["krylov_dimension"] <= 4 * solve["operator_applications"]
+    assert solve["krylov_dimension"] > 4 * (solve["operator_applications"] - 1)
+    assert 1 <= solve["convergence_tests"] <= solve["operator_applications"] - 2
     assert 0 <= solve["max_relative_residual"] <= 1e-10
     assert solve["eigengap"] > 0
 

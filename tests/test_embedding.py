@@ -74,9 +74,9 @@ def test_eigenpair_residuals_checked_on_both_paths(monkeypatch, solver, cutoff):
         if solver is np.linalg:
             w, u = exact(*args, **kwargs)
             return w + 1e-3, u
-        u, y = exact(*args, **kwargs)
+        u, *rest = exact(*args, **kwargs)
         u[:, 0] = np.roll(u[:, 0], 1)
-        return u, y
+        return u, *rest
 
     g = random_graph(np.random.default_rng(3), 30, 0.3)
     monkeypatch.setattr(embedding, "_DENSE_CUTOFF", cutoff)
@@ -134,7 +134,7 @@ def hub_graph():
 
 def twins_graph():
     # vertices 150 and 151 share their 30 neighbours, and both are among the
-    # 10 highest degrees, so A^2 restricted to those 10 is singular
+    # 10 highest degrees, so A^2 restricted to the top rows is singular
     g = random_graph(np.random.default_rng(5), 150, 0.05)
     return with_edges(g, np.concatenate([np.column_stack([np.full(30, v), np.arange(30)])
                                          for v in (150, 151)]), n=160)
@@ -214,10 +214,13 @@ def test_folded_solve_finds_nine_copies_of_a_repeated_eigenvalue():
     assert np.max(np.abs(got - mags[:15])) <= 1e-10
 
 
+@pytest.mark.filterwarnings("error")
 def test_folded_solve_goes_on_past_a_closed_krylov_space(monkeypatch):
     # 30 disjoint K_{3,3}: lambda = +3 and -3, 30 times each, and 0; the
     # Krylov space of A^2 closes after one block, and the other copies come
-    # from the random directions that replace the lost ones
+    # from the random directions that replace the lost ones; the test
+    # schedule reads the log of residuals that are exactly 0 here, and must
+    # not warn
     k33 = np.array([(i, j) for i in range(3) for j in range(3, 6)])
     g = Graph.from_edges(180, np.concatenate([k33 + 6 * c for c in range(30)]))
     report = {}
@@ -272,10 +275,11 @@ def test_folded_solve_writes_its_ritz_vectors_over_the_basis(monkeypatch):
     assert peak < basis + 0.8 * g.n * d * 8
 
 
-def test_block_lanczos_holds_one_convergence_test_beside_its_basis(monkeypatch):
-    # at (3000, 300) the k x k arrays of a test and the (n, d) Ritz vectors
-    # are of one size: beside the basis the solve holds one test's T and
-    # eigenvectors, where two tests and a separate result took 4.8 k^2
+@pytest.fixture(scope="module")
+def high_rank_solve():
+    """The folded solve of the benchmark's graph at (3000, 300): the graph,
+    d, the solve's report and the traced peak of _block_lanczos above what
+    was traced when it was called."""
     solve, peaks = embedding._block_lanczos, []
 
     def traced_solve(op, n, d):
@@ -285,19 +289,45 @@ def test_block_lanczos_holds_one_convergence_test_beside_its_basis(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return out
 
-    monkeypatch.setattr(embedding, "_block_lanczos", traced_solve)
     base = gen.triangles_plus_noise(3000, 5)
     g = Graph.from_edges(base.n, base.edges)
     report = {}
-    oracles.traced_peak(lambda: spectral_embed(g, 300, report=report))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "_block_lanczos", traced_solve)
+        oracles.traced_peak(lambda: spectral_embed(g, 300, report=report))
     assert report["path"] == "folded"
-    k = report["operator_applications"] * report["block_size"]
-    assert peaks[0] < k * g.n * 8 + 3 * k * k * 8
+    return g, 300, report, peaks[0]
 
 
+def test_block_lanczos_holds_one_convergence_test_beside_its_basis(high_rank_solve):
+    # the basis counts as allocated: one first chunk of 2d + b rows, of
+    # which the k filled rows are read.  Beside it the solve holds one
+    # test's T and eigenvectors (2 k^2), or at the end the (n, d) copy of
+    # its Ritz vectors, and the iteration's few n x b blocks; two tests at
+    # once take 4 k^2, and a copy beside a test or a second result n d more
+    g, d, report, peak = high_rank_solve
+    n, k, b = g.n, report["krylov_dimension"], report["block_size"]
+    allocated = 2 * d + b
+    assert k <= allocated
+    assert peak < allocated * n * 8 + max(2 * k * k, n * d) * 8 + 4 * n * b * 8
+
+
+def test_folded_solve_stops_inside_its_first_chunk_at_high_rank(high_rank_solve):
+    # L from the 2d highest-degree vertices raises the power from 4 to 7,
+    # and the tests at 1.5d + b and then where the residuals predict stop
+    # the solve at k = 548; testing at chunk ends took it to k = 680 = 2.27d,
+    # two chunks, and a traced peak of 24.2 MB.  One first chunk and the
+    # result are (3d + b) n doubles, 21.7 MB
+    g, d, report, peak = high_rank_solve
+    assert report["krylov_dimension"] <= 1.9 * d
+    assert peak < 23e6
+
+
+@pytest.mark.filterwarnings("error")
 def test_folded_solve_at_d_equal_n_minus_2(monkeypatch):
     # the largest d the folded path takes: its first chunk of V^T holds n
-    # rows, fewer than 2d + b, and the Krylov space fills at the first test
+    # rows, fewer than 2d + b, and the Krylov space fills before 1.5d + b;
+    # the residuals at k = n are exact, and their test must not warn
     g = random_graph(np.random.default_rng(0), 30, 0.3)
     d = g.n - 2
     dense = spectral_embed(g, d)
@@ -306,6 +336,7 @@ def test_folded_solve_at_d_equal_n_minus_2(monkeypatch):
     sparse = spectral_embed(g, d, report=report)
     assert report["path"] == "folded"
     assert report["operator_applications"] == -(-g.n // report["block_size"])
+    assert report["krylov_dimension"] == g.n and report["convergence_tests"] == 1
     assert np.max(np.abs(dense.eigenvalues - sparse.eigenvalues)) <= 1e-10
     assert np.max(np.abs(reconstruction(dense) - reconstruction(sparse))) <= 1e-8
 
@@ -327,9 +358,31 @@ def test_spectrum_bounds_bracket_the_folded_spectrum(g, d):
     assert lower <= mu[d - 1] * (1 + 1e-12)
 
 
-def test_twin_hubs_force_power_one():
-    g = twins_graph()
-    upper, lower = _spectrum_bounds(_Adjacency(g), 10)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), p=st.floats(0.05, 0.6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_spectrum_bounds_bracket_the_spectrum_of_random_graphs(n, p, seed, data):
+    # every d the folded path takes, 2d > n among them, where all n rows
+    # form the Gram and L is its d-th largest eigenvalue
+    d = data.draw(st.integers(1, n - 2), label="d")
+    g = random_graph(np.random.default_rng(seed), n, p)
+    mu = np.sort(np.linalg.eigvalsh(g.adjacency_matrix()) ** 2)[::-1]
+    upper, lower = _spectrum_bounds(_Adjacency(g), d)
+    # an exact mu_d = 0 comes out of either solve as rounding of mu_1's size
+    slack = 1e-12 * mu[0]
+    assert upper >= mu[0] * (1 - 1e-12) - slack
+    assert lower <= mu[d - 1] * (1 + 1e-12) + slack
+
+
+def test_zero_mu_d_forces_power_one():
+    # 30 disjoint K_{3,3}: A^2 has 60 eigenvalues 9 and the rest 0, so at
+    # d = 70 mu_d = 0, and so is L, which the Gram of the 140 highest
+    # degrees (23 whole K_{3,3} and two vertices of one side of the next)
+    # puts at its 70th eigenvalue
+    k33 = np.array([(i, j) for i in range(3) for j in range(3, 6)])
+    g = Graph.from_edges(180, np.concatenate([k33 + 6 * c for c in range(30)]))
+    upper, lower = _spectrum_bounds(_Adjacency(g), 70)
+    assert upper >= 9 * (1 - 1e-12)
     assert abs(lower) <= 1e-12 * upper
     assert _power(upper, lower) == 1
 
@@ -365,16 +418,17 @@ def test_adjacency_product_equals_the_csr_product_bit_for_bit(graph, shape):
 @pytest.mark.parametrize("graph", [*ADJACENCY_GRAPHS.values(), twins_graph],
                          ids=[*ADJACENCY_GRAPHS.keys(), "twins"])
 def test_spectrum_bounds_equal_the_csr_bounds(graph):
-    # the top-row Gram holds integer counts, so it equals the CSR product's
+    # the Gram of the 2d top rows holds integer counts, so it equals the
+    # CSR product's, and so does its d-th largest eigenvalue
     g, d = graph(), 10
     a = csr(g)
     x = np.ones(g.n)
     for _ in range(embedding._BOUND_STEPS):
         x = a @ (a @ x) + x
         x /= x.max()
-    top = a[np.argsort(-np.diff(a.indptr), kind="stable")[:d]]
+    top = a[np.argsort(-np.diff(a.indptr), kind="stable")[:2 * d]]
     expected = (float(np.max((a @ (a @ x) + x) / x)) - 1.0,
-                float(np.linalg.eigvalsh((top @ top.T).toarray())[0]))
+                float(np.linalg.eigvalsh((top @ top.T).toarray())[-d]))
     assert _spectrum_bounds(_Adjacency(g), d) == expected
 
 
@@ -400,7 +454,7 @@ def test_sparse_path_splits_a_folded_pair(monkeypatch):
     def mixed_solve(op, n, d):
         calls.append((n, d))
         # Ritz vector d + 1 is the other mixture of the plane, with ||A y|| = 2
-        return mixed[:, None].copy(), other
+        return mixed[:, None].copy(), other, 2, 1
 
     monkeypatch.setattr(embedding, "_block_lanczos", mixed_solve)
     report = {}
