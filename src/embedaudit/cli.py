@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .embedding import SPECTRAL, Embedding, load_embedding, save_embedding, spectral_embed
+from .embedding import Embedding, load_embedding, save_embedding, spectral_embed
 from .graph import (
     InputError,
     TriangleFoundationCurve,
@@ -42,18 +42,15 @@ from .graph import (
     union_grid,
 )
 from .models import (
+    MODEL_NAMES,
     TruncatedDot,
-    build_softmax,
-    fit_lrdp,
-    fit_lrhp,
+    fit_model,
     model_digest,
     model_to_json,
     softmax_clamp_count,
 )
 from .sampling import curve_over_samples, sample_graph
 from .verify import sweep_report
-
-MODEL_NAMES = ("tdp", "lrdp", "lrhp", "softmax")
 
 logger = logging.getLogger(__name__)
 
@@ -109,19 +106,10 @@ def _model_sample_seed(seed: int, model_name: str) -> int:
 
 
 def _fit_model(name, e, g, seed):
-    """Build the model ``name`` for e against g; returns (model, FitReport or
-    None) and logs a warning when an intercept calibration did not converge.
-
-    The fits are looked up as module globals at each call, so a rebinding of
-    ``fit_lrdp``, ``fit_lrhp`` or ``build_softmax`` here takes effect.
-    """
-    if name == "tdp":
-        return TruncatedDot(), None
-    if name == "softmax":
-        return build_softmax(e, g), None
-    fit = fit_lrdp if name == "lrdp" else fit_lrhp
-    model, rep = fit(e, g, seed)
-    if not rep.converged:
+    """``models.fit_model``, logging a warning when an intercept calibration
+    did not converge."""
+    model, rep = fit_model(name, e, g, seed)
+    if rep is not None and not rep.converged:
         logger.warning(
             "%s intercept calibration did not converge: target %d "
             "edges, achieved %.6g expected edges",
@@ -269,7 +257,7 @@ def cmd_ranksweep(config: AuditConfig) -> dict:
 
     def prefixes(g, e):
         # a generator: one prefix copy at a time lives beside the full embedding
-        return ((f"rank{d}", Embedding(SPECTRAL, e.vectors[:, :d], e.eigenvalues[:d]),
+        return ((f"rank{d}", Embedding(e.vectors[:, :d], e.eigenvalues[:d]),
                  TruncatedDot()) for d in ranks), {}, {}
 
     return _run_pipeline(config, prefixes)

@@ -19,9 +19,6 @@ import numpy as np
 from .blocks import row_chunks
 from .graph import Graph, InputError
 
-SPECTRAL = "spectral"
-PLAIN = "plain"
-
 logger = logging.getLogger(__name__)
 
 _ORTHO_TOL = 1e-8
@@ -58,9 +55,9 @@ class EmbeddingFormatError(InputError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """Per-vertex vectors; immutable."""
+    """Per-vertex vectors; immutable.  Spectral exactly when it carries
+    eigenvalues, plain otherwise."""
 
-    kind: str
     vectors: np.ndarray          # (n, d), row i is vertex i's vector
     eigenvalues: np.ndarray | None = None   # (d,), spectral only
 
@@ -70,7 +67,7 @@ class Embedding:
             raise ValueError("vectors must be a 2-d array")
         if not np.all(np.isfinite(vectors)):
             raise ValueError("vectors must be finite")
-        if self.kind == SPECTRAL:
+        if self.eigenvalues is not None:
             ev = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
             if ev.shape != (vectors.shape[1],):
                 raise ValueError("eigenvalues must match dimension")
@@ -84,17 +81,13 @@ class Embedding:
                 raise ValueError("spectral columns must be orthonormal")
             ev.flags.writeable = False
             object.__setattr__(self, "eigenvalues", ev)
-        elif self.kind == PLAIN:
-            if self.eigenvalues is not None:
-                raise ValueError("plain embeddings carry no eigenvalues")
-        else:
-            raise ValueError(f"unknown embedding kind {self.kind!r}")
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
 
-    @classmethod
-    def plain(cls, vectors) -> "Embedding":
-        return cls(PLAIN, np.asarray(vectors, dtype=np.float64))
+    @property
+    def kind(self) -> str:
+        """The file header's word for it: "spectral" or "plain"."""
+        return "plain" if self.eigenvalues is None else "spectral"
 
     @property
     def n(self) -> int:
@@ -108,7 +101,7 @@ class Embedding:
     def scale(self) -> np.ndarray:
         """Weight of each coordinate in the pair score: the eigenvalues of a
         spectral embedding, ones for a plain one."""
-        return self.eigenvalues if self.kind == SPECTRAL else np.ones(self.d)
+        return np.ones(self.d) if self.eigenvalues is None else self.eigenvalues
 
     def score_block(self, rows, cols) -> np.ndarray:
         """Pair scores for the index block rows x cols."""
@@ -203,7 +196,7 @@ def spectral_embed(g: Graph, d: int, *, report: dict | None = None) -> Embedding
                       if norm_a > 0 else 0.0,
                       eigengap=gap)
 
-    return Embedding(SPECTRAL, _fix_signs(vecs), vals)
+    return Embedding(_fix_signs(vecs), vals)
 
 
 class _Adjacency:
@@ -506,7 +499,7 @@ def _block_lanczos(op, n: int, d: int):
 def save_embedding(e: Embedding, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{e.n} {e.d} {e.kind}\n")
-        if e.kind == SPECTRAL:
+        if e.eigenvalues is not None:
             fh.write("lambda: " + " ".join(f"{v:.17g}" for v in e.eigenvalues) + "\n")
         for i in range(e.n):
             row = " ".join(f"{v:.17g}" for v in e.vectors[i])
@@ -537,7 +530,7 @@ def load_embedding(path) -> Embedding:
     if k >= len(lines):
         raise EmbeddingFormatError(f"{path}: missing header")
     header = lines[k].split()
-    if len(header) != 3 or header[2] not in (SPECTRAL, PLAIN):
+    if len(header) != 3 or header[2] not in ("spectral", "plain"):
         raise EmbeddingFormatError(
             f"{path}: header must be 'n d spectral|plain', got {lines[k]!r}")
     try:
@@ -546,11 +539,10 @@ def load_embedding(path) -> Embedding:
         raise EmbeddingFormatError(f"{path}: non-integer n or d in header") from None
     if n < 0 or d < 1:
         raise EmbeddingFormatError(f"{path}: invalid sizes n={n}, d={d}")
-    kind = header[2]
     k += 1
 
     eigenvalues = None
-    if kind == SPECTRAL:
+    if header[2] == "spectral":
         if k >= len(lines) or not lines[k].startswith("lambda:"):
             raise EmbeddingFormatError(f"{path}: spectral file needs a lambda line")
         eigenvalues = _parse_floats(lines[k].split()[1:], d, f"{path}: lambda line")
@@ -580,6 +572,6 @@ def load_embedding(path) -> Embedding:
     for vid, vals in rows.items():
         vectors[vid] = vals
     try:
-        return Embedding(kind, vectors, eigenvalues)
+        return Embedding(vectors, eigenvalues)
     except ValueError as exc:
         raise EmbeddingFormatError(f"{path}: {exc}") from exc

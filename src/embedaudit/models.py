@@ -45,6 +45,9 @@ from .embedding import Embedding
 from .graph import Graph, InputError
 from .sampling import bernoulli_pairs
 
+# the model names; each model's sampling seed comes from its index here
+MODEL_NAMES = ("tdp", "lrdp", "lrhp", "softmax")
+
 # longest Newton step of the intercept calibration: when most pairs sit at
 # p = 1, sum p(1-p) is nearly 0 and the raw step overshoots by orders of
 # magnitude, while the sigmoid already rounds to 1 in double precision
@@ -475,6 +478,21 @@ def fit_lrhp(e: Embedding, g: Graph, seed: int = 0) -> tuple[LogisticHadamard, F
         return LogisticHadamard(coef, float(intercept))
 
     return _fit_logistic_model(e, g, seed, e.d, _lrhp_features, build)
+
+
+def fit_model(name: str, e: Embedding, g: Graph | None, seed: int):
+    """The model ``name``, one of MODEL_NAMES, for e against g (unused by
+    tdp); returns (model, FitReport of a logistic fit, else None).
+
+    The builders are looked up as module globals at each call, so a
+    rebinding of ``fit_lrdp``, ``fit_lrhp`` or ``build_softmax`` takes
+    effect.
+    """
+    if name == "tdp":
+        return TruncatedDot(), None
+    if name == "softmax":
+        return build_softmax(e, g), None
+    return {"lrdp": fit_lrdp, "lrhp": fit_lrhp}[name](e, g, seed)
 
 
 # -------------------------------------------------------------- serialization

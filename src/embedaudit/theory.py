@@ -140,7 +140,7 @@ def core_rank_certificate(e: Embedding, c: float) -> RankCertificate:
     density when sizing the bucket floor.  Desk-scale only: the exact
     triangle pass is O(n^3) and guarded at n = 500.
     """
-    if e.kind != "plain":
+    if e.eigenvalues is not None:
         raise ValueError("certificate operates on plain embeddings")
     if c <= 0:
         raise ValueError("degree cap c must be positive")
@@ -158,7 +158,7 @@ def core_rank_certificate(e: Embedding, c: float) -> RankCertificate:
     if degree_ok.size == 0:
         return empty("degree_cap", degree_ok, {}, 0.0, 0.0)
 
-    delta_est = expected_triangles_exact(Embedding.plain(e.vectors[degree_ok]), tdp) / n
+    delta_est = expected_triangles_exact(Embedding(e.vectors[degree_ok]), tdp) / n
 
     lengths = np.linalg.norm(e.vectors, axis=1)
     lo, hi = n ** -2.0, 2.0 * math.sqrt(n)

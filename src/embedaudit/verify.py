@@ -23,7 +23,7 @@ import numpy as np
 from . import theory
 from .embedding import Embedding
 from .graph import Graph
-from .models import TruncatedDot, build_softmax, fit_lrdp, fit_lrhp
+from .models import MODEL_NAMES, TruncatedDot, fit_model
 from .sampling import (bernoulli_pairs, expected_degree_second_moment, expected_degrees,
                        expected_triangles_exact)
 
@@ -134,15 +134,11 @@ def sweep_degree_second_moment(rng):
     for t in range(50):
         n = int(rng.integers(10, 101))
         d = int(rng.integers(1, 7))
-        e = Embedding.plain(rng.normal(size=(n, d)) * float(rng.uniform(0.1, 0.8)))
+        e = Embedding(rng.normal(size=(n, d)) * float(rng.uniform(0.1, 0.8)))
         g = _random_gnp(rng, n, 2.5 / n)
         fit_seed = int(rng.integers(0, 2 ** 32))
-        models = {"tdp": TruncatedDot(),
-                  "lrdp": fit_lrdp(e, g, seed=fit_seed)[0],
-                  "lrhp": fit_lrhp(e, g, seed=fit_seed)[0],
-                  "softmax": build_softmax(e, g)}
-        for name, model in models.items():
-            ed, ed2 = expected_degree_second_moment(e, model)
+        for name in MODEL_NAMES:
+            ed, ed2 = expected_degree_second_moment(e, fit_model(name, e, g, fit_seed)[0])
             slack = ed + ed * ed - ed2
             worst = int(np.argmin(slack))
             yield float(slack.min() + 1e-9 * (1.0 + np.abs(ed2).max())), lambda: {
@@ -162,7 +158,7 @@ def sweep_triangle_expectation_bound(rng):
         v = rng.normal(size=(n, d))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         v *= rng.uniform(0.05, 1.0, size=(n, 1))
-        e = Embedding.plain(v)
+        e = Embedding(v)
         l_sq = float(np.max(np.sum(v * v, axis=1)))
         ed = expected_degrees(e, tdp)
         tri = expected_triangles_exact(e, tdp)
@@ -180,7 +176,7 @@ def sweep_core_certificate(rng):
         v = rng.normal(size=(n, d))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         v *= rng.uniform(0.3, 1.5, size=(n, 1))
-        e = Embedding.plain(v)
+        e = Embedding(v)
         cert = theory.core_rank_certificate(e, c=float(n))
         if cert.emptied_at is not None:
             yield float("inf"), None

@@ -137,7 +137,7 @@ def test_06_degree_second_moment_every_model():
     for t in range(50):
         n = int(rng.integers(10, 101))
         d = int(rng.integers(1, 7))
-        e = Embedding.plain(rng.normal(size=(n, d)) * float(rng.uniform(0.1, 0.8)))
+        e = Embedding(rng.normal(size=(n, d)) * float(rng.uniform(0.1, 0.8)))
         g = _gnp_graph(rng, n, 2.5 / n)
         fit_seed = int(rng.integers(0, 2 ** 32))
         models = [TDP, fit_lrdp(e, g, seed=fit_seed)[0],
@@ -152,7 +152,7 @@ def test_06_degree_second_moment_every_model():
 def test_07_sampler_calibration():
     # one pair at p = 0.5, 10^4 draws; sample s of one pair walk is
     # sample_graph(e2, TDP, 707, s)
-    e2 = Embedding.plain(np.array([[1.0, 0.0], [0.5, 0.0]]))
+    e2 = Embedding(np.array([[1.0, 0.0], [0.5, 0.0]]))
     stores, _, _ = _pair_walk(e2, TDP, seed=707, sample_indices=range(10_000))
     hits = sum(len(_store_edges(store)) for store in stores)
     freq = hits / 10_000
@@ -161,7 +161,7 @@ def test_07_sampler_calibration():
     # exact expected triangles vs Monte Carlo mean, 3 sigma, n=30 instances
     rng = np.random.default_rng(717)
     for t in range(3):
-        e = Embedding.plain(rng.normal(size=(30, 3)) * 0.45)
+        e = Embedding(rng.normal(size=(30, 3)) * 0.45)
         exact = expected_triangles_exact(e, TDP)
         draws = 3000
         # each sample's curve ends at its triangle count over n
@@ -207,9 +207,9 @@ def test_09_model_calibration_exact_sums():
         g = _gnp_graph(rng, n, p)
         instances.append((spectral_embed(g, d), g))
     g = _gnp_graph(rng, 200, 0.06)
-    instances.append((Embedding.plain(rng.normal(size=(200, 8)) * 0.25), g))
+    instances.append((Embedding(rng.normal(size=(200, 8)) * 0.25), g))
     g = _gnp_graph(rng, 2000, 0.004)
-    instances.append((Embedding.plain(rng.normal(size=(2000, 6)) * 0.15), g))
+    instances.append((Embedding(rng.normal(size=(2000, 6)) * 0.15), g))
 
     for e, g in instances:
         for name, fit in [("lrdp", fit_lrdp), ("lrhp", fit_lrhp)]:

@@ -11,8 +11,9 @@ import pytest
 
 import oracles
 import embedaudit
-from embedaudit import blocks, cli, embedding, theory, verify
-from embedaudit.cli import AuditConfig, AuditStageError, cmd_audit, cmd_ranksweep, cmd_verify
+from embedaudit import blocks, cli, embedding, models, theory, verify
+from embedaudit.cli import (AuditConfig, AuditConfigError, AuditStageError, cmd_audit,
+                            cmd_ranksweep, cmd_verify)
 from embedaudit.embedding import Embedding, load_embedding, save_embedding, spectral_embed
 from embedaudit.graph import Graph, load_edge_list, save_edge_list, triangle_foundation_curve
 from embedaudit.models import FitReport, fit_lrdp
@@ -170,7 +171,7 @@ def test_audit_with_external_embedding(tmp_path):
     epath = tmp_path / "ext.txt"
     rng = np.random.default_rng(0)
     from embedaudit.embedding import Embedding, save_embedding
-    save_embedding(Embedding.plain(rng.normal(size=(g.n, 4)) * 0.3), epath)
+    save_embedding(Embedding(rng.normal(size=(g.n, 4)) * 0.3), epath)
     out = tmp_path / "out"
     report = cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(out),
                                    dim=99, models=("lrdp", "softmax"),
@@ -190,7 +191,7 @@ def test_audit_softmax_report_on_a_large_log_scale(tmp_path):
     gpath = tmp_path / "path.txt"
     gpath.write_text("".join(f"{i} {i + 1}\n" for i in range(29)))
     epath = tmp_path / "ext.txt"
-    save_embedding(Embedding.plain(np.where(np.arange(30) == 0, -100.0, 10.0)[:, None]), epath)
+    save_embedding(Embedding(np.where(np.arange(30) == 0, -100.0, 10.0)[:, None]), epath)
     out = tmp_path / "out"
     assert cli.main(["audit", "--graph", str(gpath), "--embedding", str(epath),
                      "--models", "softmax", "--samples", "2", "--out", str(out)]) == 0
@@ -208,7 +209,7 @@ def test_audit_rejects_mismatched_external_embedding(tmp_path):
     gpath, _ = write_random_graph(tmp_path, n=20)
     from embedaudit.embedding import Embedding, save_embedding
     epath = tmp_path / "ext.txt"
-    save_embedding(Embedding.plain(np.zeros((7, 2))), epath)
+    save_embedding(Embedding(np.zeros((7, 2))), epath)
     with pytest.raises(AuditStageError) as err:
         cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(tmp_path / "o"),
                               external_embedding_path=str(epath), num_samples=1))
@@ -228,6 +229,8 @@ def test_audit_config_validation():
         with pytest.raises(ValueError):
             AuditConfig(graph_path="g", output_dir="o", seed=seed)
     AuditConfig(graph_path="g", output_dir="o", seed=2**64 - 1)
+    with pytest.raises(AuditConfigError, match="ranksweep needs a non-empty rank list"):
+        cmd_ranksweep(AuditConfig(graph_path="g", output_dir="o"))
 
 
 def unconverged_fit(e, graph, seed):
@@ -237,7 +240,7 @@ def unconverged_fit(e, graph, seed):
 
 def test_audit_warns_on_unconverged_calibration(tmp_path, monkeypatch, caplog):
     gpath, g = write_random_graph(tmp_path, n=20)
-    monkeypatch.setattr(cli, "fit_lrdp", unconverged_fit)
+    monkeypatch.setattr(models, "fit_lrdp", unconverged_fit)
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING, logger="embedaudit.cli"):
         cmd_audit(AuditConfig(graph_path=str(gpath), output_dir=str(out),
@@ -462,6 +465,25 @@ def test_embed_sample_curve_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == cpath.read_text()
 
 
+def test_embedding_file_audit_writes_the_spectral_audit_csvs(tmp_path, capsys):
+    # the file keeps every bit of the spectral embedding, and its lambda line
+    # makes it spectral again, so the two audits sample the same models
+    gpath, _ = write_random_graph(tmp_path, n=30, p=0.2, seed=7)
+    epath = tmp_path / "emb.txt"
+    assert cli.main(["embed", "--graph", str(gpath), "--dim", "5", "--out", str(epath)]) == 0
+    assert "wrote spectral embedding" in capsys.readouterr().out
+    args = ["audit", "--graph", str(gpath), "--models", "tdp,lrdp,lrhp,softmax",
+            "--samples", "2", "--seed", "5"]
+    assert cli.main([*args, "--dim", "5", "--out", str(tmp_path / "solved")]) == 0
+    assert cli.main([*args, "--embedding", str(epath), "--out", str(tmp_path / "file")]) == 0
+    solved = sorted((tmp_path / "solved").glob("*.csv"))
+    assert len(solved) == 10        # 5 curves, 5 degree distributions
+    for csv in solved:
+        assert (tmp_path / "file" / csv.name).read_bytes() == csv.read_bytes()
+    report = json.loads((tmp_path / "file" / "report.json").read_text())
+    assert report["embedding_kind"] == "spectral" and report["embedding_dim"] == 5
+
+
 def test_sample_fitted_model_requires_graph(tmp_path):
     gpath, _ = write_random_graph(tmp_path, n=15, p=0.3, seed=41)
     epath = tmp_path / "emb.txt"
@@ -479,7 +501,7 @@ def test_sample_warns_on_unconverged_calibration(tmp_path, monkeypatch, caplog):
     gpath, g = write_random_graph(tmp_path, n=20)
     epath = tmp_path / "emb.txt"
     assert cli.main(["embed", "--graph", str(gpath), "--dim", "3", "--out", str(epath)]) == 0
-    monkeypatch.setattr(cli, "fit_lrdp", unconverged_fit)
+    monkeypatch.setattr(models, "fit_lrdp", unconverged_fit)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="embedaudit.cli"):
         assert cli.main(["sample", "--embedding", str(epath), "--model", "lrdp",
@@ -511,6 +533,7 @@ def test_cli_audit_argument_parsing(tmp_path):
     (["audit", "--dim", "2", "--negative-ratio", "10"],
      "unrecognized arguments: --negative-ratio"),
     (["audit", "--dim", "2", "--models", "tdp,lrhp,tdp"], "models must be distinct"),
+    (["audit", "--dim", "0"], "dim must be >= 1"),
 ])
 def test_cli_config_errors_are_usage_errors(tmp_path, capsys, argv, message):
     gpath = write_k4(tmp_path)

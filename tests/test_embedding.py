@@ -498,7 +498,7 @@ def test_dimension_bounds_rejected():
 # ------------------------------------------------------------ pair score
 
 def test_pair_score_plain():
-    e = Embedding.plain([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    e = Embedding([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert e.score_block([0], [1, 2]).tolist() == [[1.0, 0.0]]
 
 
@@ -514,7 +514,7 @@ def test_pair_score_spectral_reconstructs_adjacency():
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_pair_score_symmetric(n, d, seed):
     rng = np.random.default_rng(seed)
-    e = Embedding.plain(rng.normal(size=(n, d)))
+    e = Embedding(rng.normal(size=(n, d)))
     i, j = rng.integers(0, n, size=2)
     assert e.score_block([i], [j])[0, 0] == pytest.approx(e.score_block([j], [i])[0, 0],
                                                            abs=1e-12)
@@ -535,7 +535,7 @@ def test_score_block_matches_scalar():
 
 def test_plain_round_trip(tmp_path):
     rng = np.random.default_rng(12)
-    e = Embedding.plain(rng.normal(size=(5, 3)))
+    e = Embedding(rng.normal(size=(5, 3)))
     p = tmp_path / "emb.txt"
     save_embedding(e, p)
     back = load_embedding(p)
@@ -575,7 +575,7 @@ def test_load_non_finite_rejected(tmp_path):
     with pytest.raises(EmbeddingFormatError, match="non-finite"):
         load_embedding(p)
     with pytest.raises(ValueError, match="finite"):
-        Embedding.plain([[np.nan]])
+        Embedding([[np.nan]])
 
 
 def test_load_external_plain_file_with_comments(tmp_path):
@@ -585,3 +585,30 @@ def test_load_external_plain_file_with_comments(tmp_path):
     e = load_embedding(p)
     assert e.n == 3 and e.d == 2
     assert e.score_block([0], [1, 2]).tolist() == [[0.0, 0.5]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n\n", "missing header"),
+    ("2 1\n0 1.0\n1 1.0\n", "header must be 'n d spectral|plain', got '2 1'"),
+    ("2 1 dense\n0 1.0\n1 1.0\n", "header must be 'n d spectral|plain', got '2 1 dense'"),
+    ("2 x plain\n", "non-integer n or d in header"),
+    ("2 0 plain\n", "invalid sizes n=2, d=0"),
+    ("-1 1 plain\n", "invalid sizes n=-1, d=1"),
+    ("1 1 spectral\n0 1.0\n", "spectral file needs a lambda line"),
+    ("1 1 plain\nv0 1.0\n", "line 2: non-integer vertex id"),
+    ("1 1 plain\n1 1.0\n", "line 2: vertex id 1 out of range"),
+    ("1 1 plain\n-1 1.0\n", "line 2: vertex id -1 out of range"),
+    ("2 1 plain\n0 1.0\n0 2.0\n", "line 3: duplicate vertex id 0"),
+    ("1 2 plain\n0 1.0 one\n", "line 2: non-numeric value"),
+])
+def test_load_rejections(tmp_path, text, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(EmbeddingFormatError) as exc:
+        load_embedding(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_eigenvalues_must_match_the_dimension():
+    with pytest.raises(ValueError, match="eigenvalues must match dimension"):
+        Embedding(np.eye(3)[:, :2], np.array([2.0, 1.0, 0.5]))

@@ -204,7 +204,7 @@ def test_curve_matches_networkx_on_tdp_sample():
     rng = np.random.default_rng(8)
     n, k = 1000, 25
     vectors = 0.55 * np.eye(k)[np.arange(n) % k] + rng.normal(0.0, 0.08, size=(n, k))
-    g = sample_graph(Embedding.plain(vectors), TruncatedDot(), seed=4, sample_index=0)
+    g = sample_graph(Embedding(vectors), TruncatedDot(), seed=4, sample_index=0)
     curve = triangle_foundation_curve(g)
     h = nx.Graph(g.edge_array().tolist())
     h.add_nodes_from(range(n))

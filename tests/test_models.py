@@ -42,7 +42,7 @@ def random_graph(rng, n, p):
 
 def tdp_of_scores(scores):
     """TDP probabilities of the pairs (0, k): vertex 0 holds 1, vertex k the score."""
-    e = Embedding.plain(np.concatenate([[1.0], scores])[:, None])
+    e = Embedding(np.concatenate([[1.0], scores])[:, None])
     return TruncatedDot().prob_block(e, np.array([0]), np.arange(1, e.n))[0]
 
 
@@ -56,14 +56,14 @@ def test_tdp_monotone_in_score():
 
 
 def test_tdp_on_orthogonal_unit_vectors():
-    e = Embedding.plain([[1.0, 0.0], [0.0, 1.0]])
+    e = Embedding([[1.0, 0.0], [0.0, 1.0]])
     assert pair_probability(TruncatedDot(), e, 0, 1) == 0.0
 
 
 # ------------------------------------------------------------------ LRDP
 
 def test_lrdp_zero_slope_is_constant():
-    e = Embedding.plain(np.linspace(-1, 1, 6)[:, None])
+    e = Embedding(np.linspace(-1, 1, 6)[:, None])
     model = LogisticDot(slope=0.0, intercept=0.3)
     probs = {pair_probability(model, e, i, j) for i in range(6) for j in range(6) if i != j}
     assert len(probs) == 1
@@ -76,7 +76,7 @@ def test_lrdp_constant_scores_calibrate_to_half():
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = rng.choice(len(pairs), size=18, replace=False)
     g = Graph.from_edges(n, [pairs[k] for k in chosen])
-    e = Embedding.plain(np.zeros((n, 2)))
+    e = Embedding(np.zeros((n, 2)))
     model, report = fit_lrdp(e, g, seed=1)
     assert model.slope == 0.0
     assert report.converged
@@ -87,7 +87,7 @@ def test_lrdp_constant_scores_calibrate_to_half():
 def test_lrdp_separated_scores():
     # two 5-cliques of +1/-1 unit scalars: edges score +1, non-edges -1
     vec = np.array([[1.0]] * 5 + [[-1.0]] * 5)
-    e = Embedding.plain(vec)
+    e = Embedding(vec)
     edges = [(i, j) for i in range(10) for j in range(i + 1, 10)
              if vec[i, 0] * vec[j, 0] > 0]
     g = Graph.from_edges(10, edges)
@@ -110,7 +110,7 @@ def test_lrdp_k3_full_rank_probabilities_near_one():
 def test_lrdp_calibration_on_random_instance():
     rng = np.random.default_rng(17)
     g = random_graph(rng, 40, 0.2)
-    e = Embedding.plain(rng.normal(size=(40, 5)) * 0.4)
+    e = Embedding(rng.normal(size=(40, 5)) * 0.4)
     model, report = fit_lrdp(e, g, seed=5)
     assert report.converged
     assert abs(report.achieved_expected_edges - g.m) <= 1e-3 * g.m
@@ -133,7 +133,7 @@ def upper_logits(e, offset):
        st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
        st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**32 - 1))
 def test_calibrate_intercept_converges(n, d, offset, fraction, side, seed):
-    e = Embedding.plain(np.random.default_rng(seed).normal(size=(n, d)))
+    e = Embedding(np.random.default_rng(seed).normal(size=(n, d)))
     pair_sums = offset_pair_sums(e, offset)
     m = fraction * n * (n - 1) / 2
     with mock.patch.object(blocks, "TILE", side):
@@ -149,7 +149,7 @@ def test_calibrate_intercept_converges(n, d, offset, fraction, side, seed):
 @pytest.mark.parametrize("n", [1, 2, 12])
 @pytest.mark.parametrize("offset", [-20.0, 0.0, 20.0])
 def test_calibrate_intercept_extreme_targets(n, offset, monkeypatch):
-    e = Embedding.plain(np.random.default_rng(n).normal(size=(n, 2)))
+    e = Embedding(np.random.default_rng(n).normal(size=(n, 2)))
     monkeypatch.setattr(blocks, "TILE", 5)
     pair_sums = offset_pair_sums(e, offset)
     n_pairs = n * (n - 1) // 2
@@ -162,13 +162,61 @@ def test_calibrate_intercept_extreme_targets(n, offset, monkeypatch):
 
 
 def test_pair_sums_derivative_matches_finite_difference(monkeypatch):
-    e = Embedding.plain(np.random.default_rng(37).normal(size=(23, 3)))
+    e = Embedding(np.random.default_rng(37).normal(size=(23, 3)))
     monkeypatch.setattr(blocks, "TILE", 4)
     pair_sums = offset_pair_sums(e, -1.5)
     h = 1e-4
     for delta in (-6.0, -0.5, 0.0, 2.0, 7.0):
         central = (pair_sums(delta + h)[0] - pair_sums(delta - h)[0]) / (2 * h)
         assert pair_sums(delta)[1] == pytest.approx(central, rel=1e-6)
+
+
+def recording(pair_sums):
+    """pair_sums that also lists the deltas it is called at."""
+    calls = []
+
+    def recorded(delta):
+        calls.append(delta)
+        return pair_sums(delta)
+
+    return recorded, calls
+
+
+def test_calibration_doubles_while_the_bracket_is_open():
+    # no pair has any probability below delta = 5, so there is no Newton
+    # step there: delta doubles away from 0 until the sum is positive
+    def sigmoid_sums(delta):
+        if delta < 5:
+            return 0.0, 0.0
+        p = expit(delta - 10.0)
+        return 1000.0 * p, 1000.0 * p * (1.0 - p)
+
+    pair_sums, calls = recording(sigmoid_sums)
+    delta, _, converged, achieved = _calibrate_intercept(pair_sums, 100.0)
+    assert calls[:5] == [0.0, 1.0, 2.0, 4.0, 8.0]
+    assert converged and abs(achieved - 100.0) <= 0.1
+    assert achieved == sigmoid_sums(delta)[0]
+
+
+def test_calibration_bisects_when_a_clipped_step_leaves_the_bracket():
+    # a derivative a million times too small makes every Newton step clip
+    # at 40: from 0 (above the target) to -40 (below), and the step back
+    # to 0 leaves the bracket (-40, 0), so the midpoint -20 is taken
+    def sums(delta):
+        p = expit(delta)
+        return 1000.0 * p, 1e-6 * 1000.0 * p * (1.0 - p)
+
+    m = 1000.0 * expit(-1.0)
+    pair_sums, calls = recording(sums)
+    delta, _, converged, achieved = _calibrate_intercept(pair_sums, m)
+    assert calls[:3] == [0.0, -40.0, -20.0]
+    assert converged and abs(achieved - m) <= 1e-3 * m
+
+
+def test_calibration_returns_its_best_delta_when_it_does_not_converge():
+    pair_sums, calls = recording(lambda delta: (5.0, 0.0))
+    assert _calibrate_intercept(pair_sums, 10.0) == (0.0, 100, False, 5.0)
+    assert len(calls) == 100
 
 
 @pytest.mark.parametrize("d", [10, 50])
@@ -198,7 +246,7 @@ def test_calibration_walks_the_models_own_probabilities(fit, cls, monkeypatch):
         dataclasses.replace(self, intercept=self.intercept + 0.7), e, rows, cols))
     rng = np.random.default_rng(43)
     g = random_graph(rng, 40, 0.2)
-    e = Embedding.plain(rng.normal(size=(40, 4)) * 0.4)
+    e = Embedding(rng.normal(size=(40, 4)) * 0.4)
     model, report = fit(e, g, seed=7)
     assert report.converged
     assert abs(report.achieved_expected_edges - g.m) <= 1e-3 * g.m
@@ -211,7 +259,7 @@ def test_calibration_walks_the_models_own_probabilities(fit, cls, monkeypatch):
 def test_lrhp_d1_reduces_to_lrdp():
     rng = np.random.default_rng(21)
     g = random_graph(rng, 25, 0.25)
-    e = Embedding.plain(rng.normal(size=(25, 1)))
+    e = Embedding(rng.normal(size=(25, 1)))
     m1, _ = fit_lrdp(e, g, seed=9)
     m2, _ = fit_lrhp(e, g, seed=9)
     for i in range(25):
@@ -224,7 +272,7 @@ def test_lrhp_d1_reduces_to_lrdp():
 def test_lrhp_constant_features_calibrate_to_density():
     rng = np.random.default_rng(4)
     g = random_graph(rng, 20, 0.3)
-    e = Embedding.plain(np.zeros((20, 3)))
+    e = Embedding(np.zeros((20, 3)))
     model, report = fit_lrhp(e, g, seed=0)
     assert report.converged
     density = g.m / (20 * 19 / 2)
@@ -234,7 +282,7 @@ def test_lrhp_constant_features_calibrate_to_density():
 def test_lrhp_calibration_on_random_instance():
     rng = np.random.default_rng(29)
     g = random_graph(rng, 30, 0.2)
-    e = Embedding.plain(rng.normal(size=(30, 4)) * 0.5)
+    e = Embedding(rng.normal(size=(30, 4)) * 0.5)
     model, report = fit_lrhp(e, g, seed=11)
     assert report.converged
     assert abs(probability_sum(e, model) - g.m) <= 1e-3 * g.m
@@ -256,7 +304,7 @@ def test_lrhp_spectral_features_match_score_sum():
 
 def test_softmax_uniform_scores_on_k3():
     g = k_complete(3)
-    e = Embedding.plain(np.zeros((3, 2)))
+    e = Embedding(np.zeros((3, 2)))
     model = build_softmax(e, g)
     # each vertex has degree 2 spread uniformly over 2 partners: q = 1
     assert np.allclose(np.exp(model.log_scale), [1.0, 1.0, 1.0])
@@ -267,7 +315,7 @@ def test_softmax_uniform_scores_on_k3():
 def test_softmax_isolated_vertex_row_is_zero():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])   # vertex 3 isolated
     rng = np.random.default_rng(6)
-    e = Embedding.plain(rng.normal(size=(4, 2)))
+    e = Embedding(rng.normal(size=(4, 2)))
     model = build_softmax(e, g)
     q = np.exp(model.log_scale[[3], None] + e.score_block(np.array([3]), np.arange(4)))
     assert np.all(q == 0.0)
@@ -277,7 +325,7 @@ def test_softmax_isolated_vertex_row_is_zero():
 def test_softmax_row_sums_match_degrees():
     rng = np.random.default_rng(8)
     g = random_graph(rng, 20, 0.3)
-    e = Embedding.plain(rng.normal(size=(20, 3)))
+    e = Embedding(rng.normal(size=(20, 3)))
     model = build_softmax(e, g)
     q = np.exp(model.log_scale)[:, None] * np.exp(e.score_block(np.arange(20), np.arange(20)))
     np.fill_diagonal(q, 0.0)
@@ -286,7 +334,7 @@ def test_softmax_row_sums_match_degrees():
 
 def test_softmax_large_scores_do_not_overflow():
     g = k_complete(3)
-    e = Embedding.plain(np.full((3, 1), 40.0))   # scores of 1600
+    e = Embedding(np.full((3, 1), 40.0))   # scores of 1600
     model = build_softmax(e, g)
     p = pair_probability(model, e, 0, 1)
     assert np.isfinite(p) and 0 <= p <= 1
@@ -294,7 +342,7 @@ def test_softmax_large_scores_do_not_overflow():
 
 def test_softmax_clamp_count():
     g = k_complete(3)
-    e = Embedding.plain(np.zeros((3, 2)))
+    e = Embedding(np.zeros((3, 2)))
     model = build_softmax(e, g)
     # q values are exactly 1.0, never above it
     assert softmax_clamp_count(model, e) == 0
@@ -307,7 +355,7 @@ def test_in_place_probability_tiles_equal_whole_tile_arithmetic(monkeypatch):
     # every entry is the whole-tile expression's, bit for bit
     rng = np.random.default_rng(12)
     g = random_graph(rng, 40, 0.2)
-    e = Embedding.plain(rng.normal(size=(40, 3)))
+    e = Embedding(rng.normal(size=(40, 3)))
     model = DegreeSoftmax(build_softmax(e, g).log_scale + 0.5)
     rows, cols = np.arange(5, 30), np.arange(40)
     monkeypatch.setattr(blocks, "CHUNK_ENTRIES", 3 * len(cols))
@@ -325,7 +373,7 @@ def test_softmax_clamp_count_matches_dense_triu(n, d, side, boost, seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, 0.3)
     # quarter-integer coordinates make every score exact under any tiling
-    e = Embedding.plain(rng.integers(-4, 5, size=(n, d)) / 4.0)
+    e = Embedding(rng.integers(-4, 5, size=(n, d)) / 4.0)
     model = DegreeSoftmax(build_softmax(e, g).log_scale + boost)
     ls, scores = model.log_scale, e.vectors @ e.vectors.T
     raw = 0.5 * (np.exp(ls[:, None] + scores) + np.exp(ls[None, :] + scores))
@@ -340,9 +388,9 @@ def test_lrhp_constant_column_gets_zero_weight():
     rng = np.random.default_rng(41)
     g = random_graph(rng, 30, 0.2)
     v = rng.normal(size=(30, 3)) * 0.5
-    model, report = fit_lrhp(Embedding.plain(np.column_stack([v[:, :1], np.ones(30), v[:, 1:]])),
+    model, report = fit_lrhp(Embedding(np.column_stack([v[:, :1], np.ones(30), v[:, 1:]])),
                              g, seed=11)
-    ref, _ = fit_lrhp(Embedding.plain(v), g, seed=11)
+    ref, _ = fit_lrhp(Embedding(v), g, seed=11)
     assert report.converged
     assert model.weights[1] == 0.0
     np.testing.assert_allclose(np.delete(model.weights, 1), ref.weights, rtol=1e-9)
@@ -357,7 +405,7 @@ def _fit_instance(kind):
     g = Graph.from_edges(n, rng.integers(0, n, size=(900, 2)))
     if kind == "spectral":
         return g, spectral_embed(g, 6)
-    return g, Embedding.plain(rng.normal(scale=0.3, size=(n, 5)))
+    return g, Embedding(rng.normal(scale=0.3, size=(n, 5)))
 
 
 @pytest.mark.parametrize("kind", ["plain", "spectral"])
@@ -387,9 +435,9 @@ def test_streamed_newton_matches_whole_design(case, monkeypatch):
     n = 40
     g = random_graph(rng, n, 0.15)
     v = rng.normal(size=(n, 4)) * 0.5
-    e = {"lrdp": Embedding.plain(v), "lrhp-d1": Embedding.plain(v[:, :1]),
-         "lrhp": Embedding.plain(v),
-         "lrhp-constant": Embedding.plain(np.column_stack([v[:, :2], np.ones(n), v[:, 2:]])),
+    e = {"lrdp": Embedding(v), "lrhp-d1": Embedding(v[:, :1]),
+         "lrhp": Embedding(v),
+         "lrhp-constant": Embedding(np.column_stack([v[:, :2], np.ones(n), v[:, 2:]])),
          "lrhp-spectral": spectral_embed(g, 4)}[case]
     fit, features, nfeat = ((fit_lrdp, oracles.lrdp_features_reference, 1) if case == "lrdp"
                             else (fit_lrhp, oracles.lrhp_features_reference, e.d))
@@ -450,7 +498,7 @@ def test_nonedge_sampler_and_fit_on_a_dense_graph():
                                if (i, j) != (3, 17)])
     got = models._sample_nonedges(g, 10 * g.m, np.random.default_rng(5))
     assert got.tolist() == [[3, 17]]
-    e = Embedding.plain(np.random.default_rng(5).normal(scale=0.3, size=(150, 4)))
+    e = Embedding(np.random.default_rng(5).normal(scale=0.3, size=(150, 4)))
     _, report = fit_lrdp(e, g, seed=5)
     assert report.converged
     assert abs(report.achieved_expected_edges - g.m) <= 1e-3 * g.m
@@ -462,7 +510,7 @@ def test_fit_stage_memory_is_chunk_bounded(monkeypatch):
     rng = np.random.default_rng(3)
     n, d = 1600, 64
     g = Graph.from_edges(n, rng.integers(0, n, size=(8200, 2)))
-    e = Embedding.plain(rng.normal(scale=0.15, size=(n, d)))
+    e = Embedding(rng.normal(scale=0.15, size=(n, d)))
     fitted = 11 * g.m             # edges plus about 10 sampled non-edges per edge
     # O(m): the pair list, y, w, lrdp's score column and the sampler's draw
     per_fitted, chunk, tile = 64, blocks.CHUNK_ENTRIES * 8, blocks.TILE ** 2 * 8
@@ -495,7 +543,7 @@ def test_sigmoid_matches_expit_without_warnings():
     assert np.all(err[~normal] <= 1e-300)           # the underflow tail
     assert out[-2:].tolist() == [1.0, 0.0]
 
-    e = Embedding.plain(np.random.default_rng(3).normal(size=(9, 2)))
+    e = Embedding(np.random.default_rng(3).normal(size=(9, 2)))
     rows, cols = np.arange(4), np.arange(9)
     s = e.score_block(rows, cols)
     p = LogisticDot(3.0, -1.5).prob_block(e, rows, cols)
@@ -554,7 +602,7 @@ def test_probabilities_within_unit_interval_blockwise():
 def test_model_json_round_trip():
     rng = np.random.default_rng(23)
     g = random_graph(rng, 15, 0.3)
-    e = Embedding.plain(rng.normal(size=(15, 3)))
+    e = Embedding(rng.normal(size=(15, 3)))
     models = [TruncatedDot(),
               LogisticDot(1.5, -0.25),
               LogisticHadamard(np.array([0.5, -1.0, 2.0]), 0.1),

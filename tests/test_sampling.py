@@ -26,7 +26,7 @@ TDP = TruncatedDot()
 
 
 def plain_random(rng, n, d, scale=1.0):
-    return Embedding.plain(rng.normal(size=(n, d)) * scale)
+    return Embedding(rng.normal(size=(n, d)) * scale)
 
 
 def random_graph(rng, n, p):
@@ -36,20 +36,20 @@ def random_graph(rng, n, p):
 # ------------------------------------------------------------- sampling
 
 def test_certain_model_yields_complete_graph():
-    e = Embedding.plain(np.full((6, 1), 1.2))    # every score is 1.44 -> p = 1
+    e = Embedding(np.full((6, 1), 1.2))    # every score is 1.44 -> p = 1
     for s in range(3):
         g = sample_graph(e, TDP, seed=1, sample_index=s)
         assert g.m == 15
 
 
 def test_zero_model_yields_empty_graph():
-    e = Embedding.plain(np.zeros((6, 2)))        # every score is 0 -> p = 0
+    e = Embedding(np.zeros((6, 2)))        # every score is 0 -> p = 0
     g = sample_graph(e, TDP, seed=1, sample_index=0)
     assert g.m == 0
 
 
 def test_single_pair_frequency_near_half():
-    e = Embedding.plain(np.array([[1.0, 0.0], [0.5, 0.0]]))   # score 0.5
+    e = Embedding(np.array([[1.0, 0.0], [0.5, 0.0]]))   # score 0.5
     hits = sum(sample_graph(e, TDP, seed=99, sample_index=s).m
                for s in range(2000))
     assert 0.46 <= hits / 2000 <= 0.54
@@ -92,7 +92,7 @@ def test_sparse_draw_is_exact_bernoulli(monkeypatch):
     p = np.triu(np.where(rng.random((n, n)) < 0.75, rng.choice(tiny, (n, n)),
                          rng.choice(spread, (n, n))), 1)
     p += p.T
-    e = Embedding.plain(np.zeros((n, 1)))
+    e = Embedding(np.zeros((n, 1)))
     model = FixedProbabilities(p)
 
     # every tile has p on both sides of its floor rate; some p equal a floor
@@ -160,7 +160,7 @@ def test_sparse_draw_of_constant_tiles(value, monkeypatch):
     n = 40
     model = FixedProbabilities(np.full((n, n), value))
     monkeypatch.setattr(blocks, "TILE", 16)
-    stores, _, examined = _pair_walk(Embedding.plain(np.zeros((n, 1))), model,
+    stores, _, examined = _pair_walk(Embedding(np.zeros((n, 1))), model,
                                      seed=5, sample_indices=range(3))
     for ed in map(_store_edges, stores):
         assert Graph.from_edges(n, ed).m == len(ed) == value * n * (n - 1) // 2
@@ -173,7 +173,7 @@ def test_many_samples_hold_compact_offsets_and_one_edge_array():
     # bound; their int32 tile offsets take 4
     n, samples = 600, 400
     model = FixedProbabilities(np.full((n, n), 0.01))
-    e = Embedding.plain(np.zeros((n, 1)))
+    e = Embedding(np.zeros((n, 1)))
     got = []
     peak = oracles.traced_peak(lambda: got.append(curve_over_samples(e, model, 5, samples)))
     counts = got[0].edge_counts
@@ -188,13 +188,13 @@ def test_many_samples_hold_compact_offsets_and_one_edge_array():
 def test_expected_degrees_identical_vectors():
     v = np.array([1.0, 0.5, 0.0, 0.5])
     v = v / np.sqrt(2 * v @ v)                   # scale so every score is 0.5
-    e = Embedding.plain(np.tile(v, (3, 1)))
+    e = Embedding(np.tile(v, (3, 1)))
     ed = expected_degrees(e, TDP)
     assert np.allclose(ed, 1.0, atol=1e-12)
 
 
 def test_expected_degrees_certain_model():
-    e = Embedding.plain(np.full((7, 1), 2.0))
+    e = Embedding(np.full((7, 1), 2.0))
     assert np.allclose(expected_degrees(e, TDP), 6.0)
 
 
@@ -230,9 +230,9 @@ def test_expected_degrees_reproducible_and_block_invariant(monkeypatch):
 
 def test_expected_triangles_small_cases():
     v = np.array([1.0, 0.0])
-    e = Embedding.plain(np.tile(v * np.sqrt(0.5), (3, 1)))   # all scores 0.5
+    e = Embedding(np.tile(v * np.sqrt(0.5), (3, 1)))   # all scores 0.5
     assert expected_triangles_exact(e, TDP) == pytest.approx(0.125)
-    e5 = Embedding.plain(np.full((5, 1), 2.0))                # all p = 1
+    e5 = Embedding(np.full((5, 1), 2.0))                # all p = 1
     assert expected_triangles_exact(e5, TDP) == pytest.approx(10.0)
 
 
@@ -245,7 +245,7 @@ def test_expected_triangles_matches_triple_sum_oracle():
 
 
 def test_expected_triangles_guard():
-    e = Embedding.plain(np.zeros((501, 1)))
+    e = Embedding(np.zeros((501, 1)))
     with pytest.raises(ValueError, match="refusing"):
         expected_triangles_exact(e, TDP)
 
@@ -289,7 +289,7 @@ def test_sample_curves_build_no_graph(monkeypatch):
 
 
 def test_deterministic_model_makes_identical_samples():
-    e = Embedding.plain(np.full((8, 1), 1.5))    # all p = 1
+    e = Embedding(np.full((8, 1), 1.5))    # all p = 1
     curves = curve_over_samples(e, TDP, 1, 5)
     assert np.all(curves.deltas == curves.deltas[0])
     assert curves.variance.max() == 0.0
@@ -336,7 +336,7 @@ def test_triangle_expectation_bounded_by_degree_moments():
         n, d = 30, 3
         v = rng.normal(size=(n, d))
         v = v / np.linalg.norm(v, axis=1, keepdims=True) * rng.uniform(0.05, 1.0, size=(n, 1))
-        e = Embedding.plain(v)
+        e = Embedding(v)
         l_sq = float(np.max(np.sum(v * v, axis=1)))
         ed = expected_degrees(e, TDP)
         tri = expected_triangles_exact(e, TDP)
@@ -344,7 +344,7 @@ def test_triangle_expectation_bounded_by_degree_moments():
 
 
 def test_curve_over_samples_validation():
-    e = Embedding.plain(np.zeros((4, 1)))
+    e = Embedding(np.zeros((4, 1)))
     with pytest.raises(ValueError, match="num_samples"):
         curve_over_samples(e, TDP, 1, 0)
     for seed in (-1, 2**64):

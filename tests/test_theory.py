@@ -148,7 +148,7 @@ def test_negative_dot_mass_hand_case():
 # ------------------------------------------------------------ certificate
 
 def test_certificate_orthonormal_basis():
-    e = Embedding.plain(np.eye(4))
+    e = Embedding(np.eye(4))
     cert = core_rank_certificate(e, c=100.0)
     assert cert.emptied_at is None
     assert len(cert.core_indices) == 4
@@ -160,7 +160,7 @@ def test_certificate_prunes_high_degree_vectors():
     n = 50
     v = np.zeros((n, 3))
     v[:, 0] = np.sqrt(2.0 * n)                  # every score is 2n -> p = 1
-    cert = core_rank_certificate(Embedding.plain(v), c=10.0)
+    cert = core_rank_certificate(Embedding(v), c=10.0)
     assert cert.emptied_at == "degree_cap"
     assert cert.bound == 0.0
     assert len(cert.core_indices) == 0
@@ -171,7 +171,7 @@ def test_certificate_random_unit_vectors_bounded_by_dimension():
     n, d = 200, 8
     v = rng.normal(size=(n, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    e = Embedding.plain(v)
+    e = Embedding(v)
     cert = core_rank_certificate(e, c=float(n))
     assert cert.emptied_at is None
     gram = v[cert.core_indices] @ v[cert.core_indices].T
@@ -182,14 +182,14 @@ def test_certificate_random_unit_vectors_bounded_by_dimension():
 def test_certificate_length_window_prunes_tiny_vectors():
     n = 20
     v = np.full((n, 2), 1e-12)                   # lengths far below n^-2
-    cert = core_rank_certificate(Embedding.plain(v), c=5.0)
+    cert = core_rank_certificate(Embedding(v), c=5.0)
     assert cert.emptied_at == "length_window"
 
 
 def test_certificate_buckets_partition_kept_vectors():
     rng = np.random.default_rng(19)
     v = rng.normal(size=(60, 4)) * rng.uniform(0.2, 4.0, size=(60, 1))
-    cert = core_rank_certificate(Embedding.plain(v), c=1000.0)
+    cert = core_rank_certificate(Embedding(v), c=1000.0)
     merged = np.sort(np.concatenate(list(cert.buckets.values())))
     assert np.array_equal(merged, np.sort(cert.kept_indices))
     lengths = np.linalg.norm(v, axis=1)
